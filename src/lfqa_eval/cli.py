@@ -33,9 +33,8 @@ from .corpus import (
     Corpus,
     CorpusError,
     classify_granularity,
+    iter_corpus_records,
     load_corpus,
-    record_from_dict,
-    validate_record,
 )
 from .evalmetrics import (
     DEFAULT_WEIGHTS,
@@ -54,12 +53,16 @@ from .feedback import FeedbackSample, run_feedback
 from .genclient import BackendConfig, GenerationClient, GenerationError
 from .models import Aspect, QARecord, SpanGranularity
 from .refine import REFINE_TEMPERATURE, RefineMode, refine_answer, run_eir
-from .scoring import domain_report, format_aspect_table, format_domain_table, score_record
+from .scoring import domain_report, format_aspect_table, format_domain_table, preference_report
 from .segment import segment_sentences
 
 
 class ConfigError(ValueError):
     pass
+
+
+class UsageError(ValueError):
+    """A command line that parses but asks for nothing that exists (exit 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -266,31 +269,9 @@ def _dump(obj: dict) -> str:
 def _cmd_validate(args) -> int:
     problems: list[str] = []
     count = 0
-    seen: dict[str, int] = {}
-    with open(args.corpus, encoding="utf-8") as handle:
-        for ln, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            count += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append(f"line {ln}: malformed JSON: {exc.msg}")
-                continue
-            try:
-                record = record_from_dict(obj)
-            except CorpusError as exc:
-                problems.append(f"line {ln}: {exc}")
-                continue
-            if record.id in seen:
-                problems.append(
-                    f"line {ln}: duplicate id '{record.id}' (first seen on line {seen[record.id]})"
-                )
-            else:
-                seen[record.id] = ln
-            problems.extend(
-                f"line {ln}: record '{record.id}': {v}" for v in validate_record(record)
-            )
+    for ln, _record, line_problems in iter_corpus_records(args.corpus):
+        count += 1
+        problems.extend(f"line {ln}: {p}" for p in line_problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
@@ -415,12 +396,7 @@ def _cmd_score(args) -> int:
     print()
     print(format_aspect_table(report))
     if args.out:
-        lines = [
-            _dump(card.to_dict())
-            for record in corpus
-            for card in score_record(record)
-        ]
-        _write_lines(args.out, lines)
+        _write_lines(args.out, [_dump(card.to_dict()) for card in report.cards])
     if args.report:
         _write_lines(
             args.report,
@@ -430,8 +406,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_agreement(args) -> int:
-    corpus = load_corpus(args.corpus)
-    report = domain_report(corpus)
+    report = preference_report(load_corpus(args.corpus))
     header = f"{'Category':<14}{'Samples':>8}{'Alpha':>8}"
     print(header)
     print("-" * len(header))
@@ -485,6 +460,12 @@ def _run_batch(args, config: CliConfig, work) -> int:
         for record in corpus
         for idx in _select_answers(record, args.answer)
     ]
+    if not targets and len(corpus) and args.answer not in ("all", "human", "model"):
+        largest = max(len(record.answers) for record in corpus) - 1
+        raise UsageError(
+            f"--answer {args.answer} selects no answer in {args.corpus}; "
+            f"the largest answer index is {largest}"
+        )
     existing = _existing_lines(args.out) if args.resume else {}
     failures: list[str] = []
     futures = {}
@@ -829,6 +810,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, CorpusError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

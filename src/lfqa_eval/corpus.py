@@ -250,37 +250,45 @@ class Corpus:
         return self.by_id.get(record_id)
 
 
-def iter_corpus_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, parsed_object) pairs, skipping blank lines."""
+def iter_corpus_records(
+    path: str | Path,
+) -> Iterator[tuple[int, QARecord | None, list[str]]]:
+    """Yield (line_number, record, problems) for every non-blank line.
+
+    ``record`` is None when the line does not parse; ``problems`` lists what
+    is wrong with the line in the order it was found (a duplicate id before
+    the record's own violations), each without the line prefix.
+    """
+    seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for ln, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                record = record_from_dict(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"malformed JSON: {exc.msg}", line=ln) from None
-            yield ln, obj
+                yield ln, None, [f"malformed JSON: {exc.msg}"]
+                continue
+            except CorpusError as exc:
+                yield ln, None, [str(exc)]
+                continue
+            problems = []
+            if record.id in seen:
+                problems.append(
+                    f"duplicate id '{record.id}' (first seen on line {seen[record.id]})"
+                )
+            else:
+                seen[record.id] = ln
+            problems.extend(f"record '{record.id}': {v}" for v in validate_record(record))
+            yield ln, record, problems
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a corpus file; any violation aborts the load."""
     records: list[QARecord] = []
-    seen: dict[str, int] = {}
-    for ln, obj in iter_corpus_lines(path):
-        try:
-            record = record_from_dict(obj)
-        except CorpusError as exc:
-            raise CorpusError(str(exc), line=ln) from None
-        if record.id in seen:
-            raise CorpusError(
-                f"duplicate id '{record.id}' (first seen on line {seen[record.id]})",
-                line=ln,
-            )
-        violations = validate_record(record)
-        if violations:
-            raise CorpusError(f"record '{record.id}': {violations[0]}", line=ln)
-        seen[record.id] = ln
+    for ln, record, problems in iter_corpus_records(path):
+        if problems:
+            raise CorpusError(problems[0], line=ln)
         records.append(record)
     return Corpus(records)
 
@@ -371,10 +379,20 @@ def classify_granularity(
     return SpanGranularity.PHRASE
 
 
-def label_answer(record: QARecord, answer_index: int, aspect: Aspect) -> SentenceLabeling:
-    """Segment one answer and project its annotations for one aspect."""
+def label_aspects(
+    record: QARecord, answer_index: int, aspects: Iterable[Aspect]
+) -> dict[Aspect, SentenceLabeling]:
+    """Segment one answer once and project its annotations for each aspect."""
     text = record.answers[answer_index].text
     sentences = segment_sentences(text)
-    return project_spans(
-        text, sentences, record.annotations_for(aspect, answer_index), aspect
-    )
+    return {
+        aspect: project_spans(
+            text, sentences, record.annotations_for(aspect, answer_index), aspect
+        )
+        for aspect in aspects
+    }
+
+
+def label_answer(record: QARecord, answer_index: int, aspect: Aspect) -> SentenceLabeling:
+    """Segment one answer and project its annotations for one aspect."""
+    return label_aspects(record, answer_index, (aspect,))[aspect]

@@ -10,10 +10,10 @@ preference score.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, label_answer
+from .corpus import Corpus, label_aspects
 from .models import (
     ANSWER_ASPECTS,
     Aspect,
@@ -146,6 +146,9 @@ def preferred_source(record: QARecord) -> Source | None:
     return Source.HUMAN if shares[0] > shares[1] else Source.MODEL
 
 
+_SENTENCE_ASPECTS = (Aspect.FACTUALITY, Aspect.RELEVANCE, Aspect.COMPLETENESS)
+
+
 def score_record(record: QARecord) -> list[AspectScorecard]:
     """Build one scorecard per answer of the record."""
     misconception = misconception_score(
@@ -157,8 +160,8 @@ def score_record(record: QARecord) -> list[AspectScorecard]:
         scores: dict[Aspect, float | None] = {
             Aspect.QUESTION_MISCONCEPTION: misconception
         }
-        for aspect in (Aspect.FACTUALITY, Aspect.RELEVANCE, Aspect.COMPLETENESS):
-            labeling = label_answer(record, idx, aspect)
+        labelings = label_aspects(record, idx, _SENTENCE_ASPECTS)
+        for aspect, labeling in labelings.items():
             scores[aspect] = (
                 sentence_error_score(labeling) if labeling.n_sentences else None
             )
@@ -273,6 +276,7 @@ class DomainRow:
 class DomainReport:
     rows: list[DomainRow]
     average: DomainRow
+    cards: list[AspectScorecard] = field(default_factory=list)  # corpus order
 
 
 def _mean(values: Iterable[float | None]) -> float | None:
@@ -295,12 +299,31 @@ def _source_means(cards: Sequence[AspectScorecard]) -> dict[str, dict[str, float
     }
 
 
-def domain_report(corpus: Corpus) -> DomainReport:
-    """Per-domain sample counts, preference split, agreement, and mean scores.
+def _average_row(rows: Sequence[DomainRow]) -> DomainRow:
+    """Unweighted mean of the per-domain values, with the total record count."""
+    sources = sorted({source for row in rows for source in row.means})
+    return DomainRow(
+        domain="average",
+        n_records=sum(row.n_records for row in rows),
+        human_pref_pct=_mean(row.human_pref_pct for row in rows),
+        model_pref_pct=_mean(row.model_pref_pct for row in rows),
+        alpha=_mean(row.alpha for row in rows),
+        means={
+            source: {
+                key: _mean(
+                    row.means[source][key] for row in rows if source in row.means
+                )
+                for key in MEAN_KEYS
+            }
+            for source in sources
+        },
+    )
 
-    The average row is the unweighted mean of the per-domain values (matching
-    how a per-domain summary table averages its rows), with the total record
-    count.
+
+def preference_report(corpus: Corpus) -> DomainReport:
+    """Per-domain sample counts, preference split, and agreement.
+
+    Scores no answer: every row's ``means`` is empty and ``cards`` is empty.
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
@@ -319,8 +342,6 @@ def domain_report(corpus: Corpus) -> DomainReport:
 
         agreement_rows = [r for r in preference_agreement_rows(records) if len(r) >= 2]
         alpha = krippendorff_alpha(agreement_rows) if agreement_rows else None
-
-        cards = [card for record in records for card in score_record(record)]
         rows.append(
             DomainRow(
                 domain=domain.value,
@@ -328,28 +349,32 @@ def domain_report(corpus: Corpus) -> DomainReport:
                 human_pref_pct=human_pct,
                 model_pref_pct=model_pct,
                 alpha=alpha,
-                means=_source_means(cards),
+                means={},
             )
         )
+    return DomainReport(rows=rows, average=_average_row(rows))
 
-    sources = sorted({source for row in rows for source in row.means})
-    average = DomainRow(
-        domain="average",
-        n_records=sum(row.n_records for row in rows),
-        human_pref_pct=_mean(row.human_pref_pct for row in rows),
-        model_pref_pct=_mean(row.model_pref_pct for row in rows),
-        alpha=_mean(row.alpha for row in rows),
-        means={
-            source: {
-                key: _mean(
-                    row.means[source][key] for row in rows if source in row.means
-                )
-                for key in MEAN_KEYS
-            }
-            for source in sources
-        },
-    )
-    return DomainReport(rows=rows, average=average)
+
+def domain_report(corpus: Corpus) -> DomainReport:
+    """Per-domain sample counts, preference split, agreement, and mean scores.
+
+    The average row is the unweighted mean of the per-domain values (matching
+    how a per-domain summary table averages its rows), with the total record
+    count. Every record is scored once; the report keeps the scorecards in
+    corpus order.
+    """
+    preferences = preference_report(corpus)
+    cards: list[AspectScorecard] = []
+    by_domain: dict[str, list[AspectScorecard]] = defaultdict(list)
+    for record in corpus:
+        record_cards = score_record(record)
+        cards.extend(record_cards)
+        by_domain[record.domain.value].extend(record_cards)
+    rows = [
+        replace(row, means=_source_means(by_domain[row.domain]))
+        for row in preferences.rows
+    ]
+    return DomainReport(rows=rows, average=_average_row(rows), cards=cards)
 
 
 def _fmt(value: float | None, pct: bool = False) -> str:

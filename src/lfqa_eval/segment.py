@@ -35,6 +35,12 @@ _OPENERS = "\"'“‘(["
 
 URL_RE = re.compile(r"(?:https?://|www\.)[^\s<>\"]+")
 
+# A candidate boundary: a terminator, any closers, then a whitespace run.
+# Group 1 ends where the boundary goes; the match ends at the next word.
+_CANDIDATE_RE = re.compile(
+    f"([{re.escape(_TERMINATORS)}][{re.escape(_CLOSERS)}]*)\\s+"
+)
+
 
 def _protected_spans(text: str) -> list[tuple[int, int]]:
     return [m.span() for m in URL_RE.finditer(text)]
@@ -64,25 +70,19 @@ def segment_sentences(text: str) -> list[SentenceSpan]:
     protected = _protected_spans(text)
 
     ends: list[int] = []
-    for i, ch in enumerate(text):
-        if ch not in _TERMINATORS or _in_protected(i, protected):
-            continue
-        j = i + 1
-        while j < n and text[j] in _CLOSERS:
-            j += 1
-        if j >= n or not text[j].isspace():
-            continue
-        k = j
-        while k < n and text[k].isspace():
-            k += 1
+    for match in _CANDIDATE_RE.finditer(text):
+        k = match.end()
         if k >= n:
-            continue
+            break  # only whitespace follows
         nxt = text[k]
         if not (nxt.isupper() or nxt.isdigit() or nxt in _OPENERS):
             continue
-        if ch == "." and _abbreviation_before(text, i):
+        i = match.start()
+        if _in_protected(i, protected):
             continue
-        ends.append(j)
+        if text[i] == "." and _abbreviation_before(text, i):
+            continue
+        ends.append(match.end(1))
 
     spans: list[SentenceSpan] = []
     cursor = 0

@@ -4,8 +4,11 @@ from pathlib import Path
 import pytest
 
 from conftest import make_record
+from lfqa_eval import cli as cli_module
+from lfqa_eval import corpus as corpus_module
+from lfqa_eval import scoring as scoring_module
 from lfqa_eval.cli import ConfigError, load_config, main
-from lfqa_eval.corpus import save_corpus
+from lfqa_eval.corpus import load_corpus, save_corpus
 from lfqa_eval.evalmetrics import DEFAULT_WEIGHTS
 from lfqa_eval.genclient import FixtureStore
 from lfqa_eval.models import (
@@ -17,6 +20,8 @@ from lfqa_eval.models import (
     Source,
 )
 from lfqa_eval.refine import RefineMode, build_refine_prompt
+from lfqa_eval.scoring import domain_report, score_record
+from lfqa_eval.segment import segment_sentences
 
 
 @pytest.fixture
@@ -170,6 +175,61 @@ def test_agreement_outputs_alpha(small_corpus, tmp_path, capsys):
     assert law["alpha"] is not None
 
 
+def _count_segmented(monkeypatch) -> list[str]:
+    """Record every text segmented through the corpus and cli module bindings."""
+    texts: list[str] = []
+
+    def counting(text):
+        texts.append(text)
+        return segment_sentences(text)
+
+    monkeypatch.setattr(corpus_module, "segment_sentences", counting)
+    monkeypatch.setattr(cli_module, "segment_sentences", counting)
+    return texts
+
+
+def _corpus_path(request, name: str) -> Path:
+    if name == "golden":
+        return request.getfixturevalue("golden_env")["corpus"]
+    return request.getfixturevalue("small_corpus")
+
+
+@pytest.mark.parametrize("name", ["small", "golden"])
+def test_score_segments_each_answer_once(name, request, tmp_path, monkeypatch):
+    path = _corpus_path(request, name)
+    segmented = _count_segmented(monkeypatch)
+    assert main(["score", str(path), "--out", str(tmp_path / "cards.jsonl")]) == 0
+    answers = [a.text for record in load_corpus(path) for a in record.answers]
+    assert sorted(segmented) == sorted(answers)
+
+
+@pytest.mark.parametrize("name", ["small", "golden"])
+def test_score_out_equals_score_record_in_corpus_order(name, request, tmp_path):
+    path = _corpus_path(request, name)
+    out = tmp_path / "cards.jsonl"
+    assert main(["score", str(path), "--out", str(out)]) == 0
+    expected = [card.to_dict() for r in load_corpus(path) for card in score_record(r)]
+    assert [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()] == expected
+
+
+@pytest.mark.parametrize("name", ["small", "golden"])
+def test_agreement_segments_and_scores_nothing(name, request, tmp_path, monkeypatch):
+    path = _corpus_path(request, name)
+    segmented = _count_segmented(monkeypatch)
+    scored = []
+    monkeypatch.setattr(scoring_module, "score_record", lambda r: scored.append(r) or [])
+    out = tmp_path / "agreement.jsonl"
+    assert main(["agreement", str(path), "--out", str(out)]) == 0
+    assert segmented == [] and scored == []
+    monkeypatch.undo()
+    report = domain_report(load_corpus(path))
+    expected = [
+        {"domain": row.domain, "n_records": row.n_records, "alpha": row.alpha}
+        for row in report.rows + [report.average]
+    ]
+    assert [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()] == expected
+
+
 # ---------------------------------------------------------------------------
 # feedback / refine with the scripted golden environment
 
@@ -216,6 +276,20 @@ def test_feedback_cli_resume_skips_done_records(golden_env, tmp_path):
     out.write_text("\n".join(lines[:4]) + "\n", encoding="utf-8")
     assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
     assert out.read_text() == full
+
+
+@pytest.mark.parametrize("command", [["feedback"], ["refine", "--mode", "eir"]])
+def test_answer_index_out_of_range_exits_2(command, golden_env, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    code = main(
+        [*command, str(golden_env["corpus"]),
+         "--backend", f"scripted:{golden_env['fixtures']}",
+         "--answer", "7", "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--answer 7" in err and "largest answer index is 0" in err
+    assert not out.exists()
 
 
 def test_refine_eir_cli(golden_env, tmp_path):

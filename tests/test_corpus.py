@@ -7,6 +7,7 @@ from conftest import make_record
 from lfqa_eval.corpus import (
     CorpusError,
     classify_granularity,
+    iter_corpus_records,
     load_corpus,
     project_spans,
     record_from_dict,
@@ -76,6 +77,27 @@ def test_schema_violation_reports_field(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(_record_line(domain="astrology") + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="domain"):
+        load_corpus(path)
+
+
+def test_iter_corpus_records_lists_every_problem(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        "\n".join(
+            [_record_line("q1"), "{broken", "", _record_line(domain="astrology"), _record_line("q1")]
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    rows = list(iter_corpus_records(path))
+    assert [(ln, record is None) for ln, record, _ in rows] == [
+        (1, False), (2, True), (4, True), (5, False)
+    ]
+    assert rows[0][2] == []
+    assert rows[1][2][0].startswith("malformed JSON")
+    assert "domain" in rows[2][2][0]
+    assert rows[3][2] == ["duplicate id 'q1' (first seen on line 1)"]
+    with pytest.raises(CorpusError, match="line 2: malformed JSON"):
         load_corpus(path)
 
 
