@@ -428,16 +428,24 @@ def _cmd_agreement(args) -> int:
 # batch runner (feedback / refine)
 
 
-def _select_answers(record: QARecord, selector: str) -> list[int]:
+def _parse_answer_selector(selector: str) -> str | int:
+    """The --answer value: "all", "human", "model" or an answer index."""
+    if selector in ("all", "human", "model"):
+        return selector
+    try:
+        return int(selector)
+    except ValueError:
+        raise UsageError(
+            f"--answer must be all, human, model, or an index, got '{selector}'"
+        ) from None
+
+
+def _select_answers(record: QARecord, selector: str | int) -> list[int]:
     if selector == "all":
         return list(range(len(record.answers)))
-    if selector in ("human", "model"):
-        return [i for i, a in enumerate(record.answers) if a.source.value == selector]
-    try:
-        idx = int(selector)
-    except ValueError:
-        raise ConfigError(f"--answer must be all, human, model, or an index, got '{selector}'") from None
-    return [idx] if 0 <= idx < len(record.answers) else []
+    if isinstance(selector, int):
+        return [selector] if 0 <= selector < len(record.answers) else []
+    return [i for i, a in enumerate(record.answers) if a.source.value == selector]
 
 
 def _existing_lines(path: str) -> dict[tuple[str, int], str]:
@@ -454,18 +462,20 @@ def _run_batch(args, config: CliConfig, work) -> int:
     Results are written in corpus order whatever the completion order;
     failures are reported per record and turn the exit code to 3.
     """
+    selector = _parse_answer_selector(args.answer)
     corpus = load_corpus(args.corpus)
     targets = [
         (record, idx)
         for record in corpus
-        for idx in _select_answers(record, args.answer)
+        for idx in _select_answers(record, selector)
     ]
-    if not targets and len(corpus) and args.answer not in ("all", "human", "model"):
-        largest = max(len(record.answers) for record in corpus) - 1
-        raise UsageError(
-            f"--answer {args.answer} selects no answer in {args.corpus}; "
-            f"the largest answer index is {largest}"
-        )
+    if not targets and len(corpus):
+        if isinstance(selector, int):
+            largest = max(len(record.answers) for record in corpus) - 1
+            hint = f"the largest answer index is {largest}"
+        else:
+            hint = f"no record has a {selector} answer"
+        raise UsageError(f"--answer {args.answer} selects no answer in {args.corpus}; {hint}")
     existing = _existing_lines(args.out) if args.resume else {}
     failures: list[str] = []
     futures = {}

@@ -19,6 +19,7 @@ lines count from 1.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .genclient import GenerationClient, GenerationRequest
@@ -196,15 +197,10 @@ def tag_consistency(
     """
     _check_scoreable(samples)
     n = len(samples)
-    scores = []
-    for i, sample in enumerate(samples):
-        matches = sum(
-            1
-            for j, other in enumerate(samples)
-            if other.tags == sample.tags and (include_self or j != i)
-        )
-        scores.append(matches / n)
-    return scores
+    keys = [tuple(s.tags) for s in samples]
+    counts = Counter(keys)
+    offset = 0 if include_self else 1
+    return [(counts[key] - offset) / n for key in keys]
 
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -214,6 +210,17 @@ def tokenize_reasons(sample: FeedbackSample) -> list[str]:
     """Lowercased alphanumeric tokens of the sample's concatenated reasons."""
     joined = " ".join(sample.reasons[i] for i in sorted(sample.reasons))
     return _TOKEN_RE.findall(joined.lower())
+
+
+def _reason_support(samples: list[FeedbackSample]) -> list[tuple[int, int]]:
+    """(support sum, token count) of each sample's reason tokens.
+
+    A token's support is how many of the samples' token sets contain it; the
+    support sum adds it up over the sample's tokens, repeats included.
+    """
+    token_lists = [tokenize_reasons(s) for s in samples]
+    support = Counter(t for ts in token_lists for t in set(ts))
+    return [(sum(support[t] for t in ts), len(ts)) for ts in token_lists]
 
 
 def reason_consistency(survivors: list[FeedbackSample]) -> list[float]:
@@ -229,22 +236,13 @@ def reason_consistency(survivors: list[FeedbackSample]) -> list[float]:
     n = len(survivors)
     if n == 1:
         return [1.0]
-    token_lists = [tokenize_reasons(s) for s in survivors]
-    token_sets = [set(ts) for ts in token_lists]
-    any_reasons = any(token_lists)
-    scores = []
-    for i, tokens in enumerate(token_lists):
-        if not tokens:
-            scores.append(0.0 if any_reasons else 1.0)
-            continue
-        hits = sum(
-            1
-            for token in tokens
-            for j in range(n)
-            if j != i and token in token_sets[j]
-        )
-        scores.append(hits / (len(tokens) * (n - 1)))
-    return scores
+    totals = _reason_support(survivors)
+    no_reasons = 0.0 if any(size for _, size in totals) else 1.0
+    # every token of a sample is in its own token set: size drops those self matches
+    return [
+        (total - size) / (size * (n - 1)) if size else no_reasons
+        for total, size in totals
+    ]
 
 
 def reason_consistency_raw(survivors: list[FeedbackSample]) -> list[float]:
@@ -255,19 +253,7 @@ def reason_consistency_raw(survivors: list[FeedbackSample]) -> list[float]:
     samples without reasons score 0.0 here.
     """
     _check_scoreable(survivors)
-    n = len(survivors)
-    token_lists = [tokenize_reasons(s) for s in survivors]
-    token_sets = [set(ts) for ts in token_lists]
-    scores = []
-    for i, tokens in enumerate(token_lists):
-        if not tokens:
-            scores.append(0.0)
-            continue
-        hits = sum(
-            1 for token in tokens for j in range(n) if token in token_sets[j]
-        )
-        scores.append(hits / len(tokens))
-    return scores
+    return [total / size if size else 0.0 for total, size in _reason_support(survivors)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,5 +362,10 @@ def run_feedback(
         metadata=metadata,
     )
     result = client.generate(request)
-    parsed = [parse_feedback_output(t, len(sentences)) for t in result.texts]
-    return select_feedback(parsed, low_confidence_threshold)
+    # Sampled outputs repeat; equal texts share one parsed sample, which
+    # nothing mutates after parsing.
+    distinct = {
+        text: parse_feedback_output(text, len(sentences))
+        for text in dict.fromkeys(result.texts)
+    }
+    return select_feedback([distinct[t] for t in result.texts], low_confidence_threshold)

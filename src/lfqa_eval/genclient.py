@@ -114,35 +114,50 @@ class FixtureStore:
         return self.root / f"{self.digest(prompt)}.json"
 
     def record(self, prompt: str, texts: list[str]) -> None:
+        """Write the fixture for prompt; re-recording the same texts is a no-op.
+
+        The JSON goes to a temporary file in the same directory that then
+        replaces the fixture path, so the fixture path holds either nothing
+        or a whole fixture. A failure raised while writing removes the
+        temporary file; a hard kill such as SIGKILL can leave a stray
+        ``<digest>.json.<pid>-<tid>.tmp``, which lookups never read.
+        """
         if not texts:
             raise ValueError("fixture texts must be non-empty")
         path = self.path_for(prompt)
-        if path.exists():
-            existing = json.loads(path.read_text(encoding="utf-8"))
-            if existing.get("texts") != list(texts):
+        try:
+            existing = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            pass
+        else:
+            if json.loads(existing).get("texts") != list(texts):
                 raise FixtureConflictError(
                     f"fixture {path.name} already recorded with a different payload"
                 )
             return
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {"prompt": prompt, "texts": list(texts)}
-        path.write_text(
-            json.dumps(payload, ensure_ascii=False, indent=None), encoding="utf-8"
-        )
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            tmp.write_text(
+                json.dumps(payload, ensure_ascii=False, indent=None), encoding="utf-8"
+            )
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def lookup(self, prompt: str) -> list[str]:
         path = self.path_for(prompt)
-        if not path.exists():
-            raise FixtureError(f"no fixture for prompt digest {self.digest(prompt)}")
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            raw = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise FixtureError(f"no fixture for prompt digest {path.stem}") from None
+        payload = json.loads(raw)
         texts = payload.get("texts")
         if not isinstance(texts, list) or not texts:
             raise FixtureError(f"fixture {path.name} has no texts")
         return [str(t) for t in texts]
-
-
-def record_fixture(store: FixtureStore, prompt: str, texts: list[str]) -> None:
-    store.record(prompt, texts)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +302,3 @@ class GenerationClient:
         if self.config.kind == "scripted":
             return self._scripted_generate(request)
         return self._http_generate(request)
-
-
-def generate(config: BackendConfig, request: GenerationRequest) -> GenerationResult:
-    """One-shot convenience wrapper around GenerationClient."""
-    return GenerationClient(config).generate(request)

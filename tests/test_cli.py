@@ -292,6 +292,29 @@ def test_answer_index_out_of_range_exits_2(command, golden_env, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["feedback"], ["refine", "--mode", "eir"]])
+@pytest.mark.parametrize(
+    ("selector", "message"),
+    [
+        ("foo", "--answer must be all, human, model, or an index, got 'foo'"),
+        ("human", "--answer human selects no answer"),  # golden answers are all model
+    ],
+    ids=["unknown", "no-match"],
+)
+def test_answer_selector_usage_errors_exit_2(
+    command, selector, message, golden_env, tmp_path, capsys
+):
+    out = tmp_path / "out.jsonl"
+    code = main(
+        [*command, str(golden_env["corpus"]),
+         "--backend", f"scripted:{golden_env['fixtures']}",
+         "--answer", selector, "--out", str(out)]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_refine_eir_cli(golden_env, tmp_path):
     out = tmp_path / "refine.jsonl"
     code = main(

@@ -1,8 +1,12 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lfqa_eval import feedback as feedback_module
 from lfqa_eval.feedback import (
     FeedbackSample,
     TAG_COMPLETE,
@@ -18,6 +22,7 @@ from lfqa_eval.feedback import (
     tokenize_reasons,
 )
 from lfqa_eval.genclient import BackendConfig, FixtureStore, GenerationClient
+from lfqa_eval.refine import RefineMode, build_refine_prompt, run_eir
 
 
 def sample(tags, reasons=None, parse_ok=True):
@@ -337,6 +342,78 @@ def test_consistency_matches_brute_force_and_argmax_invariance():
                     assert (norm_cmp == 0) == (raw_cmp == 0)
 
 
+def brute_reason(samples):
+    """reason_consistency by the rules of its docstring, over brute-force hits."""
+    if len(samples) == 1:
+        return [1.0]
+    hits, sizes = brute_reason_hits(samples)
+    no_reasons = 0.0 if any(sizes) else 1.0
+    m = len(samples)
+    return [h / (size * (m - 1)) if size else no_reasons for h, size in zip(hits, sizes)]
+
+
+def brute_reason_raw(samples):
+    hits, sizes = brute_reason_hits(samples)
+    return [(h + size) / size if size else 0.0 for h, size in zip(hits, sizes)]
+
+
+def brute_select(samples):
+    """(selected, tag score, reason score) of the two-stage selection, by brute force."""
+    parseable = [s for s in samples if s.parse_ok]
+    tag_scores = brute_tag(parseable, True)
+    survivors = [s for s, t in zip(parseable, tag_scores) if t == max(tag_scores)]
+    reason_scores = brute_reason(survivors)
+    best = reason_scores.index(max(reason_scores))  # earliest of the best
+    return survivors[best], max(tag_scores), reason_scores[best]
+
+
+@st.composite
+def paper_sized_samples(draw):
+    """1-20 sampled outputs drawn from a few distinct ones, as a feedback model
+    repeats itself: the same object at several positions (equal texts share one
+    parse), equal copies, samples without reasons (all Complete, or reasons
+    with no tokens) and unparseable samples."""
+    n_sentences = draw(st.integers(1, 4))
+    vocabulary = WORDS[: draw(st.integers(1, len(WORDS)))] + ["!"]
+
+    def distinct_sample():
+        if draw(st.integers(0, 9)) == 0:
+            return sample([], parse_ok=False)
+        tags = draw(st.lists(st.sampled_from([C, I]), min_size=n_sentences, max_size=n_sentences))
+        reasons = {
+            i: " ".join(draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=5)))
+            for i, tag in enumerate(tags)
+            if tag == I
+        }
+        return sample(tags, reasons)
+
+    pool = [distinct_sample() for _ in range(draw(st.integers(1, 5)))]
+    picks = draw(
+        st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), min_size=1, max_size=20)
+    )
+    return [pool[k] if shared else copy.deepcopy(pool[k]) for k, shared in picks]
+
+
+@settings(max_examples=400, deadline=None)
+@given(samples=paper_sized_samples())
+def test_consistency_and_selection_equal_brute_force_on_repeated_samples(samples):
+    parseable = [s for s in samples if s.parse_ok]
+    if not parseable:
+        with pytest.raises(ValueError, match="parseable"):
+            select_feedback(samples)
+        return
+    assert tag_consistency(parseable, include_self=True) == brute_tag(parseable, True)
+    assert tag_consistency(parseable, include_self=False) == brute_tag(parseable, False)
+    assert reason_consistency(parseable) == brute_reason(parseable)
+    assert reason_consistency_raw(parseable) == brute_reason_raw(parseable)
+    selected, tag_score, reason_score = brute_select(samples)
+    result = select_feedback(samples)
+    assert result.selected is selected
+    assert result.tag_score == tag_score
+    assert result.reason_score == reason_score
+    assert result.n_parseable == len(parseable)
+
+
 # ---------------------------------------------------------------------------
 # selection
 
@@ -469,6 +546,59 @@ def test_run_feedback_three_sentence_structure(tmp_path):
     assert "erosion" in result.selected.reasons[0]
     assert 0.0 <= result.reason_score <= 1.0
     assert result.reason_score == 1.0  # identical samples agree perfectly
+
+
+_TWO_SENTENCE_QA = ("Why are railroads full of rocks?", "Ballast spreads the load. Rocks drain.")
+_REPEATED_OUTPUTS = [
+    "1. [Incomplete] Reasons: should mention drainage.\n2. [Complete]",
+    "garbage",
+    "1. [Incomplete] Reasons: should mention erosion and drainage.\n2. [Complete]",
+    "1. [Incomplete] Reasons: should mention drainage.\n2. [Complete]",
+    "1. [Complete]\n2. [Complete]",
+] * 4
+
+
+def _record_repeated_outputs(store):
+    question, answer = _TWO_SENTENCE_QA
+    sentences = ["Ballast spreads the load.", "Rocks drain."]
+    store.record(build_feedback_prompt(question, sentences), _REPEATED_OUTPUTS)
+    return len(sentences)
+
+
+def test_run_feedback_parses_each_distinct_text_once(tmp_path, monkeypatch):
+    client, store = _scripted_client(tmp_path)
+    n_sentences = _record_repeated_outputs(store)
+    parsed = []
+
+    def counting(text, expected_n):
+        parsed.append(text)
+        return parse_feedback_output(text, expected_n)
+
+    monkeypatch.setattr(feedback_module, "parse_feedback_output", counting)
+    result = run_feedback(*_TWO_SENTENCE_QA, client, temperature=0.7)
+    assert sorted(parsed) == sorted(set(_REPEATED_OUTPUTS))
+    separately = select_feedback(
+        [parse_feedback_output(t, n_sentences) for t in _REPEATED_OUTPUTS]
+    )
+    assert result.to_dict(audit=True) == separately.to_dict(audit=True)
+
+
+def test_shared_samples_stay_as_parsed_through_eir(tmp_path):
+    """Equal outputs share one FeedbackSample, so nothing downstream may mutate one."""
+    client, store = _scripted_client(tmp_path)
+    n_sentences = _record_repeated_outputs(store)
+    question, answer = _TWO_SENTENCE_QA
+    reasons = ["should mention drainage."]
+    store.record(
+        build_refine_prompt(RefineMode.ERROR_INFORMED, question, answer, reasons),
+        ["Ballast spreads the load and drains water. Rocks drain."],
+    )
+    record = run_eir(question, answer, client, client, feedback_temperature=0.7)
+    assert not record.passthrough
+    record.to_dict(audit=True)
+    samples = record.feedback.samples
+    assert samples[0] is samples[3]  # equal texts share one parsed sample
+    assert samples == [parse_feedback_output(t, n_sentences) for t in _REPEATED_OUTPUTS]
 
 
 def test_result_audit_serialization_includes_all_raw_samples():

@@ -2,6 +2,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,6 @@ from lfqa_eval.genclient import (
     GenerationClient,
     GenerationError,
     GenerationRequest,
-    generate,
-    record_fixture,
 )
 
 
@@ -120,7 +119,7 @@ def test_scripted_single_sample(tmp_path):
     store = FixtureStore(tmp_path)
     store.record("hello", ["ok"])
     config = BackendConfig(kind="scripted", fixture_dir=str(tmp_path))
-    result = generate(config, _request())
+    result = GenerationClient(config).generate(_request())
     assert result.texts == ["ok"]
     assert result.truncated == [False]
 
@@ -129,21 +128,21 @@ def test_scripted_three_samples_in_fixture_order(tmp_path):
     store = FixtureStore(tmp_path)
     store.record("hello", ["a", "b", "c"])
     config = BackendConfig(kind="scripted", fixture_dir=str(tmp_path))
-    result = generate(config, _request(n_samples=3))
+    result = GenerationClient(config).generate(_request(n_samples=3))
     assert result.texts == ["a", "b", "c"]
 
 
 def test_scripted_cycles_when_fixture_is_short(tmp_path):
     FixtureStore(tmp_path).record("hello", ["a", "b"])
     config = BackendConfig(kind="scripted", fixture_dir=str(tmp_path))
-    result = generate(config, _request(n_samples=5))
+    result = GenerationClient(config).generate(_request(n_samples=5))
     assert result.texts == ["a", "b", "a", "b", "a"]
 
 
 def test_scripted_missing_fixture(tmp_path):
     config = BackendConfig(kind="scripted", fixture_dir=str(tmp_path))
     with pytest.raises(FixtureError, match="digest"):
-        generate(config, _request(prompt="never recorded"))
+        GenerationClient(config).generate(_request(prompt="never recorded"))
 
 
 def test_scripted_deterministic_sequence(tmp_path):
@@ -159,13 +158,75 @@ def test_scripted_deterministic_sequence(tmp_path):
 
 def test_record_fixture_round_trip_and_conflict(tmp_path):
     store = FixtureStore(tmp_path)
-    record_fixture(store, "p", ["a"])
-    record_fixture(store, "p", ["a"])  # same payload: idempotent
+    store.record("p", ["a"])
+    store.record("p", ["a"])  # same payload: idempotent
     assert store.lookup("p") == ["a"]
     with pytest.raises(FixtureConflictError):
-        record_fixture(store, "p", ["b"])
-    record_fixture(store, "q", ["b"])
+        store.record("p", ["b"])
+    store.record("q", ["b"])
     assert store.lookup("q") == ["b"]  # prompts are independent
+
+
+def test_fixture_lookup_reads_without_existence_check(tmp_path, monkeypatch):
+    store = FixtureStore(tmp_path)
+    store.record("p", ["a"])
+    checked = []
+    real_exists = Path.exists
+
+    def counting_exists(self, *args, **kwargs):
+        if self.parent == tmp_path:
+            checked.append(self.name)
+        return real_exists(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "exists", counting_exists)
+    assert store.lookup("p") == ["a"]
+    with pytest.raises(FixtureError) as err:
+        store.lookup("missing")
+    assert str(err.value) == f"no fixture for prompt digest {store.digest('missing')}"
+    assert checked == []
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_fixture_record_failure_leaves_no_fixture(failing, tmp_path, monkeypatch):
+    store = FixtureStore(tmp_path)
+    real_write = Path.write_text
+
+    def torn_write(self, data, *args, **kwargs):
+        real_write(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("killed mid-write")
+
+    def failed_replace(src, dst):
+        raise OSError("killed before rename")
+
+    if failing == "write":
+        monkeypatch.setattr(Path, "write_text", torn_write)
+    else:
+        monkeypatch.setattr(genclient.os, "replace", failed_replace)
+    with pytest.raises(OSError, match="killed"):
+        store.record("p", ["a", "b"])
+    monkeypatch.undo()
+    # a raised failure cleans up its temp file (a hard kill would not, see below)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(FixtureError, match="no fixture"):
+        store.lookup("p")
+    store.record("p", ["a", "b"])  # a later run records it whole
+    assert [p.name for p in tmp_path.iterdir()] == [store.path_for("p").name]
+    assert store.lookup("p") == ["a", "b"]
+
+
+def test_fixture_stray_temp_file_from_hard_kill_is_ignored(tmp_path):
+    # A SIGKILL between the temp write and the rename skips the cleanup and
+    # leaves a partial temp file beside where the fixture would go.
+    store = FixtureStore(tmp_path)
+    stray = store.path_for("p").with_name(store.path_for("p").name + ".1-2.tmp")
+    stray.write_text('{"prompt": "p", "te', encoding="utf-8")
+    with pytest.raises(FixtureError, match="no fixture"):
+        store.lookup("p")
+    store.record("p", ["a", "b"])
+    assert store.lookup("p") == ["a", "b"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [store.path_for("p").name, stray.name]
+    )
 
 
 def test_fixture_digest_is_exact_prompt_hash(tmp_path):
@@ -182,7 +243,7 @@ def test_fixture_digest_is_exact_prompt_hash(tmp_path):
 def test_http_single_call_body_and_result(stub_server, monkeypatch):
     monkeypatch.setenv("STUB_KEY", "secret-token")
     config = _http_config(stub_server, auth_env="STUB_KEY")
-    result = generate(config, _request(n_samples=2, stop_sequences=("###",)))
+    result = GenerationClient(config).generate(_request(n_samples=2, stop_sequences=("###",)))
     assert result.texts == ["reply 1.0", "reply 1.1"]
     assert result.backend_id == "http:stub-model"
     sent = stub_server.requests[0]
@@ -197,14 +258,14 @@ def test_http_missing_credential_no_network_call(stub_server, monkeypatch):
     monkeypatch.delenv("STUB_KEY", raising=False)
     config = _http_config(stub_server, auth_env="STUB_KEY")
     with pytest.raises(CredentialError, match="STUB_KEY"):
-        generate(config, _request())
+        GenerationClient(config).generate(_request())
     assert stub_server.requests == []
 
 
 def test_http_retries_transient_then_succeeds(stub_server):
     stub_server.script = [{"status": 500}, {"status": 429}, {"status": 200}]
     config = _http_config(stub_server, max_retries=2)
-    result = generate(config, _request())
+    result = GenerationClient(config).generate(_request())
     assert len(result.texts) == 1
     assert len(stub_server.requests) == 3
 
@@ -213,7 +274,7 @@ def test_http_gives_up_after_max_retries(stub_server):
     stub_server.script = [{"status": 500}] * 5
     config = _http_config(stub_server, max_retries=1)
     with pytest.raises(GenerationError, match="after 2 attempts"):
-        generate(config, _request())
+        GenerationClient(config).generate(_request())
     assert len(stub_server.requests) == 2
 
 
@@ -222,7 +283,7 @@ def test_http_auth_error_never_retried(stub_server, monkeypatch):
     stub_server.script = [{"status": 401}]
     config = _http_config(stub_server, auth_env="STUB_KEY")
     with pytest.raises(CredentialError) as err:
-        generate(config, _request())
+        GenerationClient(config).generate(_request())
     assert len(stub_server.requests) == 1
     assert "secret-token" not in str(err.value)  # credential never leaks
 
@@ -231,20 +292,20 @@ def test_http_schema_violation_not_retried(stub_server):
     stub_server.script = [{"raw": json.dumps({"unexpected": []})}]
     config = _http_config(stub_server)
     with pytest.raises(GenerationError, match="schema violation"):
-        generate(config, _request())
+        GenerationClient(config).generate(_request())
     assert len(stub_server.requests) == 1
 
 
 def test_http_truncated_flag(stub_server):
     stub_server.script = [{"finish_reason": "length"}]
     config = _http_config(stub_server)
-    result = generate(config, _request())
+    result = GenerationClient(config).generate(_request())
     assert result.truncated == [True]
 
 
 def test_http_fan_out_without_native_n(stub_server):
     config = _http_config(stub_server, native_n=False, max_in_flight=1)
-    result = generate(config, _request(n_samples=3))
+    result = GenerationClient(config).generate(_request(n_samples=3))
     # three independent calls, results in request order
     assert result.texts == ["reply 1.0", "reply 2.0", "reply 3.0"]
     assert all(req["body"].get("n") is None for req in stub_server.requests)
@@ -254,7 +315,7 @@ def test_http_fan_out_without_native_n(stub_server):
 def test_http_fan_out_respects_max_in_flight(stub_server):
     stub_server.script = [{"sleep": 0.05}] * 8
     config = _http_config(stub_server, native_n=False, max_in_flight=2)
-    result = generate(config, _request(n_samples=8))
+    result = GenerationClient(config).generate(_request(n_samples=8))
     assert len(result.texts) == 8
     assert stub_server.peak_active <= 2
 
@@ -262,7 +323,7 @@ def test_http_fan_out_respects_max_in_flight(stub_server):
 def test_http_timeout_retries(stub_server):
     stub_server.script = [{"sleep": 1.0}, {"status": 200}]
     config = _http_config(stub_server, timeout=0.2, max_retries=2)
-    result = generate(config, _request())
+    result = GenerationClient(config).generate(_request())
     assert len(result.texts) == 1
 
 
