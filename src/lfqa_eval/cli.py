@@ -28,6 +28,7 @@ from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .corpus import (
     Corpus,
@@ -38,7 +39,6 @@ from .corpus import (
 )
 from .evalmetrics import (
     DEFAULT_WEIGHTS,
-    DetectionCounts,
     DetectionWeights,
     SupportJudgment,
     correction_prf,
@@ -47,7 +47,6 @@ from .evalmetrics import (
     flag_map,
     load_error_scores,
     selfcheck_aggregate,
-    weighted_accuracy,
 )
 from .feedback import FeedbackSample, run_feedback
 from .genclient import BackendConfig, GenerationClient, GenerationError
@@ -92,7 +91,7 @@ _BACKEND_KEYS = {
     "max_tokens": int,
 }
 
-_ROLES = ("feedback", "refine", "scorer")
+_ROLES = ("feedback", "refine")
 
 
 @dataclass
@@ -235,17 +234,32 @@ def _temperature_for(config: CliConfig, role: str) -> float:
 # Small I/O helpers
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    lines = []
+def _parse_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) per non-blank line; any other line is a CorpusError."""
+    for ln, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"malformed JSON: {exc.msg}", line=ln) from None
+        if not isinstance(obj, dict):
+            raise CorpusError("expected a JSON object", line=ln)
+        yield ln, obj
+
+
+def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as handle:
-        for ln, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                lines.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"malformed JSON: {exc.msg}", line=ln) from None
-    return lines
+        yield from _parse_jsonl(handle)
+
+
+def _int_field(obj: dict, key: str, default: int, ln: int) -> int:
+    value = obj.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        message = f"record '{obj.get('record_id')}': {key} {value!r} is not an integer"
+        raise CorpusError(message, line=ln) from None
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -449,11 +463,23 @@ def _select_answers(record: QARecord, selector: str | int) -> list[int]:
 
 
 def _existing_lines(path: str) -> dict[tuple[str, int], str]:
-    done = {}
-    if Path(path).exists():
-        for obj in _read_jsonl(path):
-            done[(str(obj.get("record_id")), int(obj.get("answer_index", 0)))] = _dump(obj)
-    return done
+    """The lines --resume keeps, by (record_id, answer_index)."""
+    if not Path(path).exists():
+        return {}
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    # A kill mid-write can leave a last line with no newline: drop it if it does not parse.
+    if lines and not lines[-1].endswith("\n"):
+        try:
+            json.loads(lines[-1])
+        except json.JSONDecodeError:
+            warning = f"warning: {path}: line {len(lines)}: torn last line dropped and recomputed"
+            print(warning, file=sys.stderr)
+            lines.pop()
+    return {
+        (str(obj.get("record_id")), _int_field(obj, "answer_index", 0, ln)): _dump(obj)
+        for ln, obj in _parse_jsonl(lines)
+    }
 
 
 def _run_batch(args, config: CliConfig, work) -> int:
@@ -577,48 +603,22 @@ def _cmd_refine(args) -> int:
 def _cmd_eval_detect(args) -> int:
     config = _config_from_args(args)
     corpus = load_corpus(args.corpus)
-    by_answer: dict[int, dict[str, FeedbackSample]] = defaultdict(dict)
-    for obj in _read_jsonl(args.predictions):
+    predictions: dict[tuple[str, int], FeedbackSample] = {}
+    for ln, obj in _read_jsonl(args.predictions):
         record_id = str(obj.get("record_id"))
-        idx = int(obj.get("answer_index", 0))
-        tags = obj.get("selected", {}).get("tags") if "selected" in obj else obj.get("tags")
+        key = (record_id, _int_field(obj, "answer_index", 0, ln))
+        selected = obj.get("selected") if "selected" in obj else obj
+        tags = selected.get("tags") if isinstance(selected, dict) else None
         if not isinstance(tags, list):
-            raise CorpusError(f"prediction for '{record_id}' has no tags")
-        if record_id in by_answer[idx]:
-            raise CorpusError(f"duplicate prediction for '{record_id}' answer {idx}")
-        by_answer[idx][record_id] = FeedbackSample(
+            raise CorpusError(f"prediction for '{record_id}' has no tags", line=ln)
+        if key in predictions:
+            raise CorpusError(f"duplicate prediction for '{record_id}' answer {key[1]}", line=ln)
+        predictions[key] = FeedbackSample(
             tags=[str(t) for t in tags], reasons={}, raw="", parse_ok=True
         )
 
-    totals = DetectionCounts()
-    misses = n_records = 0
-    skipped: list[str] = []
-    for idx, predictions in sorted(by_answer.items()):
-        report = detection_eval(
-            corpus,
-            predictions,
-            answer_indices=idx,
-            weights=config.weights,
-            invert=args.invert,
-        )
-        totals.add(report.counts)
-        misses += report.misses
-        n_records += report.n_records
-        skipped.extend(report.skipped)
-
-    accuracy = (
-        weighted_accuracy(totals, config.weights) if totals.total_predicted else None
-    )
-    summary = {
-        "exact": totals.exact,
-        "adjacent": totals.adjacent,
-        "different": totals.different,
-        "total_predicted": totals.total_predicted,
-        "weighted_accuracy": accuracy,
-        "n_records": n_records,
-        "misses": misses,
-        "skipped": skipped,
-    }
+    report = detection_eval(corpus, predictions, weights=config.weights, invert=args.invert)
+    totals, accuracy = report.counts, report.weighted_accuracy
     total = max(totals.total_predicted, 1)
     print(
         f"exact {totals.exact} ({100 * totals.exact / total:.2f}%)  "
@@ -628,10 +628,10 @@ def _cmd_eval_detect(args) -> int:
     print(
         "weighted accuracy: "
         + (f"{accuracy:.4f}" if accuracy is not None else "undefined (no predictions)")
-        + f"  misses: {misses}  records: {n_records}"
+        + f"  misses: {report.misses}  records: {report.n_records}"
     )
     if args.out:
-        _write_lines(args.out, [_dump(summary)])
+        _write_lines(args.out, [_dump(report.to_dict())])
     return 0
 
 
@@ -643,8 +643,8 @@ _CORRECTION_DEFINITIONS = {
 
 
 def _cmd_eval_correct(args) -> int:
-    baseline = load_error_scores(_read_jsonl(args.baseline))
-    refined = load_error_scores(_read_jsonl(args.refined))
+    baseline = load_error_scores(obj for _, obj in _read_jsonl(args.baseline))
+    refined = load_error_scores(obj for _, obj in _read_jsonl(args.refined))
     base_pct, base_mean = error_report(baseline)
     ref_pct, ref_mean = error_report(refined)
     correction = correction_prf(flag_map(baseline), flag_map(refined))
@@ -696,16 +696,16 @@ def _cmd_eval_correct(args) -> int:
 def _cmd_selfcheck(args) -> int:
     grouped: dict[str, list[SupportJudgment]] = defaultdict(list)
     order: list[str] = []
-    for obj in _read_jsonl(args.judgments):
+    for ln, obj in _read_jsonl(args.judgments):
         record_id = str(obj.get("record_id"))
         verdicts = obj.get("verdicts")
         if not isinstance(verdicts, list) or not verdicts:
-            raise CorpusError(f"judgment for '{record_id}' has no verdicts")
+            raise CorpusError(f"judgment for '{record_id}' has no verdicts", line=ln)
         if record_id not in grouped:
             order.append(record_id)
         grouped[record_id].append(
             SupportJudgment(
-                sentence_index=int(obj.get("sentence_index", len(grouped[record_id]))),
+                sentence_index=_int_field(obj, "sentence_index", len(grouped[record_id]), ln),
                 verdicts=tuple(str(v) for v in verdicts),
             )
         )

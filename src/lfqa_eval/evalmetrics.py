@@ -6,8 +6,8 @@ exact (index in gold), adjacent (a gold index is one off), different.
 Weighted accuracy combines the buckets with weights 1.0/0.5/0.1 over the
 total number of predictions.
 
-Correction works at the record level on flagged/clean verdicts from an
-external error scorer: a record flagged before refinement and clean after
+Correction works at the record level on flagged/clean verdicts read from
+external error-score files: a record flagged before refinement and clean after
 counts as corrected (TP); still flagged after is a miss (FN); newly flagged
 is an introduced error (FP).
 """
@@ -139,7 +139,7 @@ def correction_prf(
 
 
 # ---------------------------------------------------------------------------
-# Error-score reporting (external scorer output)
+# Error-score reporting
 
 
 @dataclass(frozen=True)
@@ -257,35 +257,30 @@ class DetectionEvalReport:
 
 def detection_eval(
     corpus: Corpus,
-    predictions: Mapping[str, FeedbackSample],
-    answer_indices: Mapping[str, int] | int = 0,
+    predictions: Mapping[tuple[str, int], FeedbackSample],
     weights: DetectionWeights = DEFAULT_WEIGHTS,
     aspect: Aspect = Aspect.COMPLETENESS,
     invert: bool = False,
 ) -> DetectionEvalReport:
     """Evaluate predicted Incomplete sentences against annotated gold labels.
 
-    Gold labels come from projecting the corpus annotations of ``aspect``
-    onto each answer's sentences. ``answer_indices`` selects which answer a
-    prediction refers to (a single index for all records or a per-record
-    map). Records with gold errors but an empty prediction count as misses
-    and stay out of the accuracy denominator. ``invert=True`` classifies
-    gold sentences against the predictions instead.
+    ``predictions`` maps ``(record_id, answer_index)`` to the prediction for
+    that answer of that record. Gold labels come from projecting the corpus
+    annotations of ``aspect`` onto the answer's sentences. Records with gold
+    errors but an empty prediction count as misses and stay out of the
+    accuracy denominator. Ids absent from the corpus are listed in
+    ``skipped`` in prediction order. ``invert=True`` classifies gold
+    sentences against the predictions instead.
     """
     totals = DetectionCounts()
     misses = 0
     evaluated = 0
     skipped: list[str] = []
-    for record_id, sample in predictions.items():
+    for (record_id, idx), sample in predictions.items():
         record = corpus.get(record_id)
         if record is None:
             skipped.append(record_id)
             continue
-        idx = (
-            answer_indices.get(record_id, 0)
-            if isinstance(answer_indices, Mapping)
-            else answer_indices
-        )
         if not 0 <= idx < len(record.answers):
             raise ValueError(
                 f"record '{record_id}': answer index {idx} out of range"
@@ -318,7 +313,7 @@ def detection_eval(
 
 
 # ---------------------------------------------------------------------------
-# Pluggable error scorer
+# Error-score files
 
 
 def load_error_scores(lines: Iterable[dict]) -> list[ErrorScoreRecord]:
@@ -344,48 +339,3 @@ def flag_map(scores: Sequence[ErrorScoreRecord]) -> dict[str, bool]:
         flags[score.record_id] = score.flagged
     return flags
 
-
-GRADING_PROMPT = (
-    "Rate the answer below for errors. Respond with a single non-negative "
-    "number: 0 if the answer is free of errors, larger numbers for more "
-    "severe errors.\n\nQuestion: {question}\n\nAnswer: {answer}\n\nScore:"
-)
-
-
-def score_with_client(
-    items: Sequence[tuple[str, str, str]],
-    client,
-    *,
-    temperature: float = 0.0,
-    max_tokens: int = 16,
-    prompt_template: str = GRADING_PROMPT,
-) -> list[ErrorScoreRecord]:
-    """Grade (record_id, question, answer) triples with a generation backend.
-
-    The backend must reply with a leading number; anything else is an error.
-    External score files are the primary interface; this is the fallback for
-    backends that can grade directly.
-    """
-    from .genclient import GenerationRequest  # local import to keep deps one-way
-
-    scores = []
-    for record_id, question, answer in items:
-        prompt = prompt_template.format(question=question, answer=answer)
-        result = client.generate(
-            GenerationRequest(
-                prompt=prompt,
-                max_tokens=max_tokens,
-                temperature=temperature,
-                n_samples=1,
-                metadata=record_id,
-            )
-        )
-        text = result.texts[0].strip()
-        try:
-            value = float(text.split()[0])
-        except (IndexError, ValueError):
-            raise ValueError(
-                f"record '{record_id}': scorer reply is not a number: {text[:40]!r}"
-            ) from None
-        scores.append(ErrorScoreRecord(record_id=record_id, error_score=value))
-    return scores

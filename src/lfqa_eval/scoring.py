@@ -20,6 +20,7 @@ from .models import (
     Domain,
     ErrorAnnotation,
     QARecord,
+    SENTENCE_SCORED_ASPECTS,
     SentenceLabeling,
     Source,
 )
@@ -146,9 +147,6 @@ def preferred_source(record: QARecord) -> Source | None:
     return Source.HUMAN if shares[0] > shares[1] else Source.MODEL
 
 
-_SENTENCE_ASPECTS = (Aspect.FACTUALITY, Aspect.RELEVANCE, Aspect.COMPLETENESS)
-
-
 def score_record(record: QARecord) -> list[AspectScorecard]:
     """Build one scorecard per answer of the record."""
     misconception = misconception_score(
@@ -160,7 +158,7 @@ def score_record(record: QARecord) -> list[AspectScorecard]:
         scores: dict[Aspect, float | None] = {
             Aspect.QUESTION_MISCONCEPTION: misconception
         }
-        labelings = label_aspects(record, idx, _SENTENCE_ASPECTS)
+        labelings = label_aspects(record, idx, SENTENCE_SCORED_ASPECTS)
         for aspect, labeling in labelings.items():
             scores[aspect] = (
                 sentence_error_score(labeling) if labeling.n_sentences else None

@@ -9,7 +9,8 @@ from lfqa_eval import corpus as corpus_module
 from lfqa_eval import scoring as scoring_module
 from lfqa_eval.cli import ConfigError, load_config, main
 from lfqa_eval.corpus import load_corpus, save_corpus
-from lfqa_eval.evalmetrics import DEFAULT_WEIGHTS
+from lfqa_eval.evalmetrics import DEFAULT_WEIGHTS, detection_eval
+from lfqa_eval.feedback import FeedbackSample
 from lfqa_eval.genclient import FixtureStore
 from lfqa_eval.models import (
     Answer,
@@ -106,6 +107,17 @@ def test_config_http_backend_needs_fields(tmp_path):
     path.write_text("refine.kind = http\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="refine"):
         load_config(str(path), {})
+
+
+def test_scorer_config_keys_are_unknown(small_corpus, tmp_path, capsys):
+    config = tmp_path / "cfg"
+    config.write_text("scorer.kind = http\n", encoding="utf-8")
+    code = main(
+        ["feedback", str(small_corpus), "--config", str(config),
+         "--out", str(tmp_path / "x.jsonl")]
+    )
+    assert code == 1
+    assert "unknown config key 'scorer.kind'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +288,52 @@ def test_feedback_cli_resume_skips_done_records(golden_env, tmp_path):
     out.write_text("\n".join(lines[:4]) + "\n", encoding="utf-8")
     assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
     assert out.read_text() == full
+
+
+def test_feedback_cli_resume_recomputes_a_torn_last_line(golden_env, tmp_path, capsys):
+    out = tmp_path / "fb.jsonl"
+    assert _run_feedback_cli(golden_env, out) == 0
+    clean = out.read_bytes()
+    lines = clean.decode("utf-8").splitlines()
+    torn = lines[-1][: len(lines[-1]) // 2]
+    out.write_text("\n".join(lines[:-1]) + "\n" + torn, encoding="utf-8")
+    capsys.readouterr()
+    assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
+    assert out.read_bytes() == clean
+    assert f"line {len(lines)}: torn last line" in capsys.readouterr().err
+
+
+def _cut(line: str) -> str:
+    return line[: len(line) // 2]
+
+
+@pytest.mark.parametrize(
+    "index, replace, message",
+    [
+        (3, _cut, "line 4: malformed JSON"),
+        (9, _cut, "line 10: malformed JSON"),  # cut, but its newline was written
+        (1, lambda line: "[1, 2]", "line 2: expected a JSON object"),
+        (
+            2,
+            lambda line: json.dumps({**json.loads(line), "answer_index": "x"}),
+            "line 3: record 'g02': answer_index 'x' is not an integer",
+        ),
+    ],
+    ids=["middle-line-cut", "last-line-cut-with-newline", "not-an-object", "bad-answer-index"],
+)
+def test_feedback_cli_resume_malformed_line_exits_1(
+    index, replace, message, golden_env, tmp_path, capsys
+):
+    out = tmp_path / "fb.jsonl"
+    assert _run_feedback_cli(golden_env, out) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    lines[index] = replace(lines[index])
+    broken = "\n".join(lines) + "\n"
+    out.write_text(broken, encoding="utf-8")
+    capsys.readouterr()
+    assert _run_feedback_cli(golden_env, out, ("--resume",)) == 1
+    assert message in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == broken
 
 
 @pytest.mark.parametrize("command", [["feedback"], ["refine", "--mode", "eir"]])
@@ -509,6 +567,78 @@ def test_eval_detect_cli(tmp_path, capsys):
     assert "weighted accuracy" in capsys.readouterr().out
 
 
+def test_eval_detect_out_is_one_detection_eval_report(tmp_path):
+    text = "First sentence here. Second sentence here."
+    record = make_record(
+        record_id="d1",
+        answers=[Answer(Source.HUMAN, text), Answer(Source.MODEL, text)],
+        annotations=[
+            ErrorAnnotation(Aspect.COMPLETENESS, 0, (21, 42), "gold", "a"),
+            ErrorAnnotation(Aspect.COMPLETENESS, 1, (0, 20), "gold", "a"),
+        ],
+    )
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus([record], corpus_path)
+    rows = [
+        ("ghost-b", 1, ["Complete"]),
+        ("d1", 0, ["Incomplete", "Complete"]),
+        ("ghost-a", 0, ["Complete"]),
+        ("d1", 1, ["Incomplete", "Complete"]),
+    ]
+    predictions = tmp_path / "pred.jsonl"
+    predictions.write_text(
+        "".join(
+            json.dumps({"record_id": r, "answer_index": i, "tags": tags}) + "\n"
+            for r, i, tags in rows
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "detect.jsonl"
+    code = main(
+        ["eval-detect", str(corpus_path), "--predictions", str(predictions), "--out", str(out)]
+    )
+    assert code == 0
+    report = detection_eval(
+        load_corpus(corpus_path),
+        {
+            (r, i): FeedbackSample(tags=tags, reasons={}, raw="", parse_ok=True)
+            for r, i, tags in rows
+        },
+    )
+    assert out.read_text(encoding="utf-8") == cli_module._dump(report.to_dict()) + "\n"
+    # skipped ids keep prediction-file order, whatever their answer index
+    assert report.skipped == ["ghost-b", "ghost-a"]
+    assert (report.counts.adjacent, report.counts.exact, report.n_records) == (1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "line 2: expected a JSON object"),
+        ('{"record_id": "d1", "selected": null}', "line 2: prediction for 'd1' has no tags"),
+        (
+            '{"record_id": "d1", "answer_index": "first", "tags": ["Complete", "Complete"]}',
+            "line 2: record 'd1': answer_index 'first' is not an integer",
+        ),
+        (
+            '{"record_id": "d1", "tags": ["Complete", "Complete"]}',
+            "line 2: duplicate prediction for 'd1' answer 0",
+        ),
+    ],
+    ids=["not-an-object", "null-selected", "bad-answer-index", "duplicate"],
+)
+def test_eval_detect_malformed_prediction_line_exits_1(line, message, tmp_path, capsys):
+    text = "First sentence here. Second sentence here."
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus([make_record(record_id="d1", answers=[Answer(Source.MODEL, text)])], corpus_path)
+    predictions = tmp_path / "pred.jsonl"
+    first = {"record_id": "d1", "answer_index": 0, "tags": ["Complete", "Complete"]}
+    predictions.write_text(json.dumps(first) + "\n" + line + "\n", encoding="utf-8")
+    code = main(["eval-detect", str(corpus_path), "--predictions", str(predictions)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_eval_detect_accepts_feedback_output(golden_env, tmp_path):
     fb_out = tmp_path / "fb.jsonl"
     assert _run_feedback_cli(golden_env, fb_out) == 0
@@ -575,6 +705,31 @@ def test_selfcheck_cli(tmp_path, capsys):
     assert r1["per_sentence"] == [1.0, 0.25]
     assert r1["answer_support"] == 0.625
     assert r1["answer_inconsistency"] == 0.375
+
+
+@pytest.mark.parametrize(
+    "command, second_line, message",
+    [
+        ("selfcheck", "5", "line 2: expected a JSON object"),
+        ("eval-correct", "5", "line 2: expected a JSON object"),
+        (
+            "selfcheck",
+            '{"record_id": "r2", "sentence_index": "x", "verdicts": ["no"]}',
+            "line 2: record 'r2': sentence_index 'x' is not an integer",
+        ),
+    ],
+    ids=["selfcheck-not-an-object", "eval-correct-not-an-object", "selfcheck-bad-index"],
+)
+def test_side_file_malformed_line_exits_1(command, second_line, message, tmp_path, capsys):
+    path = tmp_path / "side.jsonl"
+    first = {"record_id": "r1", "sentence_index": 0, "verdicts": ["yes"], "error_score": 0}
+    path.write_text(json.dumps(first) + "\n" + second_line + "\n", encoding="utf-8")
+    if command == "selfcheck":
+        argv = ["selfcheck", "--judgments", str(path)]
+    else:
+        argv = ["eval-correct", "--baseline", str(path), "--refined", str(path)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

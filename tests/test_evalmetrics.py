@@ -299,8 +299,8 @@ def _prediction(tags):
 def test_detection_eval_perfect_predictions():
     corpus = Corpus([_detect_record("r1", [0]), _detect_record("r2", [1])])
     predictions = {
-        "r1": _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
-        "r2": _prediction([TAG_COMPLETE, TAG_INCOMPLETE]),
+        ("r1", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
+        ("r2", 0): _prediction([TAG_COMPLETE, TAG_INCOMPLETE]),
     }
     report = detection_eval(corpus, predictions)
     assert report.weighted_accuracy == 1.0
@@ -310,7 +310,7 @@ def test_detection_eval_perfect_predictions():
 
 def test_detection_eval_adjacent_case():
     corpus = Corpus([_detect_record("r1", [1])])
-    predictions = {"r1": _prediction([TAG_INCOMPLETE, TAG_COMPLETE])}
+    predictions = {("r1", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE])}
     report = detection_eval(corpus, predictions)
     assert report.counts.adjacent == 1
     assert report.weighted_accuracy == pytest.approx(0.5)
@@ -319,8 +319,8 @@ def test_detection_eval_adjacent_case():
 def test_detection_eval_missed_record_excluded_from_denominator():
     corpus = Corpus([_detect_record("r1", [1]), _detect_record("r2", [0])])
     predictions = {
-        "r1": _prediction([TAG_COMPLETE, TAG_COMPLETE]),  # miss: gold but no predictions
-        "r2": _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
+        ("r1", 0): _prediction([TAG_COMPLETE, TAG_COMPLETE]),  # miss: gold but no predictions
+        ("r2", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
     }
     report = detection_eval(corpus, predictions)
     assert report.misses == 1
@@ -331,12 +331,12 @@ def test_detection_eval_missed_record_excluded_from_denominator():
 def test_detection_eval_tag_length_mismatch():
     corpus = Corpus([_detect_record("r1", [0])])
     with pytest.raises(ValueError, match="2 sentences"):
-        detection_eval(corpus, {"r1": _prediction([TAG_COMPLETE])})
+        detection_eval(corpus, {("r1", 0): _prediction([TAG_COMPLETE])})
 
 
 def test_detection_eval_invert_direction():
     corpus = Corpus([_detect_record("r1", [0, 1])])
-    predictions = {"r1": _prediction([TAG_INCOMPLETE, TAG_COMPLETE])}
+    predictions = {("r1", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE])}
     normal = detection_eval(corpus, predictions)
     inverted = detection_eval(corpus, predictions, invert=True)
     # forward: 1 prediction, exact; inverted: 2 gold sentences classified
@@ -349,18 +349,14 @@ def test_detection_eval_invert_direction():
 def test_detection_eval_bad_answer_index():
     corpus = Corpus([_detect_record("r1", [0])])
     with pytest.raises(ValueError, match="answer index 3"):
-        detection_eval(
-            corpus,
-            {"r1": _prediction([TAG_INCOMPLETE, TAG_COMPLETE])},
-            answer_indices=3,
-        )
+        detection_eval(corpus, {("r1", 3): _prediction([TAG_INCOMPLETE, TAG_COMPLETE])})
 
 
 def test_detection_eval_unknown_record_skipped():
     corpus = Corpus([_detect_record("r1", [0])])
     predictions = {
-        "r1": _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
-        "ghost": _prediction([TAG_COMPLETE]),
+        ("r1", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
+        ("ghost", 0): _prediction([TAG_COMPLETE]),
     }
     report = detection_eval(corpus, predictions)
     assert report.skipped == ["ghost"]
