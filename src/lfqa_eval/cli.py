@@ -26,6 +26,7 @@ import json
 import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -46,6 +47,7 @@ from .evalmetrics import (
     error_report,
     flag_map,
     load_error_scores,
+    normalize_verdict,
     selfcheck_aggregate,
 )
 from .feedback import FeedbackSample, run_feedback
@@ -532,68 +534,69 @@ def _run_batch(args, config: CliConfig, work) -> int:
 
 def _cmd_feedback(args) -> int:
     config = _config_from_args(args)
-    client = _client_for(config, "feedback")
-    temperature = _temperature_for(config, "feedback")
+    with _client_for(config, "feedback") as client:
+        temperature = _temperature_for(config, "feedback")
 
-    def work(record: QARecord, idx: int) -> str:
-        result = run_feedback(
-            record.question,
-            record.answers[idx].text,
-            client,
-            config.n_samples,
-            temperature=temperature,
-            max_tokens=config.max_tokens.get("feedback"),
-            low_confidence_threshold=config.consistency_threshold,
-            metadata=record.id,
-        )
-        return _dump(
-            {"record_id": record.id, "answer_index": idx, **result.to_dict(args.audit)}
-        )
+        def work(record: QARecord, idx: int) -> str:
+            result = run_feedback(
+                record.question,
+                record.answers[idx].text,
+                client,
+                config.n_samples,
+                temperature=temperature,
+                max_tokens=config.max_tokens.get("feedback"),
+                low_confidence_threshold=config.consistency_threshold,
+                metadata=record.id,
+            )
+            return _dump(
+                {"record_id": record.id, "answer_index": idx, **result.to_dict(args.audit)}
+            )
 
-    return _run_batch(args, config, work)
+        return _run_batch(args, config, work)
 
 
 def _cmd_refine(args) -> int:
     config = _config_from_args(args)
     mode = {"improve": RefineMode.IMPROVE, "generic": RefineMode.GENERIC, "eir": RefineMode.ERROR_INFORMED}[args.mode]
-    refine_client = _client_for(config, "refine")
-    refine_temperature = _temperature_for(config, "refine")
-    if mode is RefineMode.ERROR_INFORMED:
-        feedback_client = _client_for(config, "feedback")
-        feedback_temperature = _temperature_for(config, "feedback")
-
-    def work(record: QARecord, idx: int) -> str:
-        answer = record.answers[idx].text
+    with ExitStack() as clients:
+        refine_client = clients.enter_context(_client_for(config, "refine"))
+        refine_temperature = _temperature_for(config, "refine")
         if mode is RefineMode.ERROR_INFORMED:
-            result = run_eir(
-                record.question,
-                answer,
-                feedback_client,
-                refine_client,
-                config.n_samples,
-                feedback_temperature=feedback_temperature,
-                refine_temperature=refine_temperature,
-                feedback_max_tokens=config.max_tokens.get("feedback"),
-                refine_max_tokens_override=config.max_tokens.get("refine"),
-                low_confidence_threshold=config.consistency_threshold,
-                record_id=record.id,
-                answer_index=idx,
-            )
-        else:
-            result = refine_answer(
-                record.question,
-                answer,
-                mode,
-                None,
-                refine_client,
-                temperature=refine_temperature,
-                max_tokens=config.max_tokens.get("refine"),
-                record_id=record.id,
-                answer_index=idx,
-            )
-        return _dump(result.to_dict(audit=args.audit))
+            feedback_client = clients.enter_context(_client_for(config, "feedback"))
+            feedback_temperature = _temperature_for(config, "feedback")
 
-    return _run_batch(args, config, work)
+        def work(record: QARecord, idx: int) -> str:
+            answer = record.answers[idx].text
+            if mode is RefineMode.ERROR_INFORMED:
+                result = run_eir(
+                    record.question,
+                    answer,
+                    feedback_client,
+                    refine_client,
+                    config.n_samples,
+                    feedback_temperature=feedback_temperature,
+                    refine_temperature=refine_temperature,
+                    feedback_max_tokens=config.max_tokens.get("feedback"),
+                    refine_max_tokens_override=config.max_tokens.get("refine"),
+                    low_confidence_threshold=config.consistency_threshold,
+                    record_id=record.id,
+                    answer_index=idx,
+                )
+            else:
+                result = refine_answer(
+                    record.question,
+                    answer,
+                    mode,
+                    None,
+                    refine_client,
+                    temperature=refine_temperature,
+                    max_tokens=config.max_tokens.get("refine"),
+                    record_id=record.id,
+                    answer_index=idx,
+                )
+            return _dump(result.to_dict(audit=args.audit))
+
+        return _run_batch(args, config, work)
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +646,8 @@ _CORRECTION_DEFINITIONS = {
 
 
 def _cmd_eval_correct(args) -> int:
-    baseline = load_error_scores(obj for _, obj in _read_jsonl(args.baseline))
-    refined = load_error_scores(obj for _, obj in _read_jsonl(args.refined))
+    baseline = load_error_scores(_read_jsonl(args.baseline))
+    refined = load_error_scores(_read_jsonl(args.refined))
     base_pct, base_mean = error_report(baseline)
     ref_pct, ref_mean = error_report(refined)
     correction = correction_prf(flag_map(baseline), flag_map(refined))
@@ -703,9 +706,16 @@ def _cmd_selfcheck(args) -> int:
             raise CorpusError(f"judgment for '{record_id}' has no verdicts", line=ln)
         if record_id not in grouped:
             order.append(record_id)
+        sentence_index = _int_field(obj, "sentence_index", len(grouped[record_id]), ln)
+        for verdict in verdicts:
+            try:
+                normalize_verdict(str(verdict))
+            except ValueError as exc:
+                message = f"record '{record_id}', sentence {sentence_index}: {exc}"
+                raise CorpusError(message, line=ln) from None
         grouped[record_id].append(
             SupportJudgment(
-                sentence_index=_int_field(obj, "sentence_index", len(grouped[record_id]), ln),
+                sentence_index=sentence_index,
                 verdicts=tuple(str(v) for v in verdicts),
             )
         )

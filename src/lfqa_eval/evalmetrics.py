@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, label_answer
+from .corpus import Corpus, CorpusError, label_answer
 from .feedback import FeedbackSample
 from .models import Aspect
 
@@ -316,18 +316,26 @@ def detection_eval(
 # Error-score files
 
 
-def load_error_scores(lines: Iterable[dict]) -> list[ErrorScoreRecord]:
-    """Build score records from parsed JSONL objects {record_id, error_score}."""
+def load_error_scores(lines: Iterable[tuple[int, dict]]) -> list[ErrorScoreRecord]:
+    """Build score records from (line number, parsed JSONL object) pairs.
+
+    Each object is ``{record_id, error_score}``; a line that is not raises a
+    CorpusError naming the line and, when it has one, the record.
+    """
     scores = []
-    for obj in lines:
+    for ln, obj in lines:
+        where = f"record '{obj['record_id']}': " if "record_id" in obj else ""
         if "record_id" not in obj or "error_score" not in obj:
-            raise ValueError("score line needs record_id and error_score")
-        scores.append(
-            ErrorScoreRecord(
-                record_id=str(obj["record_id"]),
-                error_score=float(obj["error_score"]),
-            )
-        )
+            raise CorpusError(f"{where}score line needs record_id and error_score", line=ln)
+        value = obj["error_score"]
+        try:
+            error_score = float(value)
+        except (TypeError, ValueError):
+            raise CorpusError(f"{where}error_score {value!r} is not a number", line=ln) from None
+        try:
+            scores.append(ErrorScoreRecord(str(obj["record_id"]), error_score))
+        except ValueError as exc:
+            raise CorpusError(f"{where}{exc}", line=ln) from None
     return scores
 
 

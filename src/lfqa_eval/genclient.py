@@ -10,6 +10,17 @@ Transient transport failures (connection errors, timeouts, 429, 5xx) are
 retried with exponential backoff; authentication and response-schema errors
 never are. Credential values are read from a named environment variable and
 never appear in error messages.
+
+Each HTTP client owns one ``requests.Session`` whose kept-alive connection
+pool holds at most ``max_in_flight`` sockets, the same bound the client's
+semaphore puts on live requests. The settings ``requests`` would otherwise
+re-read from the environment on every call (proxies and ``NO_PROXY``, the
+``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE`` CA bundle and ``~/.netrc`` auth)
+are resolved once for the endpoint when the client is made; a change to them
+afterwards reaches only clients made after it. With ``native_n`` off, the n
+single-sample calls of every request share one client-wide executor of
+``max_in_flight`` threads. ``close()`` (or leaving a ``with`` block) releases
+the sockets and the executor's threads.
 """
 from __future__ import annotations
 
@@ -23,6 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import requests
+from requests.adapters import HTTPAdapter
+from requests.utils import get_netrc_auth
 
 BACKOFF_BASE = 0.5  # seconds; doubles on each retry
 
@@ -174,6 +187,37 @@ class GenerationClient:
         self._store = (
             FixtureStore(config.fixture_dir) if config.kind == "scripted" else None
         )
+        self._session: requests.Session | None = None
+        self._fan_out: ThreadPoolExecutor | None = None
+        if config.kind == "http":
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+            # What requests would derive from os.environ on every call:
+            # proxies (NO_PROXY applied to this endpoint), CA bundle, netrc.
+            self._send_settings = session.merge_environment_settings(
+                config.endpoint_url, {}, None, None, None
+            )
+            self._send_settings["auth"] = get_netrc_auth(config.endpoint_url)
+            session.trust_env = False
+            self._session = session
+            if not config.native_n:
+                # starts its threads on first use, up to max_in_flight
+                self._fan_out = ThreadPoolExecutor(max_workers=config.max_in_flight)
+
+    def close(self) -> None:
+        """Shut down the fan-out threads and close the pooled connections."""
+        if self._fan_out is not None:
+            self._fan_out.shutdown(wait=True)
+        if self._session is not None:
+            self._session.close()
+
+    def __enter__(self) -> GenerationClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- scripted ----------------------------------------------------------
 
@@ -219,11 +263,12 @@ class GenerationClient:
             transient: str | None = None
             try:
                 with self._sem:
-                    response = requests.post(
+                    response = self._session.post(
                         self.config.endpoint_url,
                         json=body,
                         headers=headers,
                         timeout=self.config.timeout,
+                        **self._send_settings,
                     )
             except (requests.ConnectionError, requests.Timeout) as exc:
                 transient = type(exc).__name__
@@ -281,16 +326,21 @@ class GenerationClient:
             texts, truncated = self._extract(data, request.n_samples)
         else:
             body = self._body(request, 1)
-            with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-                futures = [
-                    pool.submit(self._post_with_retries, dict(body), headers)
-                    for _ in range(request.n_samples)
-                ]
-                texts, truncated = [], []
+            futures = [
+                self._fan_out.submit(self._post_with_retries, dict(body), headers)
+                for _ in range(request.n_samples)
+            ]
+            texts, truncated = [], []
+            try:
                 for future in futures:  # submission order, not completion order
                     t, trunc = self._extract(future.result(), 1)
                     texts.extend(t)
                     truncated.extend(trunc)
+            finally:
+                # after a failure, calls still queued in the shared pool are
+                # dropped rather than sent for a request that already failed
+                for future in futures:
+                    future.cancel()
         return GenerationResult(
             texts=texts,
             backend_id=backend_id,

@@ -11,7 +11,7 @@ from lfqa_eval.cli import ConfigError, load_config, main
 from lfqa_eval.corpus import load_corpus, save_corpus
 from lfqa_eval.evalmetrics import DEFAULT_WEIGHTS, detection_eval
 from lfqa_eval.feedback import FeedbackSample
-from lfqa_eval.genclient import FixtureStore
+from lfqa_eval.genclient import FixtureStore, GenerationClient
 from lfqa_eval.models import (
     Answer,
     Aspect,
@@ -373,6 +373,35 @@ def test_answer_selector_usage_errors_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "n_clients"), [(["feedback"], 1), (["refine", "--mode", "eir"], 2)]
+)
+@pytest.mark.parametrize(("selector", "code"), [("all", 0), ("7", 2)], ids=["ok", "usage-error"])
+def test_batch_commands_close_every_client(
+    command, n_clients, selector, code, golden_env, tmp_path, monkeypatch
+):
+    made, closed = [], []
+    real_client_for = cli_module._client_for
+    real_close = GenerationClient.close
+
+    def recording_client_for(config, role):
+        made.append(real_client_for(config, role))
+        return made[-1]
+
+    def recording_close(self):
+        closed.append(self)
+        real_close(self)
+
+    monkeypatch.setattr(cli_module, "_client_for", recording_client_for)
+    monkeypatch.setattr(GenerationClient, "close", recording_close)
+    argv = [*command, str(golden_env["corpus"]),
+            "--backend", f"scripted:{golden_env['fixtures']}",
+            "--answer", selector, "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == code
+    assert len(made) == n_clients
+    assert sorted(map(id, closed)) == sorted(map(id, made))  # each closed once
+
+
 def test_refine_eir_cli(golden_env, tmp_path):
     out = tmp_path / "refine.jsonl"
     code = main(
@@ -717,8 +746,36 @@ def test_selfcheck_cli(tmp_path, capsys):
             '{"record_id": "r2", "sentence_index": "x", "verdicts": ["no"]}',
             "line 2: record 'r2': sentence_index 'x' is not an integer",
         ),
+        (
+            "selfcheck",
+            '{"record_id": "r2", "sentence_index": 3, "verdicts": ["yes", "maybe"]}',
+            "line 2: record 'r2', sentence 3: unknown verdict 'maybe'",
+        ),
+        (
+            "eval-correct",
+            '{"record_id": "b"}',
+            "line 2: record 'b': score line needs record_id and error_score",
+        ),
+        (
+            "eval-correct",
+            '{"error_score": 1}',
+            "line 2: score line needs record_id and error_score",
+        ),
+        (
+            "eval-correct",
+            '{"record_id": "b", "error_score": "high"}',
+            "line 2: record 'b': error_score 'high' is not a number",
+        ),
     ],
-    ids=["selfcheck-not-an-object", "eval-correct-not-an-object", "selfcheck-bad-index"],
+    ids=[
+        "selfcheck-not-an-object",
+        "eval-correct-not-an-object",
+        "selfcheck-bad-index",
+        "selfcheck-unknown-verdict",
+        "eval-correct-no-score",
+        "eval-correct-no-record-id",
+        "eval-correct-score-not-a-number",
+    ],
 )
 def test_side_file_malformed_line_exits_1(command, second_line, message, tmp_path, capsys):
     path = tmp_path / "side.jsonl"

@@ -210,11 +210,11 @@ def test_flagged_iff_positive_score():
 
 def test_load_error_scores_and_flag_map():
     scores = load_error_scores(
-        [{"record_id": "a", "error_score": 0}, {"record_id": "b", "error_score": 2.5}]
+        enumerate([{"record_id": "a", "error_score": 0}, {"record_id": "b", "error_score": 2.5}], 1)
     )
     assert flag_map(scores) == {"a": False, "b": True}
     with pytest.raises(ValueError, match="duplicate"):
-        flag_map(load_error_scores([{"record_id": "a", "error_score": 0}] * 2))
+        flag_map(load_error_scores(enumerate([{"record_id": "a", "error_score": 0}] * 2, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,13 @@ from lfqa_eval.genclient import (
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """HTTP/1.0: the server closes the connection after every reply."""
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
     def do_POST(self):
         try:
             self._respond()
@@ -36,7 +43,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length) or b"{}")
         with server.lock:
             server.requests.append(
-                {"body": body, "auth": self.headers.get("Authorization")}
+                {"body": body, "auth": self.headers.get("Authorization"), "path": self.path}
             )
             behavior = server.script.pop(0) if server.script else {"status": 200}
             server.active += 1
@@ -72,17 +79,45 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+class _KeepAliveStubHandler(_StubHandler):
+    """HTTP/1.1: connections stay open between requests.
+
+    The buffered writer sends status line, headers and body in one write
+    when the request is done; split writes would meet the client's delayed
+    ACK on a kept-alive connection.
+    """
+
+    protocol_version = "HTTP/1.1"
+    wbufsize = 1 << 16
+
+
+def _serve(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.script = []
     server.requests = []
     server.calls = 0
+    server.connections = 0
     server.active = 0
     server.peak_active = 0
     server.lock = threading.Lock()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
+    return server
+
+
+@pytest.fixture
+def stub_server():
+    server = _serve(_StubHandler)
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def keepalive_server():
+    server = _serve(_KeepAliveStubHandler)
     yield server
     server.shutdown()
     server.server_close()
@@ -325,6 +360,131 @@ def test_http_timeout_retries(stub_server):
     config = _http_config(stub_server, timeout=0.2, max_retries=2)
     result = GenerationClient(config).generate(_request())
     assert len(result.texts) == 1
+
+
+# ---------------------------------------------------------------------------
+# connection pool, environment resolution and fan-out executor
+
+
+def test_http_sequential_calls_share_one_connection(keepalive_server):
+    with GenerationClient(_http_config(keepalive_server)) as client:
+        for _ in range(10):
+            assert len(client.generate(_request()).texts) == 1
+    assert len(keepalive_server.requests) == 10
+    assert keepalive_server.connections == 1
+
+
+def test_http_concurrent_callers_open_at_most_max_in_flight_connections(keepalive_server):
+    keepalive_server.script = [{"sleep": 0.01}] * 10
+    with GenerationClient(_http_config(keepalive_server, max_in_flight=2)) as client:
+        callers = [
+            threading.Thread(target=lambda: [client.generate(_request()) for _ in range(5)])
+            for _ in range(2)
+        ]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=10)
+        assert not any(caller.is_alive() for caller in callers)
+    assert len(keepalive_server.requests) == 10
+    assert keepalive_server.connections <= 2
+
+
+def test_http_retry_reuses_kept_alive_connection(keepalive_server):
+    keepalive_server.script = [{"status": 503}, {"status": 200}]
+    with GenerationClient(_http_config(keepalive_server, max_retries=2)) as client:
+        result = client.generate(_request())
+    assert len(result.texts) == 1
+    assert len(keepalive_server.requests) == 2
+    assert keepalive_server.connections == 1
+
+
+def test_http_server_closing_each_connection_costs_no_extra_attempt(stub_server):
+    with GenerationClient(_http_config(stub_server)) as client:
+        for _ in range(5):
+            assert len(client.generate(_request()).texts) == 1
+    assert len(stub_server.requests) == 5
+    assert stub_server.connections == 5
+
+
+@pytest.fixture
+def clean_proxy_env(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY",
+                 "no_proxy", "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+
+
+@pytest.mark.parametrize("bypass", [False, True], ids=["via-proxy", "no-proxy"])
+def test_http_proxy_environment_read_once_per_client(
+    bypass, stub_server, keepalive_server, clean_proxy_env, monkeypatch
+):
+    proxy, endpoint = keepalive_server, stub_server
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_address[1]}")
+    if bypass:
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    config = _http_config(endpoint)
+    with GenerationClient(config) as client:
+        # the opposite setting, made after the client, does not reach it
+        if bypass:
+            monkeypatch.delenv("NO_PROXY")
+        else:
+            monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        client.generate(_request())
+    if bypass:
+        assert [r["path"] for r in endpoint.requests] == ["/v1/chat/completions"]
+        assert proxy.requests == []
+    else:
+        assert [r["path"] for r in proxy.requests] == [config.endpoint_url]
+        assert endpoint.requests == []
+
+
+def test_http_netrc_credentials_apply(stub_server, tmp_path, monkeypatch):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password pass\n", encoding="utf-8")
+    monkeypatch.setenv("NETRC", str(netrc))
+    with GenerationClient(_http_config(stub_server)) as client:
+        client.generate(_request())
+    assert stub_server.requests[0]["auth"] == "Basic dXNlcjpwYXNz"  # user:pass
+
+
+def test_http_fan_out_threads_are_client_wide(stub_server, monkeypatch):
+    stub_server.script = [{"sleep": 0.02}] * 12
+    started = []  # (starting thread, started thread)
+    real_start = threading.Thread.start
+
+    def recording_start(self):
+        started.append((threading.current_thread(), self))
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    client = GenerationClient(_http_config(stub_server, native_n=False, max_in_flight=2))
+    results = []
+    callers = [
+        threading.Thread(target=lambda: results.append(client.generate(_request(n_samples=4))))
+        for _ in range(3)
+    ]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=10)
+    assert not any(caller.is_alive() for caller in callers)
+    client_threads = [thread for starter, thread in started if starter in callers]
+    assert 1 <= len(client_threads) <= 2
+    assert stub_server.peak_active <= 2
+    assert [len(result.texts) for result in results] == [4, 4, 4]
+    assert len(stub_server.requests) == 12
+    client.close()
+    assert not any(thread.is_alive() for thread in client_threads)
+
+
+def test_http_fan_out_failure_raises_first_error(stub_server):
+    stub_server.script = [{"status": 400}]
+    config = _http_config(stub_server, native_n=False, max_in_flight=1, max_retries=0)
+    with GenerationClient(config) as client:
+        with pytest.raises(GenerationError, match="HTTP 400"):
+            client.generate(_request(n_samples=3))
+        # the executor outlives a failed request
+        assert len(client.generate(_request(n_samples=2)).texts) == 2
 
 
 # ---------------------------------------------------------------------------
