@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -41,6 +42,7 @@ from .corpus import (
 from .evalmetrics import (
     DEFAULT_WEIGHTS,
     DetectionWeights,
+    ErrorScoreRecord,
     SupportJudgment,
     correction_prf,
     detection_eval,
@@ -112,6 +114,9 @@ class CliConfig:
         self.max_tokens = self.max_tokens or {}
         if not 0.0 <= self.consistency_threshold <= 1.0:
             raise ConfigError("consistency_threshold must be in [0, 1]")
+        for key in ("n_samples", "workers"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
 
 
 def _coerce(key: str, raw: str, kind: type):
@@ -264,11 +269,7 @@ def _int_field(obj: dict, key: str, default: int, ln: int) -> int:
         raise CorpusError(message, line=ln) from None
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    if path is None:
-        for line in lines:
-            print(line)
-        return
+def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for line in lines:
             handle.write(line + "\n")
@@ -464,8 +465,15 @@ def _select_answers(record: QARecord, selector: str | int) -> list[int]:
     return [i for i, a in enumerate(record.answers) if a.source.value == selector]
 
 
-def _existing_lines(path: str) -> dict[tuple[str, int], str]:
-    """The lines --resume keeps, by (record_id, answer_index)."""
+def _field(obj: dict, dotted: str):
+    """obj's value at a dotted key path such as 'feedback.n_sampled'; None when absent."""
+    for key in dotted.split("."):
+        obj = obj.get(key) if isinstance(obj, dict) else None
+    return obj
+
+
+def _kept_lines(path: str, expected: dict[str, object]) -> dict[tuple[str, int], str]:
+    """One file's lines by (record_id, answer_index), each checked against this run."""
     if not Path(path).exists():
         return {}
     with open(path, encoding="utf-8") as handle:
@@ -478,17 +486,44 @@ def _existing_lines(path: str) -> dict[tuple[str, int], str]:
             warning = f"warning: {path}: line {len(lines)}: torn last line dropped and recomputed"
             print(warning, file=sys.stderr)
             lines.pop()
-    return {
-        (str(obj.get("record_id")), _int_field(obj, "answer_index", 0, ln)): _dump(obj)
-        for ln, obj in _parse_jsonl(lines)
-    }
+    kept = {}
+    try:
+        for ln, obj in _parse_jsonl(lines):
+            key = (str(obj.get("record_id")), _int_field(obj, "answer_index", 0, ln))
+            for dotted, value in expected.items():
+                found = _field(obj, dotted)
+                if found != value:
+                    raise UsageError(
+                        f"{path}: line {ln}: record '{key[0]}' answer {key[1]} has "
+                        f"{dotted} {found!r} but this run has {value!r}; "
+                        "--resume keeps only lines of the same run"
+                    )
+            kept[key] = _dump(obj)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+    return kept
 
 
-def _run_batch(args, config: CliConfig, work) -> int:
+def _existing_lines(out: str, expected: dict[str, object]) -> dict[tuple[str, int], str]:
+    """The lines --resume keeps: OUT's, then OUT.partial's, which win.
+
+    ``expected`` maps dotted keys of a line to this run's values; a kept
+    line that differs comes from another run and is a UsageError.
+    """
+    return {**_kept_lines(out, expected), **_kept_lines(f"{out}.partial", expected)}
+
+
+def _run_batch(
+    args, config: CliConfig, clients: list[GenerationClient], expected: dict[str, object], work
+) -> int:
     """Run work(record, answer_index) -> output line over the corpus.
 
-    Results are written in corpus order whatever the completion order;
-    failures are reported per record and turn the exit code to 3.
+    Lines stream in corpus order to OUT.partial, each flushed once written,
+    and the finished file then replaces --out, so a killed run leaves --out
+    as it was and OUT.partial holding whole lines for --resume. Records run
+    one at a time unless some client is http and workers > 1: only then do
+    they spend time waiting, which a pool of workers overlaps. Failures are
+    reported per record and turn the exit code to 3.
     """
     selector = _parse_answer_selector(args.answer)
     corpus = load_corpus(args.corpus)
@@ -504,29 +539,37 @@ def _run_batch(args, config: CliConfig, work) -> int:
         else:
             hint = f"no record has a {selector} answer"
         raise UsageError(f"--answer {args.answer} selects no answer in {args.corpus}; {hint}")
-    existing = _existing_lines(args.out) if args.resume else {}
+    existing = _existing_lines(args.out, expected) if args.resume else {}
+    todo = [(record, idx) for record, idx in targets if (record.id, idx) not in existing]
+
+    def attempt(target: tuple[QARecord, int]) -> str | Exception:
+        try:
+            return work(*target)
+        except Exception as exc:  # per-record isolation
+            return exc
+
     failures: list[str] = []
-    futures = {}
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    partial = f"{args.out}.partial"
+    with ExitStack() as stack:
+        handle = stack.enter_context(open(partial, "w", encoding="utf-8"))
+        if config.workers > 1 and any(c.config.kind == "http" for c in clients):
+            results = stack.enter_context(ThreadPoolExecutor(config.workers)).map(attempt, todo)
+        else:
+            results = map(attempt, todo)
         for record, idx in targets:
-            key = (record.id, idx)
-            if key not in existing:
-                futures[key] = pool.submit(work, record, idx)
-        lines: list[str] = []
-        for record, idx in targets:
-            key = (record.id, idx)
-            if key in existing:
-                lines.append(existing[key])
-                continue
-            try:
-                lines.append(futures[key].result())
-            except Exception as exc:  # per-record isolation
-                failures.append(f"{record.id}#{idx}: {exc}")
-    _write_lines(args.out, lines)
+            line = existing.get((record.id, idx))
+            if line is None:
+                line = next(results)
+                if isinstance(line, Exception):
+                    failures.append(f"{record.id}#{idx}: {line}")
+                    continue
+            handle.write(line + "\n")
+            handle.flush()
+    os.replace(partial, args.out)
     for failure in failures:
         print(f"failed: {failure}", file=sys.stderr)
     print(
-        f"{len(lines)} results written to {args.out or 'stdout'}"
+        f"{len(targets) - len(failures)} results written to {args.out}"
         + (f", {len(failures)} failed" if failures else "")
     )
     return 3 if failures else 0
@@ -552,18 +595,22 @@ def _cmd_feedback(args) -> int:
                 {"record_id": record.id, "answer_index": idx, **result.to_dict(args.audit)}
             )
 
-        return _run_batch(args, config, work)
+        return _run_batch(args, config, [client], {"n_sampled": config.n_samples}, work)
 
 
 def _cmd_refine(args) -> int:
     config = _config_from_args(args)
     mode = {"improve": RefineMode.IMPROVE, "generic": RefineMode.GENERIC, "eir": RefineMode.ERROR_INFORMED}[args.mode]
-    with ExitStack() as clients:
-        refine_client = clients.enter_context(_client_for(config, "refine"))
+    expected: dict[str, object] = {"mode": mode.value}
+    with ExitStack() as stack:
+        refine_client = stack.enter_context(_client_for(config, "refine"))
         refine_temperature = _temperature_for(config, "refine")
+        clients = [refine_client]
         if mode is RefineMode.ERROR_INFORMED:
-            feedback_client = clients.enter_context(_client_for(config, "feedback"))
+            feedback_client = stack.enter_context(_client_for(config, "feedback"))
             feedback_temperature = _temperature_for(config, "feedback")
+            clients.append(feedback_client)
+            expected["feedback.n_sampled"] = config.n_samples
 
         def work(record: QARecord, idx: int) -> str:
             answer = record.answers[idx].text
@@ -596,7 +643,7 @@ def _cmd_refine(args) -> int:
                 )
             return _dump(result.to_dict(audit=args.audit))
 
-        return _run_batch(args, config, work)
+        return _run_batch(args, config, clients, expected, work)
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +692,30 @@ _CORRECTION_DEFINITIONS = {
 }
 
 
+def _read_scores(flag: str, path: str) -> list[ErrorScoreRecord]:
+    """One score file; each of its errors names the flag, the path and the line."""
+    try:
+        lines = list(_read_jsonl(path))
+        scores = load_error_scores(lines)
+        first_seen: dict[str, int] = {}
+        for (ln, _obj), score in zip(lines, scores):
+            if score.record_id in first_seen:
+                message = (
+                    f"duplicate record_id '{score.record_id}' "
+                    f"(first seen on line {first_seen[score.record_id]})"
+                )
+                raise CorpusError(message, line=ln)
+            first_seen[score.record_id] = ln
+    except CorpusError as exc:
+        raise CorpusError(f"{flag} {path}: {exc}") from None
+    if not scores:
+        raise CorpusError(f"{flag} {path}: no score records")
+    return scores
+
+
 def _cmd_eval_correct(args) -> int:
-    baseline = load_error_scores(_read_jsonl(args.baseline))
-    refined = load_error_scores(_read_jsonl(args.refined))
+    baseline = _read_scores("--baseline", args.baseline)
+    refined = _read_scores("--refined", args.refined)
     base_pct, base_mean = error_report(baseline)
     ref_pct, ref_mean = error_report(refined)
     correction = correction_prf(flag_map(baseline), flag_map(refined))
@@ -759,7 +827,7 @@ def _add_batch_options(sub) -> None:
     sub.add_argument("--backend", help="backend override, e.g. scripted:fixtures/")
     sub.add_argument("--answer", default="all", help="all | human | model | answer index")
     sub.add_argument("--n-samples", dest="n_samples", type=int, help="samples per answer")
-    sub.add_argument("--workers", type=int, help="concurrent records")
+    sub.add_argument("--workers", type=int, help="concurrent records (http backends only)")
     sub.add_argument("--resume", action="store_true", help="skip records already in --out")
     sub.add_argument("--audit", action="store_true", help="keep prompts/raw samples in the output")
     sub.add_argument("--out", required=True, help="output JSONL path")

@@ -68,33 +68,6 @@ def refine_max_tokens(answer: str) -> int:
     return max(1, math.ceil(ANSWER_LENGTH_FACTOR * len(answer.split())))
 
 
-def build_answer_prompt(question: str, target_words: int) -> str:
-    """Zero-shot prompt for generating a long-form answer from scratch.
-
-    Provided as a template only; the toolkit evaluates and refines answers
-    but does not judge from-scratch generation quality.
-    """
-    return (
-        "Your task is to answer a question by providing a clear and concise "
-        "explanation of a complex concept in a way that is accessible for "
-        "laypeople. The question was posted on the Reddit forum Explain Like "
-        "I'm Five (r/explainlikeimfive). Please keep in mind that the "
-        "question is not literally meant for 5-year-olds, so you should not "
-        "answer the question in a way that you are talking to a child. Your "
-        f"answer should be around {target_words} words and should break down "
-        "the concept into understandable parts, providing relevant examples "
-        "or analogies where appropriate. You should also aim to make your "
-        "explanation easy to follow, using clear and concise language "
-        "throughout. Your answer should maintain accuracy and clarity. When "
-        "appropriate, you can start with one sentence summarizing the main "
-        "idea of the answer.\n"
-        "\n"
-        f"Question: {question}   \n"
-        "\n"
-        f"Answer (around {target_words} words):\n"
-    )
-
-
 @dataclass
 class RefinementRecord:
     record_id: str

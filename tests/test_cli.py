@@ -1,4 +1,12 @@
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -107,6 +115,29 @@ def test_config_http_backend_needs_fields(tmp_path):
     path.write_text("refine.kind = http\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="refine"):
         load_config(str(path), {})
+
+
+@pytest.mark.parametrize("key", ["n_samples", "workers"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_counts_below_one_are_refused(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be at least 1, got {value}"):
+        load_config(None, {key: value})
+
+
+@pytest.mark.parametrize(("flag", "key"), [("--n-samples", "n_samples"), ("--workers", "workers")])
+def test_batch_count_below_one_exits_1_before_reading_anything(
+    flag, key, golden_env, tmp_path, monkeypatch, capsys
+):
+    def no_corpus(path):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli_module, "load_corpus", no_corpus)
+    out = tmp_path / "fb.jsonl"
+    out.write_text("previous\n", encoding="utf-8")
+    assert _run_feedback_cli(golden_env, out, (flag, "0", "--resume")) == 1
+    assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert not Path(f"{out}.partial").exists()
 
 
 def test_scorer_config_keys_are_unknown(small_corpus, tmp_path, capsys):
@@ -448,26 +479,257 @@ def test_refine_improve_and_generic_cli(tmp_path):
         assert line["feedback"] is None
 
 
-def test_feedback_cli_partial_failure_exit_3(golden_env, tmp_path, capsys):
-    # a corpus with one extra record that has no fixture
+def _no_thread_pool(*args, **kwargs):
+    raise AssertionError("a run whose clients are all scripted started a thread pool")
+
+
+def test_feedback_cli_partial_failure_exit_3(golden_env, tmp_path, capsys, monkeypatch):
+    clean = tmp_path / "clean.jsonl"
+    assert _run_feedback_cli(golden_env, clean) == 0
+    # the golden corpus with a record that has no fixture in its middle
     extra = make_record(record_id="missing", answers=[Answer(Source.MODEL, "No fixture here.")])
-    corpus_path = tmp_path / "corpus.jsonl"
-    original = Path(golden_env["corpus"]).read_text()
-    corpus_path.write_text(original + json.dumps(
+    lines = Path(golden_env["corpus"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(4, json.dumps(
         {
             "id": "missing", "domain": "law", "question": extra.question,
             "answers": [{"source": "model", "text": "No fixture here."}],
             "annotations": [], "preferences": [],
         }
-    ) + "\n", encoding="utf-8")
+    ) + "\n")
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(lines), encoding="utf-8")
+    monkeypatch.setattr(cli_module, "ThreadPoolExecutor", _no_thread_pool)
     out = tmp_path / "fb.jsonl"
     code = main(
         ["feedback", str(corpus_path), "--backend", f"scripted:{golden_env['fixtures']}",
          "--out", str(out)]
     )
     assert code == 3
-    assert "missing" in capsys.readouterr().err
-    assert len(out.read_text().splitlines()) == 10  # the good records still landed
+    assert "failed: missing#0: no fixture" in capsys.readouterr().err
+    # the good records still landed, in corpus order
+    assert out.read_bytes() == clean.read_bytes()
+    assert not Path(f"{out}.partial").exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "runner"),
+    [(["feedback"], "run_feedback"), (["refine", "--mode", "eir"], "run_eir")],
+)
+def test_scripted_batch_runs_start_no_thread(command, runner, golden_env, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_module, "ThreadPoolExecutor", _no_thread_pool)
+    real = getattr(cli_module, runner)
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(threading.active_count())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, runner, counting)
+    before = threading.active_count()
+    code = main(
+        [*command, str(golden_env["corpus"]),
+         "--backend", f"scripted:{golden_env['fixtures']}",
+         "--workers", "4", "--out", str(tmp_path / "out.jsonl")]
+    )
+    assert code == 0
+    assert seen == [before] * 10
+    assert threading.active_count() == before
+
+
+class _FixtureStubHandler(BaseHTTPRequestHandler):
+    """Chat completions answered from a fixture directory, as the scripted backend would.
+
+    Once ``answer_limit`` requests have been answered, later ones are held
+    unanswered until the server's ``release`` event is set.
+    """
+
+    def do_POST(self):
+        server = self.server
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.posts += 1
+            hold = server.answer_limit is not None and server.posts > server.answer_limit
+        if hold:
+            server.held.set()
+            server.release.wait(30)
+            return
+        texts = server.store.lookup(body["messages"][0]["content"])
+        choices = [
+            {"message": {"content": texts[i % len(texts)]}, "finish_reason": "stop"}
+            for i in range(body.get("n", 1))
+        ]
+        payload = json.dumps({"choices": choices}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _fixture_stub(fixtures, tmp_path, answer_limit=None):
+    """Serve the fixtures over HTTP; yields (server, a config file using it for both roles)."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureStubHandler)
+    server.daemon_threads = False  # server_close() joins every handler thread
+    server.store = FixtureStore(fixtures)
+    server.lock = threading.Lock()
+    server.posts = 0
+    server.answer_limit = answer_limit
+    server.held = threading.Event()
+    server.release = threading.Event()
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    config = tmp_path / "stub.cfg"
+    config.write_text(
+        "".join(
+            f"{role}.kind = http\n{role}.endpoint_url = {url}\n"
+            f"{role}.model_name = stub\n{role}.temperature = 0.0\n"
+            for role in ("feedback", "refine")
+        ),
+        encoding="utf-8",
+    )
+    try:
+        yield server, config
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("command", [["feedback"], ["refine", "--mode", "eir"]])
+def test_http_batch_writes_the_scripted_bytes_at_any_workers(
+    command, golden_env, tmp_path, monkeypatch
+):
+    scripted = tmp_path / "scripted.jsonl"
+    code = main(
+        [*command, str(golden_env["corpus"]),
+         "--backend", f"scripted:{golden_env['fixtures']}", "--out", str(scripted)]
+    )
+    assert code == 0
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli_module, "ThreadPoolExecutor", RecordingPool)
+    with _fixture_stub(golden_env["fixtures"], tmp_path) as (server, config):
+        for workers in ("1", "4"):
+            out = tmp_path / f"http-{workers}.jsonl"
+            code = main(
+                [*command, str(golden_env["corpus"]), "--config", str(config),
+                 "--workers", workers, "--out", str(out)]
+            )
+            assert code == 0
+            assert out.read_bytes() == scripted.read_bytes()
+    assert pools == [4]  # only the http run with more than one worker uses a pool
+
+
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_killed_feedback_run_keeps_out_and_resumes_byte_identical(workers, golden_env, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    assert _run_feedback_cli(golden_env, clean) == 0
+    clean_lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+    out = tmp_path / "fb.jsonl"
+    previous = "".join(clean_lines[:2])  # an earlier interrupted run
+    out.write_text(previous, encoding="utf-8")
+    partial = Path(f"{out}.partial")
+    answered = 3
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    with _fixture_stub(golden_env["fixtures"], tmp_path, answer_limit=answered) as (server, config):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "lfqa_eval.cli", "feedback", str(golden_env["corpus"]),
+             "--config", str(config), "--workers", workers, "--resume", "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            assert server.held.wait(60), "the child never reached the unanswered request"
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=30)
+    assert child.returncode == -signal.SIGKILL
+    assert out.read_text(encoding="utf-8") == previous
+    written = partial.read_text(encoding="utf-8").splitlines(keepends=True)
+    # whole lines in corpus order: a prefix of the clean run
+    assert written == clean_lines[: len(written)]
+    if workers == "1":
+        assert len(written) == 2 + answered
+    assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
+    assert out.read_bytes() == clean.read_bytes()
+    assert not partial.exists()
+
+
+def test_resume_reads_partial_whose_lines_win(golden_env, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "fb.jsonl"
+    assert _run_feedback_cli(golden_env, out) == 0
+    clean = out.read_bytes()
+    lines = clean.decode("utf-8").splitlines()
+    stale = json.dumps({**json.loads(lines[0]), "tag_score": -1.0})
+    out.write_text("\n".join([stale, *lines[1:3]]) + "\n", encoding="utf-8")
+    partial = Path(f"{out}.partial")
+    partial.write_text("\n".join(lines[:5]) + "\n" + lines[5][:10], encoding="utf-8")
+    computed = []
+    real = cli_module.run_feedback
+
+    def recording(*args, **kwargs):
+        computed.append(kwargs["metadata"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "run_feedback", recording)
+    capsys.readouterr()
+    assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
+    assert out.read_bytes() == clean
+    assert not partial.exists()
+    assert computed == [f"g{i:02d}" for i in range(5, 10)]  # the torn line 6 is recomputed
+    assert f"{partial}: line 6: torn last line dropped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("first", "again", "difference"),
+    [
+        (["feedback", "--n-samples", "7"], ["feedback"], "n_sampled 7 but this run has 20"),
+        (
+            ["refine", "--mode", "eir", "--n-samples", "7"],
+            ["refine", "--mode", "eir"],
+            "feedback.n_sampled 7 but this run has 20",
+        ),
+        (
+            ["refine", "--mode", "eir"],
+            ["refine", "--mode", "improve"],
+            "mode 'error_informed' but this run has 'improve'",
+        ),
+    ],
+    ids=["feedback-n-samples", "eir-n-samples", "refine-mode"],
+)
+@pytest.mark.parametrize("kept_in", ["out", "partial"])
+def test_resume_refuses_lines_of_another_run(
+    first, again, difference, kept_in, golden_env, tmp_path, capsys
+):
+    out = tmp_path / "out.jsonl"
+    backend = ["--backend", f"scripted:{golden_env['fixtures']}"]
+    assert main([*first, str(golden_env["corpus"]), *backend, "--out", str(out)]) == 0
+    kept = out if kept_in == "out" else Path(f"{out}.partial")
+    out.rename(kept)
+    before = kept.read_bytes()
+    capsys.readouterr()
+    code = main([*again, str(golden_env["corpus"]), *backend, "--resume", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{kept}: line 1: record 'g00' answer 0 has {difference}" in err
+    assert kept.read_bytes() == before
+    assert [p.name for p in tmp_path.glob("out.jsonl*")] == [kept.name]
 
 
 def test_audit_flag_includes_raw(golden_env, tmp_path):
@@ -713,6 +975,39 @@ def test_eval_correct_cli(tmp_path, capsys):
     assert "definitions" in correction
     base_row = next(r for r in rows if r.get("which") == "baseline")
     assert base_row["pct_error_samples"] == 50.0
+
+
+_SCORES = '{"record_id": "a", "error_score": 1.0}\n{"record_id": "b", "error_score": 0.0}\n'
+
+
+@pytest.mark.parametrize(
+    ("baseline_text", "refined_text", "message"),
+    [
+        (_SCORES, _SCORES + "5\n", "--refined {refined}: line 3: expected a JSON object"),
+        (
+            _SCORES,
+            '{"record_id": "a", "error_score": "high"}\n',
+            "--refined {refined}: line 1: record 'a': error_score 'high' is not a number",
+        ),
+        (
+            _SCORES + '{"record_id": "a", "error_score": 0.5}\n',
+            _SCORES,
+            "--baseline {baseline}: line 3: duplicate record_id 'a' (first seen on line 1)",
+        ),
+        ("\n", _SCORES, "--baseline {baseline}: no score records"),
+        (_SCORES, "", "--refined {refined}: no score records"),
+    ],
+    ids=["refined-not-an-object", "refined-not-a-number", "duplicate", "empty-baseline",
+         "empty-refined"],
+)
+def test_eval_correct_errors_name_the_file(
+    baseline_text, refined_text, message, tmp_path, capsys
+):
+    baseline, refined = tmp_path / "base.jsonl", tmp_path / "ref.jsonl"
+    baseline.write_text(baseline_text, encoding="utf-8")
+    refined.write_text(refined_text, encoding="utf-8")
+    assert main(["eval-correct", "--baseline", str(baseline), "--refined", str(refined)]) == 1
+    assert message.format(baseline=baseline, refined=refined) in capsys.readouterr().err
 
 
 def test_selfcheck_cli(tmp_path, capsys):

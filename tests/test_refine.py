@@ -10,7 +10,6 @@ from lfqa_eval.genclient import (
 )
 from lfqa_eval.refine import (
     RefineMode,
-    build_answer_prompt,
     build_refine_prompt,
     refine_answer,
     refine_max_tokens,
@@ -96,15 +95,6 @@ def test_refine_max_tokens_is_1_5x_word_count():
     assert refine_max_tokens("one two three four") == 6
     assert refine_max_tokens("word") == 2  # ceil(1.5)
     assert refine_max_tokens("") == 1
-
-
-def test_answer_generation_template():
-    prompt = build_answer_prompt("Why is the sky blue?", 120)
-    assert prompt.startswith("Your task is to answer a question")
-    assert "around 120 words" in prompt
-    assert "Question: Why is the sky blue?   \n" in prompt
-    assert prompt.endswith("Answer (around 120 words):\n")
-    assert build_answer_prompt("q", 50) == build_answer_prompt("q", 50)
 
 
 # ---------------------------------------------------------------------------
