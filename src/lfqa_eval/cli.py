@@ -27,10 +27,10 @@ import os
 import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .corpus import (
     Corpus,
@@ -52,7 +52,7 @@ from .evalmetrics import (
     normalize_verdict,
     selfcheck_aggregate,
 )
-from .feedback import FeedbackSample, run_feedback
+from .feedback import TAG_INCOMPLETE, FeedbackResult, run_feedback
 from .genclient import BackendConfig, GenerationClient, GenerationError
 from .models import Aspect, QARecord, SpanGranularity
 from .refine import REFINE_TEMPERATURE, RefineMode, refine_answer, run_eir
@@ -258,6 +258,15 @@ def _parse_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
 def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as handle:
         yield from _parse_jsonl(handle)
+
+
+@contextmanager
+def _errors_name(source: str) -> Iterator[None]:
+    """Prefix each CorpusError raised inside with source, e.g. '--judgments PATH'."""
+    try:
+        yield
+    except CorpusError as exc:
+        raise CorpusError(f"{source}: {exc}") from None
 
 
 def _int_field(obj: dict, key: str, default: int, ln: int) -> int:
@@ -487,7 +496,7 @@ def _kept_lines(path: str, expected: dict[str, object]) -> dict[tuple[str, int],
             print(warning, file=sys.stderr)
             lines.pop()
     kept = {}
-    try:
+    with _errors_name(path):
         for ln, obj in _parse_jsonl(lines):
             key = (str(obj.get("record_id")), _int_field(obj, "answer_index", 0, ln))
             for dotted, value in expected.items():
@@ -499,8 +508,6 @@ def _kept_lines(path: str, expected: dict[str, object]) -> dict[tuple[str, int],
                         "--resume keeps only lines of the same run"
                     )
             kept[key] = _dump(obj)
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
     return kept
 
 
@@ -520,7 +527,9 @@ def _run_batch(
 
     Lines stream in corpus order to OUT.partial, each flushed once written,
     and the finished file then replaces --out, so a killed run leaves --out
-    as it was and OUT.partial holding whole lines for --resume. Records run
+    as it was and OUT.partial holding whole lines for --resume. A resumed
+    run that finds OUT.partial first folds every kept line into --out, so
+    truncating OUT.partial loses none of them if it is killed too. Records run
     one at a time unless some client is http and workers > 1: only then do
     they spend time waiting, which a pool of workers overlaps. Failures are
     reported per record and turn the exit code to 3.
@@ -541,6 +550,11 @@ def _run_batch(
         raise UsageError(f"--answer {args.answer} selects no answer in {args.corpus}; {hint}")
     existing = _existing_lines(args.out, expected) if args.resume else {}
     todo = [(record, idx) for record, idx in targets if (record.id, idx) not in existing]
+    partial = f"{args.out}.partial"
+    if existing and Path(partial).exists():
+        folded = f"{args.out}.tmp"
+        _write_lines(folded, [existing[r.id, i] for r, i in targets if (r.id, i) in existing])
+        os.replace(folded, args.out)
 
     def attempt(target: tuple[QARecord, int]) -> str | Exception:
         try:
@@ -549,7 +563,6 @@ def _run_batch(
             return exc
 
     failures: list[str] = []
-    partial = f"{args.out}.partial"
     with ExitStack() as stack:
         handle = stack.enter_context(open(partial, "w", encoding="utf-8"))
         if config.workers > 1 and any(c.config.kind == "http" for c in clients):
@@ -575,22 +588,34 @@ def _run_batch(
     return 3 if failures else 0
 
 
+def _feedback_step(
+    config: CliConfig, client: GenerationClient
+) -> Callable[[QARecord, int], FeedbackResult]:
+    """feedback_for(record, answer_index) -> FeedbackResult under this run's settings."""
+    temperature = _temperature_for(config, "feedback")
+
+    def feedback_for(record: QARecord, idx: int) -> FeedbackResult:
+        return run_feedback(
+            record.question,
+            record.answers[idx].text,
+            client,
+            config.n_samples,
+            temperature=temperature,
+            max_tokens=config.max_tokens.get("feedback"),
+            low_confidence_threshold=config.consistency_threshold,
+            metadata=record.id,
+        )
+
+    return feedback_for
+
+
 def _cmd_feedback(args) -> int:
     config = _config_from_args(args)
     with _client_for(config, "feedback") as client:
-        temperature = _temperature_for(config, "feedback")
+        feedback_for = _feedback_step(config, client)
 
         def work(record: QARecord, idx: int) -> str:
-            result = run_feedback(
-                record.question,
-                record.answers[idx].text,
-                client,
-                config.n_samples,
-                temperature=temperature,
-                max_tokens=config.max_tokens.get("feedback"),
-                low_confidence_threshold=config.consistency_threshold,
-                metadata=record.id,
-            )
+            result = feedback_for(record, idx)
             return _dump(
                 {"record_id": record.id, "answer_index": idx, **result.to_dict(args.audit)}
             )
@@ -603,12 +628,15 @@ def _cmd_refine(args) -> int:
     mode = {"improve": RefineMode.IMPROVE, "generic": RefineMode.GENERIC, "eir": RefineMode.ERROR_INFORMED}[args.mode]
     expected: dict[str, object] = {"mode": mode.value}
     with ExitStack() as stack:
-        refine_client = stack.enter_context(_client_for(config, "refine"))
-        refine_temperature = _temperature_for(config, "refine")
-        clients = [refine_client]
+        client = stack.enter_context(_client_for(config, "refine"))
+        settings = {
+            "temperature": _temperature_for(config, "refine"),
+            "max_tokens": config.max_tokens.get("refine"),
+        }
+        clients = [client]
         if mode is RefineMode.ERROR_INFORMED:
             feedback_client = stack.enter_context(_client_for(config, "feedback"))
-            feedback_temperature = _temperature_for(config, "feedback")
+            feedback_for = _feedback_step(config, feedback_client)
             clients.append(feedback_client)
             expected["feedback.n_sampled"] = config.n_samples
 
@@ -618,14 +646,9 @@ def _cmd_refine(args) -> int:
                 result = run_eir(
                     record.question,
                     answer,
-                    feedback_client,
-                    refine_client,
-                    config.n_samples,
-                    feedback_temperature=feedback_temperature,
-                    refine_temperature=refine_temperature,
-                    feedback_max_tokens=config.max_tokens.get("feedback"),
-                    refine_max_tokens_override=config.max_tokens.get("refine"),
-                    low_confidence_threshold=config.consistency_threshold,
+                    feedback_for(record, idx),
+                    client,
+                    **settings,
                     record_id=record.id,
                     answer_index=idx,
                 )
@@ -635,9 +658,8 @@ def _cmd_refine(args) -> int:
                     answer,
                     mode,
                     None,
-                    refine_client,
-                    temperature=refine_temperature,
-                    max_tokens=config.max_tokens.get("refine"),
+                    client,
+                    **settings,
                     record_id=record.id,
                     answer_index=idx,
                 )
@@ -653,19 +675,19 @@ def _cmd_refine(args) -> int:
 def _cmd_eval_detect(args) -> int:
     config = _config_from_args(args)
     corpus = load_corpus(args.corpus)
-    predictions: dict[tuple[str, int], FeedbackSample] = {}
-    for ln, obj in _read_jsonl(args.predictions):
-        record_id = str(obj.get("record_id"))
-        key = (record_id, _int_field(obj, "answer_index", 0, ln))
-        selected = obj.get("selected") if "selected" in obj else obj
-        tags = selected.get("tags") if isinstance(selected, dict) else None
-        if not isinstance(tags, list):
-            raise CorpusError(f"prediction for '{record_id}' has no tags", line=ln)
-        if key in predictions:
-            raise CorpusError(f"duplicate prediction for '{record_id}' answer {key[1]}", line=ln)
-        predictions[key] = FeedbackSample(
-            tags=[str(t) for t in tags], reasons={}, raw="", parse_ok=True
-        )
+    predictions: dict[tuple[str, int], list[bool]] = {}
+    with _errors_name(f"--predictions {args.predictions}"):
+        for ln, obj in _read_jsonl(args.predictions):
+            record_id = str(obj.get("record_id"))
+            key = (record_id, _int_field(obj, "answer_index", 0, ln))
+            selected = obj.get("selected") if "selected" in obj else obj
+            tags = selected.get("tags") if isinstance(selected, dict) else None
+            if not isinstance(tags, list):
+                raise CorpusError(f"prediction for '{record_id}' has no tags", line=ln)
+            if key in predictions:
+                message = f"duplicate prediction for '{record_id}' answer {key[1]}"
+                raise CorpusError(message, line=ln)
+            predictions[key] = [str(t) == TAG_INCOMPLETE for t in tags]
 
     report = detection_eval(corpus, predictions, weights=config.weights, invert=args.invert)
     totals, accuracy = report.counts, report.weighted_accuracy
@@ -694,7 +716,7 @@ _CORRECTION_DEFINITIONS = {
 
 def _read_scores(flag: str, path: str) -> list[ErrorScoreRecord]:
     """One score file; each of its errors names the flag, the path and the line."""
-    try:
+    with _errors_name(f"{flag} {path}"):
         lines = list(_read_jsonl(path))
         scores = load_error_scores(lines)
         first_seen: dict[str, int] = {}
@@ -706,10 +728,8 @@ def _read_scores(flag: str, path: str) -> list[ErrorScoreRecord]:
                 )
                 raise CorpusError(message, line=ln)
             first_seen[score.record_id] = ln
-    except CorpusError as exc:
-        raise CorpusError(f"{flag} {path}: {exc}") from None
-    if not scores:
-        raise CorpusError(f"{flag} {path}: no score records")
+        if not scores:
+            raise CorpusError("no score records")
     return scores
 
 
@@ -767,26 +787,32 @@ def _cmd_eval_correct(args) -> int:
 def _cmd_selfcheck(args) -> int:
     grouped: dict[str, list[SupportJudgment]] = defaultdict(list)
     order: list[str] = []
-    for ln, obj in _read_jsonl(args.judgments):
-        record_id = str(obj.get("record_id"))
-        verdicts = obj.get("verdicts")
-        if not isinstance(verdicts, list) or not verdicts:
-            raise CorpusError(f"judgment for '{record_id}' has no verdicts", line=ln)
-        if record_id not in grouped:
-            order.append(record_id)
-        sentence_index = _int_field(obj, "sentence_index", len(grouped[record_id]), ln)
-        for verdict in verdicts:
-            try:
-                normalize_verdict(str(verdict))
-            except ValueError as exc:
-                message = f"record '{record_id}', sentence {sentence_index}: {exc}"
-                raise CorpusError(message, line=ln) from None
-        grouped[record_id].append(
-            SupportJudgment(
-                sentence_index=sentence_index,
-                verdicts=tuple(str(v) for v in verdicts),
+    first_seen: dict[tuple[str, int], int] = {}
+    with _errors_name(f"--judgments {args.judgments}"):
+        for ln, obj in _read_jsonl(args.judgments):
+            record_id = str(obj.get("record_id"))
+            verdicts = obj.get("verdicts")
+            if not isinstance(verdicts, list) or not verdicts:
+                raise CorpusError(f"judgment for '{record_id}' has no verdicts", line=ln)
+            if record_id not in grouped:
+                order.append(record_id)
+            sentence_index = _int_field(obj, "sentence_index", len(grouped[record_id]), ln)
+            where = f"record '{record_id}', sentence {sentence_index}"
+            first = first_seen.setdefault((record_id, sentence_index), ln)
+            if first != ln:
+                message = f"{where}: duplicate judgment (first seen on line {first})"
+                raise CorpusError(message, line=ln)
+            for verdict in verdicts:
+                try:
+                    normalize_verdict(str(verdict))
+                except ValueError as exc:
+                    raise CorpusError(f"{where}: {exc}", line=ln) from None
+            grouped[record_id].append(
+                SupportJudgment(
+                    sentence_index=sentence_index,
+                    verdicts=tuple(str(v) for v in verdicts),
+                )
             )
-        )
 
     lines = []
     supports = []

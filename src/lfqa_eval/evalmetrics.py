@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, CorpusError, label_answer
-from .feedback import FeedbackSample
 from .models import Aspect
 
 
@@ -257,15 +256,16 @@ class DetectionEvalReport:
 
 def detection_eval(
     corpus: Corpus,
-    predictions: Mapping[tuple[str, int], FeedbackSample],
+    predictions: Mapping[tuple[str, int], Sequence[bool]],
     weights: DetectionWeights = DEFAULT_WEIGHTS,
     aspect: Aspect = Aspect.COMPLETENESS,
     invert: bool = False,
 ) -> DetectionEvalReport:
     """Evaluate predicted Incomplete sentences against annotated gold labels.
 
-    ``predictions`` maps ``(record_id, answer_index)`` to the prediction for
-    that answer of that record. Gold labels come from projecting the corpus
+    ``predictions`` maps ``(record_id, answer_index)`` to one Incomplete flag
+    per sentence of that answer, the shape of the gold
+    ``SentenceLabeling.errors``. Gold labels come from projecting the corpus
     annotations of ``aspect`` onto the answer's sentences. Records with gold
     errors but an empty prediction count as misses and stay out of the
     accuracy denominator. Ids absent from the corpus are listed in
@@ -276,7 +276,7 @@ def detection_eval(
     misses = 0
     evaluated = 0
     skipped: list[str] = []
-    for (record_id, idx), sample in predictions.items():
+    for (record_id, idx), flags in predictions.items():
         record = corpus.get(record_id)
         if record is None:
             skipped.append(record_id)
@@ -286,13 +286,13 @@ def detection_eval(
                 f"record '{record_id}': answer index {idx} out of range"
             )
         labeling = label_answer(record, idx, aspect)
-        if len(sample.tags) != labeling.n_sentences:
+        if len(flags) != labeling.n_sentences:
             raise ValueError(
-                f"record '{record_id}': prediction has {len(sample.tags)} tags "
+                f"record '{record_id}': prediction has {len(flags)} tags "
                 f"but the answer has {labeling.n_sentences} sentences"
             )
         gold = {i for i, err in enumerate(labeling.errors) if err}
-        predicted = set(sample.incomplete_indices())
+        predicted = {i for i, flagged in enumerate(flags) if flagged}
         evaluated += 1
         if gold and not predicted:
             misses += 1

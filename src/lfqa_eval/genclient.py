@@ -8,8 +8,9 @@ prompt text, for deterministic tests and offline runs.
 
 Transient transport failures (connection errors, timeouts, 429, 5xx) are
 retried with exponential backoff; authentication and response-schema errors
-never are. Credential values are read from a named environment variable and
-never appear in error messages.
+never are. Credential values are read from a named environment variable when
+the client is made, so a missing one fails before any request, and they never
+appear in error messages.
 
 Each HTTP client owns one ``requests.Session`` whose kept-alive connection
 pool holds at most ``max_in_flight`` sockets, the same bound the client's
@@ -190,6 +191,7 @@ class GenerationClient:
         self._session: requests.Session | None = None
         self._fan_out: ThreadPoolExecutor | None = None
         if config.kind == "http":
+            self._headers = self._auth_headers(config)  # raises before a session exists
             session = requests.Session()
             adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
             session.mount("http://", adapter)
@@ -233,13 +235,14 @@ class GenerationClient:
 
     # -- http ----------------------------------------------------------------
 
-    def _headers(self) -> dict[str, str]:
+    @staticmethod
+    def _auth_headers(config: BackendConfig) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
-        if self.config.auth_env:
-            credential = os.environ.get(self.config.auth_env, "")
+        if config.auth_env:
+            credential = os.environ.get(config.auth_env, "")
             if not credential:
                 raise CredentialError(
-                    f"credential environment variable '{self.config.auth_env}' is not set"
+                    f"credential environment variable '{config.auth_env}' is not set"
                 )
             headers["Authorization"] = f"Bearer {credential}"
         return headers
@@ -257,7 +260,7 @@ class GenerationClient:
             body["stop"] = list(request.stop_sequences)
         return body
 
-    def _post_with_retries(self, body: dict, headers: dict) -> dict:
+    def _post_with_retries(self, body: dict) -> dict:
         attempt = 0
         while True:
             transient: str | None = None
@@ -266,7 +269,7 @@ class GenerationClient:
                     response = self._session.post(
                         self.config.endpoint_url,
                         json=body,
-                        headers=headers,
+                        headers=self._headers,
                         timeout=self.config.timeout,
                         **self._send_settings,
                     )
@@ -318,16 +321,15 @@ class GenerationClient:
         return texts, truncated
 
     def _http_generate(self, request: GenerationRequest) -> GenerationResult:
-        headers = self._headers()  # raises before any network I/O
         backend_id = f"http:{self.config.model_name}"
         start = time.monotonic()
         if self.config.native_n or request.n_samples == 1:
-            data = self._post_with_retries(self._body(request, request.n_samples), headers)
+            data = self._post_with_retries(self._body(request, request.n_samples))
             texts, truncated = self._extract(data, request.n_samples)
         else:
             body = self._body(request, 1)
             futures = [
-                self._fan_out.submit(self._post_with_retries, dict(body), headers)
+                self._fan_out.submit(self._post_with_retries, dict(body))
                 for _ in range(request.n_samples)
             ]
             texts, truncated = [], []

@@ -6,10 +6,11 @@ Three prompt flavors:
 - generic:         add a blanket "the answer is not complete" nudge
 - error_informed:  feed the selected feedback's numbered justifications
 
-``run_eir`` chains the two models: sample feedback, and only when some
-sentence was tagged Incomplete, refine with the numbered reasons; otherwise
-the original answer passes through untouched so downstream error metrics
-never see a gratuitous rewrite.
+``run_eir`` is the second stage of Error-Informed Refinement: given the
+selected feedback for an answer, it refines with the numbered reasons only
+when some sentence was tagged Incomplete; otherwise the original answer
+passes through untouched so downstream error metrics never see a gratuitous
+rewrite.
 """
 from __future__ import annotations
 
@@ -17,12 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .feedback import (
-    DEFAULT_N_SAMPLES,
-    FeedbackResult,
-    LOW_CONFIDENCE_THRESHOLD,
-    run_feedback,
-)
+from .feedback import FeedbackResult
 from .genclient import GenerationClient, GenerationError, GenerationRequest
 
 REFINE_TEMPERATURE = 0.1
@@ -138,33 +134,19 @@ def refine_answer(
 def run_eir(
     question: str,
     answer: str,
-    feedback_client: GenerationClient,
-    refine_client: GenerationClient,
-    n_samples: int = DEFAULT_N_SAMPLES,
+    feedback: FeedbackResult,
+    client: GenerationClient,
     *,
-    feedback_temperature: float,
-    refine_temperature: float = REFINE_TEMPERATURE,
-    feedback_max_tokens: int | None = None,
-    refine_max_tokens_override: int | None = None,
-    low_confidence_threshold: float = LOW_CONFIDENCE_THRESHOLD,
+    temperature: float = REFINE_TEMPERATURE,
+    max_tokens: int | None = None,
     record_id: str = "",
     answer_index: int = 0,
 ) -> RefinementRecord:
-    """Feedback then error-informed refinement for one answer.
+    """Error-informed refinement of one answer from its selected feedback.
 
-    All-Complete feedback yields a passthrough record and issues no
-    refinement call.
+    Feedback with no Incomplete sentence yields a passthrough record and
+    issues no refinement call.
     """
-    feedback = run_feedback(
-        question,
-        answer,
-        feedback_client,
-        n_samples,
-        temperature=feedback_temperature,
-        max_tokens=feedback_max_tokens,
-        low_confidence_threshold=low_confidence_threshold,
-        metadata=record_id,
-    )
     incomplete = feedback.selected.incomplete_indices()
     if not incomplete:
         return RefinementRecord(
@@ -183,9 +165,9 @@ def run_eir(
         answer,
         RefineMode.ERROR_INFORMED,
         reasons,
-        refine_client,
-        temperature=refine_temperature,
-        max_tokens=refine_max_tokens_override,
+        client,
+        temperature=temperature,
+        max_tokens=max_tokens,
         record_id=record_id,
         answer_index=answer_index,
         feedback=feedback,

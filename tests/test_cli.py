@@ -18,7 +18,7 @@ from lfqa_eval import scoring as scoring_module
 from lfqa_eval.cli import ConfigError, load_config, main
 from lfqa_eval.corpus import load_corpus, save_corpus
 from lfqa_eval.evalmetrics import DEFAULT_WEIGHTS, detection_eval
-from lfqa_eval.feedback import FeedbackSample
+from lfqa_eval.feedback import build_feedback_prompt
 from lfqa_eval.genclient import FixtureStore, GenerationClient
 from lfqa_eval.models import (
     Answer,
@@ -30,7 +30,7 @@ from lfqa_eval.models import (
 )
 from lfqa_eval.refine import RefineMode, build_refine_prompt
 from lfqa_eval.scoring import domain_report, score_record
-from lfqa_eval.segment import segment_sentences
+from lfqa_eval.segment import segment_sentences, sentence_texts
 
 
 @pytest.fixture
@@ -540,7 +540,9 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
     """Chat completions answered from a fixture directory, as the scripted backend would.
 
     Once ``answer_limit`` requests have been answered, later ones are held
-    unanswered until the server's ``release`` event is set.
+    unanswered until the server's ``release`` event is set. The request
+    numbered ``reject_post`` (1-based) gets an HTTP 400, which is not retried;
+    its prompt is kept as ``rejected``.
     """
 
     def do_POST(self):
@@ -548,10 +550,16 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         with server.lock:
             server.posts += 1
-            hold = server.answer_limit is not None and server.posts > server.answer_limit
-        if hold:
+            post = server.posts
+        if server.answer_limit is not None and post > server.answer_limit:
             server.held.set()
             server.release.wait(30)
+            return
+        if post == server.reject_post:
+            server.rejected = body["messages"][0]["content"]
+            self.send_response(400)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
             return
         texts = server.store.lookup(body["messages"][0]["content"])
         choices = [
@@ -569,7 +577,7 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def _fixture_stub(fixtures, tmp_path, answer_limit=None):
+def _fixture_stub(fixtures, tmp_path, answer_limit=None, reject_post=None):
     """Serve the fixtures over HTTP; yields (server, a config file using it for both roles)."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureStubHandler)
     server.daemon_threads = False  # server_close() joins every handler thread
@@ -577,6 +585,8 @@ def _fixture_stub(fixtures, tmp_path, answer_limit=None):
     server.lock = threading.Lock()
     server.posts = 0
     server.answer_limit = answer_limit
+    server.reject_post = reject_post
+    server.rejected = None
     server.held = threading.Event()
     server.release = threading.Event()
     thread = threading.Thread(
@@ -632,20 +642,15 @@ def test_http_batch_writes_the_scripted_bytes_at_any_workers(
     assert pools == [4]  # only the http run with more than one worker uses a pool
 
 
-@pytest.mark.parametrize("workers", ["1", "4"])
-def test_killed_feedback_run_keeps_out_and_resumes_byte_identical(workers, golden_env, tmp_path):
-    clean = tmp_path / "clean.jsonl"
-    assert _run_feedback_cli(golden_env, clean) == 0
-    clean_lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
-    out = tmp_path / "fb.jsonl"
-    previous = "".join(clean_lines[:2])  # an earlier interrupted run
-    out.write_text(previous, encoding="utf-8")
-    partial = Path(f"{out}.partial")
-    answered = 3
+def _killed_feedback_run(golden_env, tmp_path, out: Path, workers: str, **stub) -> str | None:
+    """Run a resumed feedback child against the fixture stub and SIGKILL it once a request is held.
+
+    Returns the prompt of the request the stub rejected, if any.
+    """
     src = str(Path(cli_module.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": pythonpath}
-    with _fixture_stub(golden_env["fixtures"], tmp_path, answer_limit=answered) as (server, config):
+    with _fixture_stub(golden_env["fixtures"], tmp_path, **stub) as (server, config):
         child = subprocess.Popen(
             [sys.executable, "-m", "lfqa_eval.cli", "feedback", str(golden_env["corpus"]),
              "--config", str(config), "--workers", workers, "--resume", "--out", str(out)],
@@ -660,6 +665,20 @@ def test_killed_feedback_run_keeps_out_and_resumes_byte_identical(workers, golde
                 child.kill()
                 child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
+    return server.rejected
+
+
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_killed_feedback_run_keeps_out_and_resumes_byte_identical(workers, golden_env, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    assert _run_feedback_cli(golden_env, clean) == 0
+    clean_lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+    out = tmp_path / "fb.jsonl"
+    previous = "".join(clean_lines[:2])  # an earlier interrupted run
+    out.write_text(previous, encoding="utf-8")
+    partial = Path(f"{out}.partial")
+    answered = 3
+    _killed_feedback_run(golden_env, tmp_path, out, workers, answer_limit=answered)
     assert out.read_text(encoding="utf-8") == previous
     written = partial.read_text(encoding="utf-8").splitlines(keepends=True)
     # whole lines in corpus order: a prefix of the clean run
@@ -669,6 +688,67 @@ def test_killed_feedback_run_keeps_out_and_resumes_byte_identical(workers, golde
     assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
     assert out.read_bytes() == clean.read_bytes()
     assert not partial.exists()
+
+
+def _ids(lines: list[str]) -> list[str]:
+    return [json.loads(line)["record_id"] for line in lines]
+
+
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_second_kill_after_resume_loses_no_line(workers, golden_env, tmp_path, monkeypatch):
+    clean = tmp_path / "clean.jsonl"
+    assert _run_feedback_cli(golden_env, clean) == 0
+    clean_lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+    out = tmp_path / "fb.jsonl"
+    previous = clean_lines[:2]  # an earlier interrupted run
+    out.write_text("".join(previous), encoding="utf-8")
+    partial = Path(f"{out}.partial")
+
+    # First kill: the second request fails, so OUT.partial has a gap before later lines.
+    rejected_prompt = _killed_feedback_run(
+        golden_env, tmp_path, out, workers, answer_limit=3, reject_post=2
+    )
+    (rejected,) = [
+        record.id
+        for record in load_corpus(golden_env["corpus"])
+        for answer in record.answers
+        if build_feedback_prompt(
+            record.question, sentence_texts(answer.text, segment_sentences(answer.text))
+        )
+        == rejected_prompt
+    ]
+    assert out.read_text(encoding="utf-8") == "".join(previous)
+    first = partial.read_text(encoding="utf-8").splitlines(keepends=True)
+    # whole lines in corpus order: a prefix of the clean run less only the rejected line,
+    # so the kept --out lines come first and no finished line is dropped
+    assert first == [line for line, i in zip(clean_lines, _ids(clean_lines)) if i != rejected][: len(first)]
+    if workers == "1":
+        assert rejected == "g03"
+        assert _ids(first) == ["g00", "g01", "g02", "g04"]  # g05 was held
+
+    # Second kill, on the resumed run's first request: every line kept so far is now in --out.
+    _killed_feedback_run(golden_env, tmp_path, out, workers, answer_limit=0)
+    assert out.read_text(encoding="utf-8") == "".join(first)
+    second = partial.read_text(encoding="utf-8").splitlines(keepends=True)
+    # nothing failed in this run: a prefix of the clean run, held at the first line not kept
+    assert second == clean_lines[: len(second)]
+    assert len(second) <= next(i for i, line in enumerate(clean_lines) if line not in first)
+    if workers == "1":
+        assert _ids(second) == ["g00", "g01", "g02"]  # held on g03
+
+    computed = []
+    real = cli_module.run_feedback
+
+    def recording(*args, **kwargs):
+        computed.append(kwargs["metadata"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "run_feedback", recording)
+    assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
+    assert out.read_bytes() == clean.read_bytes()
+    assert not partial.exists()
+    # the last resume recomputes no record an earlier run wrote
+    assert computed == [i for i in _ids(clean_lines) if i not in _ids(first)]
 
 
 def test_resume_reads_partial_whose_lines_win(golden_env, tmp_path, capsys, monkeypatch):
@@ -826,6 +906,41 @@ def test_feedback_cli_http_requires_temperature(tmp_path, capsys):
     assert "temperature" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["feedback"], ["refine", "--mode", "eir"]])
+def test_missing_credential_fails_the_run_before_any_record(
+    command, golden_env, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("LFQA_EVAL_UNSET_KEY", raising=False)
+    config_path = tmp_path / "cfg"
+    config_path.write_text(
+        "".join(
+            f"{role}.kind = http\n{role}.endpoint_url = http://127.0.0.1:1/v1\n"
+            f"{role}.model_name = stub\n{role}.temperature = 0.0\n"
+            for role in ("feedback", "refine")
+        )
+        + "feedback.auth_env = LFQA_EVAL_UNSET_KEY\n",
+        encoding="utf-8",
+    )
+
+    def no_corpus(path):
+        raise AssertionError("the corpus was loaded before the clients were made")
+
+    monkeypatch.setattr(cli_module, "load_corpus", no_corpus)
+    out = tmp_path / "out.jsonl"
+    out.write_text('{"record_id": "g00", "answer_index": 0}\n', encoding="utf-8")
+    before = out.read_bytes()
+    code = main(
+        [*command, str(golden_env["corpus"]), "--config", str(config_path),
+         "--resume", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "credential environment variable 'LFQA_EVAL_UNSET_KEY' is not set" in err
+    assert err.count("error:") == 1
+    assert out.read_bytes() == before
+    assert not Path(f"{out}.partial").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval-detect / eval-correct / selfcheck
 
@@ -891,10 +1006,7 @@ def test_eval_detect_out_is_one_detection_eval_report(tmp_path):
     assert code == 0
     report = detection_eval(
         load_corpus(corpus_path),
-        {
-            (r, i): FeedbackSample(tags=tags, reasons={}, raw="", parse_ok=True)
-            for r, i, tags in rows
-        },
+        {(r, i): [tag == "Incomplete" for tag in tags] for r, i, tags in rows},
     )
     assert out.read_text(encoding="utf-8") == cli_module._dump(report.to_dict()) + "\n"
     # skipped ids keep prediction-file order, whatever their answer index
@@ -905,7 +1017,7 @@ def test_eval_detect_out_is_one_detection_eval_report(tmp_path):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("[1, 2]", "line 2: expected a JSON object"),
+        ("[1, 2]", "--predictions {path}: line 2: expected a JSON object"),
         ('{"record_id": "d1", "selected": null}', "line 2: prediction for 'd1' has no tags"),
         (
             '{"record_id": "d1", "answer_index": "first", "tags": ["Complete", "Complete"]}',
@@ -927,7 +1039,7 @@ def test_eval_detect_malformed_prediction_line_exits_1(line, message, tmp_path, 
     predictions.write_text(json.dumps(first) + "\n" + line + "\n", encoding="utf-8")
     code = main(["eval-detect", str(corpus_path), "--predictions", str(predictions)])
     assert code == 1
-    assert message in capsys.readouterr().err
+    assert message.format(path=predictions) in capsys.readouterr().err
 
 
 def test_eval_detect_accepts_feedback_output(golden_env, tmp_path):
@@ -1034,8 +1146,14 @@ def test_selfcheck_cli(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, second_line, message",
     [
-        ("selfcheck", "5", "line 2: expected a JSON object"),
+        ("selfcheck", "5", "--judgments {path}: line 2: expected a JSON object"),
         ("eval-correct", "5", "line 2: expected a JSON object"),
+        (
+            "selfcheck",
+            '{"record_id": "r1", "sentence_index": 0, "verdicts": ["no"]}',
+            "--judgments {path}: line 2: record 'r1', sentence 0: "
+            "duplicate judgment (first seen on line 1)",
+        ),
         (
             "selfcheck",
             '{"record_id": "r2", "sentence_index": "x", "verdicts": ["no"]}',
@@ -1065,6 +1183,7 @@ def test_selfcheck_cli(tmp_path, capsys):
     ids=[
         "selfcheck-not-an-object",
         "eval-correct-not-an-object",
+        "selfcheck-duplicate-sentence",
         "selfcheck-bad-index",
         "selfcheck-unknown-verdict",
         "eval-correct-no-score",
@@ -1081,7 +1200,7 @@ def test_side_file_malformed_line_exits_1(command, second_line, message, tmp_pat
     else:
         argv = ["eval-correct", "--baseline", str(path), "--refined", str(path)]
     assert main(argv) == 1
-    assert message in capsys.readouterr().err
+    assert message.format(path=path) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

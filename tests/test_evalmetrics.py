@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import make_record
+from lfqa_eval import evalmetrics as evalmetrics_module
 from lfqa_eval.corpus import Corpus
 from lfqa_eval.evalmetrics import (
     DEFAULT_WEIGHTS,
@@ -19,7 +24,7 @@ from lfqa_eval.evalmetrics import (
     selfcheck_aggregate,
     weighted_accuracy,
 )
-from lfqa_eval.feedback import FeedbackSample, TAG_COMPLETE, TAG_INCOMPLETE
+from lfqa_eval.feedback import TAG_COMPLETE, TAG_INCOMPLETE
 from lfqa_eval.models import Answer, Aspect, ErrorAnnotation, Source
 
 
@@ -293,7 +298,7 @@ def _detect_record(record_id, gold_indices):
 
 
 def _prediction(tags):
-    return FeedbackSample(tags=list(tags), reasons={}, raw="", parse_ok=True)
+    return [tag == TAG_INCOMPLETE for tag in tags]
 
 
 def test_detection_eval_perfect_predictions():
@@ -361,3 +366,23 @@ def test_detection_eval_unknown_record_skipped():
     report = detection_eval(corpus, predictions)
     assert report.skipped == ["ghost"]
     assert report.n_records == 1
+
+
+def test_metrics_layer_imports_no_generation_stack():
+    code = (
+        "import sys\n"
+        "import lfqa_eval.corpus, lfqa_eval.evalmetrics, lfqa_eval.scoring\n"
+        "loaded = sorted(m for m in ('requests', 'lfqa_eval.genclient', 'lfqa_eval.feedback')"
+        " if m in sys.modules)\n"
+        "print(','.join(loaded))\n"
+    )
+    src = str(Path(evalmetrics_module.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == ""

@@ -593,7 +593,8 @@ def test_shared_samples_stay_as_parsed_through_eir(tmp_path):
         build_refine_prompt(RefineMode.ERROR_INFORMED, question, answer, reasons),
         ["Ballast spreads the load and drains water. Rocks drain."],
     )
-    record = run_eir(question, answer, client, client, feedback_temperature=0.7)
+    feedback = run_feedback(question, answer, client, temperature=0.7)
+    record = run_eir(question, answer, feedback, client)
     assert not record.passthrough
     record.to_dict(audit=True)
     samples = record.feedback.samples

@@ -1,6 +1,6 @@
 import pytest
 
-from lfqa_eval.feedback import build_feedback_prompt
+from lfqa_eval.feedback import build_feedback_prompt, run_feedback
 from lfqa_eval.genclient import (
     BackendConfig,
     FixtureError,
@@ -152,10 +152,8 @@ def test_run_eir_passthrough_on_all_complete(tmp_path):
         build_feedback_prompt(QUESTION, SENTENCES),
         ["1. [Complete]\n2. [Complete]"] * 20,
     )
-    record = run_eir(
-        QUESTION, ANSWER, feedback_client, refine_client,
-        feedback_temperature=0.7, record_id="r1",
-    )
+    feedback = run_feedback(QUESTION, ANSWER, feedback_client, temperature=0.7)
+    record = run_eir(QUESTION, ANSWER, feedback, refine_client, record_id="r1")
     assert record.passthrough
     assert record.refined_answer == ANSWER
     assert refine_client.calls == 0
@@ -176,10 +174,8 @@ def test_run_eir_refines_with_numbered_reasons(tmp_path):
     )
     assert "1. missing drainage" in expected_prompt
     rf_store.record(expected_prompt, ["Ballast also improves drainage."])
-    record = run_eir(
-        QUESTION, ANSWER, feedback_client, refine_client,
-        feedback_temperature=0.7, record_id="r1",
-    )
+    feedback = run_feedback(QUESTION, ANSWER, feedback_client, temperature=0.7)
+    record = run_eir(QUESTION, ANSWER, feedback, refine_client, record_id="r1")
     assert not record.passthrough
     assert refine_client.calls == 1
     assert record.refined_answer == "Ballast also improves drainage."
@@ -213,9 +209,8 @@ def test_run_eir_reason_order_follows_sentence_order(tmp_path):
     )
     assert '"1. which refrigerant\n2. where the heat goes".' in prompt
     rf_store.record(prompt, ["Expanded answer."])
-    record = run_eir(
-        question, answer, feedback_client, inner, feedback_temperature=0.7
-    )
+    feedback = run_feedback(question, answer, feedback_client, temperature=0.7)
+    record = run_eir(question, answer, feedback, inner)
     assert record.refined_answer == "Expanded answer."
 
 
@@ -233,7 +228,8 @@ def test_run_eir_structure_of_result(tmp_path):
         build_refine_prompt(RefineMode.ERROR_INFORMED, QUESTION, ANSWER, [reason]),
         ["Ballast levels the ground, improves drainage, and prevents erosion."],
     )
-    record = run_eir(QUESTION, ANSWER, feedback_client, inner, feedback_temperature=0.7)
+    feedback = run_feedback(QUESTION, ANSWER, feedback_client, temperature=0.7)
+    record = run_eir(QUESTION, ANSWER, feedback, inner)
     assert "drainage" in record.refined_answer
     assert "erosion" in record.refined_answer
     assert record.feedback.reason_score == 1.0
@@ -246,5 +242,6 @@ def test_run_eir_propagates_missing_refine_fixture(tmp_path):
         build_feedback_prompt(QUESTION, SENTENCES),
         ["1. [Incomplete] Reasons: thin\n2. [Complete]"] * 20,
     )
+    feedback = run_feedback(QUESTION, ANSWER, feedback_client, temperature=0.7)
     with pytest.raises(FixtureError):
-        run_eir(QUESTION, ANSWER, feedback_client, inner, feedback_temperature=0.7)
+        run_eir(QUESTION, ANSWER, feedback, inner)
