@@ -6,11 +6,19 @@ Two kinds: ``http`` speaks the common chat-completion JSON protocol
 replays fixtures from a directory keyed by the SHA-256 digest of the exact
 prompt text, for deterministic tests and offline runs.
 
-Transient transport failures (connection errors, timeouts, 429, 5xx) are
-retried with exponential backoff; authentication and response-schema errors
-never are. Credential values are read from a named environment variable when
-the client is made, so a missing one fails before any request, and they never
-appear in error messages.
+Transient transport failures (connection errors, timeouts, a body cut short
+of its ``Content-Length``, 429, 5xx) are retried with exponential backoff; on
+429 and 503 a delta-seconds ``Retry-After`` lengthens the wait to the
+server's value, capped at the client's ``timeout`` (an HTTP-date or malformed
+value keeps the backoff). Authentication and response-schema errors are
+never retried. Credential values are read from a named environment variable
+when the client is made, so a missing one fails before any request, and they
+never appear in error messages.
+
+``requests`` is needed only for ``kind = http`` backends and is imported when
+the first such client is made; importing this module, or making a scripted
+client, loads no HTTP stack. Without ``requests``, making an http client
+raises a ``GenerationError`` that names it.
 
 Each HTTP client owns one ``requests.Session`` whose kept-alive connection
 pool holds at most ``max_in_flight`` sockets, the same bound the client's
@@ -33,10 +41,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import requests
-from requests.adapters import HTTPAdapter
-from requests.utils import get_netrc_auth
+if TYPE_CHECKING:
+    import requests
 
 BACKOFF_BASE = 0.5  # seconds; doubles on each retry
 
@@ -178,6 +186,12 @@ class FixtureStore:
 # Client
 
 
+def _retry_after_s(value: str | None) -> float:
+    """A Retry-After header's delta-seconds; 0 when absent, an HTTP-date or malformed."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
+
+
 class GenerationClient:
     """Thread-safe client for one backend; at most max_in_flight live requests."""
 
@@ -192,6 +206,20 @@ class GenerationClient:
         self._fan_out: ThreadPoolExecutor | None = None
         if config.kind == "http":
             self._headers = self._auth_headers(config)  # raises before a session exists
+            try:
+                import requests
+                from requests.adapters import HTTPAdapter
+                from requests.utils import get_netrc_auth
+            except ImportError as exc:
+                raise GenerationError(
+                    "the 'requests' package is needed only for kind = http backends, "
+                    f"and importing it failed: {exc}"
+                ) from None
+            self._transient = (
+                requests.ConnectionError,
+                requests.Timeout,
+                requests.exceptions.ChunkedEncodingError,  # body cut short
+            )
             session = requests.Session()
             adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
             session.mount("http://", adapter)
@@ -264,6 +292,7 @@ class GenerationClient:
         attempt = 0
         while True:
             transient: str | None = None
+            retry_after = 0.0
             try:
                 with self._sem:
                     response = self._session.post(
@@ -273,7 +302,7 @@ class GenerationClient:
                         timeout=self.config.timeout,
                         **self._send_settings,
                     )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except self._transient as exc:
                 transient = type(exc).__name__
             else:
                 status = response.status_code
@@ -284,6 +313,8 @@ class GenerationClient:
                     )
                 if status == 429 or status >= 500:
                     transient = f"HTTP {status}"
+                    if status in (429, 503):
+                        retry_after = _retry_after_s(response.headers.get("Retry-After"))
                 elif status >= 400:
                     raise GenerationError(f"HTTP {status}: {response.text[:200]}")
                 else:
@@ -298,7 +329,8 @@ class GenerationClient:
                 raise GenerationError(
                     f"transport failure after {attempt} attempts ({transient})"
                 )
-            time.sleep(BACKOFF_BASE * 2 ** (attempt - 1))
+            backoff = BACKOFF_BASE * 2 ** (attempt - 1)
+            time.sleep(max(backoff, min(retry_after, self.config.timeout)))
 
     @staticmethod
     def _extract(data: dict, expected_n: int) -> tuple[list[str], list[bool]]:

@@ -1,10 +1,14 @@
 """Shared corpus builders and the scripted end-to-end environment."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lfqa_eval
 from lfqa_eval.corpus import save_corpus
 from lfqa_eval.feedback import TAG_COMPLETE, TAG_INCOMPLETE, build_feedback_prompt
 from lfqa_eval.genclient import FixtureStore
@@ -19,6 +23,20 @@ from lfqa_eval.models import (
 )
 from lfqa_eval.refine import RefineMode, build_refine_prompt
 from lfqa_eval.segment import segment_sentences, sentence_texts
+
+
+def child_env() -> dict[str, str]:
+    """os.environ for a child interpreter that imports the lfqa_eval under test."""
+    src = str(Path(lfqa_eval.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter (sys.argv[1:] = args); stdout and stderr as text."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=child_env(), capture_output=True, text=True
+    )
 
 
 def make_record(

@@ -1,13 +1,8 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import make_record
-from lfqa_eval import evalmetrics as evalmetrics_module
+from conftest import make_record, run_python
 from lfqa_eval.corpus import Corpus
 from lfqa_eval.evalmetrics import (
     DEFAULT_WEIGHTS,
@@ -376,13 +371,6 @@ def test_metrics_layer_imports_no_generation_stack():
         " if m in sys.modules)\n"
         "print(','.join(loaded))\n"
     )
-    src = str(Path(evalmetrics_module.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    done = run_python(code)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""

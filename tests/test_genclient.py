@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_python
 import lfqa_eval.genclient as genclient
 from lfqa_eval.genclient import (
     BackendConfig,
@@ -71,9 +72,12 @@ class _StubHandler(BaseHTTPRequestHandler):
             payload = json.dumps({"choices": choices}).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        for name, value in behavior.get("headers", {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
-        self.wfile.write(payload)
+        # "truncate": the connection closes this many bytes short of Content-Length
+        self.wfile.write(payload[: len(payload) - behavior.get("truncate", 0)])
 
     def log_message(self, *args):
         pass
@@ -360,6 +364,99 @@ def test_http_timeout_retries(stub_server):
     config = _http_config(stub_server, timeout=0.2, max_retries=2)
     result = GenerationClient(config).generate(_request())
     assert len(result.texts) == 1
+
+
+def test_http_truncated_body_is_retried(stub_server):
+    stub_server.script = [{"truncate": 5}, {"status": 200}]
+    result = GenerationClient(_http_config(stub_server)).generate(_request())
+    assert result.texts == ["reply 2.0"]
+    assert len(stub_server.requests) == 2
+
+
+def test_http_truncated_body_every_time_is_a_generation_error(stub_server):
+    stub_server.script = [{"truncate": 5}] * 3
+    config = _http_config(stub_server, max_retries=2)
+    with pytest.raises(GenerationError, match=r"after 3 attempts \(ChunkedEncodingError\)"):
+        GenerationClient(config).generate(_request())
+    assert len(stub_server.requests) == 3
+
+
+@pytest.mark.parametrize(
+    ("status", "retry_after", "slept"),
+    [
+        (429, "1", 1.0),  # longer than the backoff: the server's wait
+        (503, "1", 1.0),
+        (503, "0", 0.25),  # shorter than the backoff: the backoff
+        (429, "30", 2.0),  # capped at the client's timeout
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25),  # HTTP-date: the backoff
+        (429, "soon", 0.25),
+        (429, "1.5", 0.25),
+        (429, "-1", 0.25),
+        (500, "1", 0.25),  # honoured on 429 and 503 only
+        (502, "1", 0.25),
+    ],
+)
+def test_http_retry_after_sets_the_wait(status, retry_after, slept, stub_server, monkeypatch):
+    monkeypatch.setattr(genclient, "BACKOFF_BASE", 0.25)
+    sleeps = []
+    monkeypatch.setattr(genclient.time, "sleep", sleeps.append)
+    stub_server.script = [{"status": status, "headers": {"Retry-After": retry_after}}]
+    result = GenerationClient(_http_config(stub_server, timeout=2.0)).generate(_request())
+    assert len(result.texts) == 1
+    assert sleeps == [slept]
+
+
+def test_http_retry_after_applies_per_attempt(stub_server, monkeypatch):
+    monkeypatch.setattr(genclient, "BACKOFF_BASE", 0.25)
+    sleeps = []
+    monkeypatch.setattr(genclient.time, "sleep", sleeps.append)
+    stub_server.script = [
+        {"status": 503, "headers": {"Retry-After": "1"}},
+        {"status": 503},
+        {"status": 429, "headers": {"Retry-After": "1"}},
+    ]
+    config = _http_config(stub_server, timeout=2.0, max_retries=2)
+    with pytest.raises(GenerationError, match=r"after 3 attempts \(HTTP 429\)"):
+        GenerationClient(config).generate(_request())
+    assert sleeps == [1.0, 0.5]  # no wait after the last attempt
+
+
+_HTTP_CLIENT_IN_CHILD = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["requests"] = None
+from lfqa_eval.genclient import BackendConfig, GenerationClient, GenerationError
+
+def loaded():
+    return [m for m in ("requests", "urllib3") if sys.modules.get(m) is not None]
+
+before = loaded()
+try:
+    GenerationClient(BackendConfig(kind="http", endpoint_url="http://127.0.0.1:1/v1", model_name="m"))
+    error = None
+except GenerationError as exc:
+    error = str(exc)
+print(json.dumps({"before": before, "after": loaded(), "error": error}))
+"""
+
+
+def test_http_stack_loads_when_an_http_client_is_made():
+    done = run_python(_HTTP_CLIENT_IN_CHILD, "available")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "before": [], "after": ["requests", "urllib3"], "error": None
+    }
+
+
+def test_missing_requests_fails_when_an_http_client_is_made():
+    done = run_python(_HTTP_CLIENT_IN_CHILD, "blocked")
+    assert done.returncode == 0, done.stderr  # importing genclient does not fail
+    report = json.loads(done.stdout)
+    assert report["after"] == []
+    assert report["error"].startswith(
+        "the 'requests' package is needed only for kind = http backends, "
+        "and importing it failed: "
+    )
 
 
 # ---------------------------------------------------------------------------
