@@ -6,30 +6,29 @@ Two kinds: ``http`` speaks the common chat-completion JSON protocol
 replays fixtures from a directory keyed by the SHA-256 digest of the exact
 prompt text, for deterministic tests and offline runs.
 
-Transient transport failures (connection errors, timeouts, a body cut short
-of its ``Content-Length``, 429, 5xx) are retried with exponential backoff; on
-429 and 503 a delta-seconds ``Retry-After`` lengthens the wait to the
-server's value, capped at the client's ``timeout`` (an HTTP-date or malformed
-value keeps the backoff). Authentication and response-schema errors are
-never retried. Credential values are read from a named environment variable
-when the client is made, so a missing one fails before any request, and they
-never appear in error messages.
+Transient transport failures (``OSError``, such as a refused or reset
+connection, a timeout or a TLS error, and ``http.client.HTTPException``, such
+as a body cut short of its ``Content-Length``; 429, 5xx) are retried with
+exponential backoff; on 429 and 503 a delta-seconds ``Retry-After``
+lengthens the wait to the server's value, capped at the client's ``timeout``
+(an HTTP-date or malformed value keeps the backoff). Authentication errors,
+3xx replies (never followed) and response-schema errors are never retried.
+Credential values are read from a named environment variable when the
+client is made, so a missing one fails before any request, and they never
+appear in error messages.
 
-``requests`` is needed only for ``kind = http`` backends and is imported when
-the first such client is made; importing this module, or making a scripted
-client, loads no HTTP stack. Without ``requests``, making an http client
-raises a ``GenerationError`` that names it.
-
-Each HTTP client owns one ``requests.Session`` whose kept-alive connection
-pool holds at most ``max_in_flight`` sockets, the same bound the client's
-semaphore puts on live requests. The settings ``requests`` would otherwise
-re-read from the environment on every call (proxies and ``NO_PROXY``, the
-``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE`` CA bundle and ``~/.netrc`` auth)
-are resolved once for the endpoint when the client is made; a change to them
-afterwards reaches only clients made after it. With ``native_n`` off, the n
-single-sample calls of every request share one client-wide executor of
-``max_in_flight`` threads. ``close()`` (or leaving a ``with`` block) releases
-the sockets and the executor's threads.
+The HTTP transport is the standard library's ``http.client``, imported when
+the first ``kind = http`` client is made; importing this module, or making a
+scripted client, loads no HTTP stack. Each HTTP client keeps at most
+``max_in_flight`` idle kept-alive connections, the same bound the client's
+semaphore puts on live requests; an idle connection the server has closed is
+replaced before it is reused. What the environment says about the endpoint
+(the proxy from ``*_proxy``/``NO_PROXY``, the ``REQUESTS_CA_BUNDLE``/
+``CURL_CA_BUNDLE`` CA file and ``.netrc`` auth) is resolved once when the
+client is made; a change to it afterwards reaches only clients made after it.
+With ``native_n`` off, the n single-sample calls of every request share one
+client-wide executor of ``max_in_flight`` threads. ``close()`` (or leaving a
+``with`` block) releases the sockets and the executor's threads.
 """
 from __future__ import annotations
 
@@ -41,10 +40,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    import requests
+from . import __version__
 
 BACKOFF_BASE = 0.5  # seconds; doubles on each retry
 
@@ -107,6 +104,16 @@ class BackendConfig:
         if self.kind == "http":
             if not self.endpoint_url or not self.model_name:
                 raise ValueError("http backend requires endpoint_url and model_name")
+            scheme, _, rest = self.endpoint_url.partition("://")
+            authority = rest.split("/", 1)[0]
+            if scheme.lower() not in ("http", "https") or not authority:
+                raise ValueError(
+                    "http backend endpoint_url must be an http:// or https:// URL with a host"
+                )
+            if "@" in authority:
+                raise ValueError(
+                    "http backend endpoint_url must not carry credentials; name an auth_env"
+                )
         elif self.kind == "scripted":
             if not self.fixture_dir:
                 raise ValueError("scripted backend requires fixture_dir")
@@ -202,46 +209,24 @@ class GenerationClient:
         self._store = (
             FixtureStore(config.fixture_dir) if config.kind == "scripted" else None
         )
-        self._session: requests.Session | None = None
+        self._idle: list = []  # kept-alive connections not in use; the semaphore bounds them
+        self._idle_lock = threading.Lock()
         self._fan_out: ThreadPoolExecutor | None = None
         if config.kind == "http":
-            self._headers = self._auth_headers(config)  # raises before a session exists
-            try:
-                import requests
-                from requests.adapters import HTTPAdapter
-                from requests.utils import get_netrc_auth
-            except ImportError as exc:
-                raise GenerationError(
-                    "the 'requests' package is needed only for kind = http backends, "
-                    f"and importing it failed: {exc}"
-                ) from None
-            self._transient = (
-                requests.ConnectionError,
-                requests.Timeout,
-                requests.exceptions.ChunkedEncodingError,  # body cut short
-            )
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=config.max_in_flight)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-            # What requests would derive from os.environ on every call:
-            # proxies (NO_PROXY applied to this endpoint), CA bundle, netrc.
-            self._send_settings = session.merge_environment_settings(
-                config.endpoint_url, {}, None, None, None
-            )
-            self._send_settings["auth"] = get_netrc_auth(config.endpoint_url)
-            session.trust_env = False
-            self._session = session
+            self._headers = self._auth_headers(config)  # raises before anything is resolved
+            self._resolve_transport(config)
             if not config.native_n:
                 # starts its threads on first use, up to max_in_flight
                 self._fan_out = ThreadPoolExecutor(max_workers=config.max_in_flight)
 
     def close(self) -> None:
-        """Shut down the fan-out threads and close the pooled connections."""
+        """Shut down the fan-out threads and close the idle connections."""
         if self._fan_out is not None:
             self._fan_out.shutdown(wait=True)
-        if self._session is not None:
-            self._session.close()
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def __enter__(self) -> GenerationClient:
         return self
@@ -265,7 +250,10 @@ class GenerationClient:
 
     @staticmethod
     def _auth_headers(config: BackendConfig) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+        headers = {
+            "Content-Type": "application/json",
+            "User-Agent": f"lfqa-eval/{__version__}",
+        }
         if config.auth_env:
             credential = os.environ.get(config.auth_env, "")
             if not credential:
@@ -275,7 +263,119 @@ class GenerationClient:
             headers["Authorization"] = f"Bearer {credential}"
         return headers
 
-    def _body(self, request: GenerationRequest, n: int) -> dict:
+    def _resolve_transport(self, config: BackendConfig) -> None:
+        """Resolve once what every request to the endpoint would re-read from
+        the environment: the proxy (NO_PROXY applied to this endpoint), the CA
+        file and .netrc auth (only when no auth_env names a credential)."""
+        import base64
+        import functools
+        import http.client
+        import netrc
+        import select
+        import socket
+        import ssl
+        import urllib.parse
+        import urllib.request
+
+        def basic(user: str, password: str) -> str:
+            return "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+
+        def nodelay_socket(address, timeout, source_address=None):
+            # headers and body go out in two writes, which Nagle's algorithm
+            # would hold until the server's delayed ACK of the first
+            sock = socket.create_connection(address, timeout, source_address)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            return sock
+
+        url = urllib.parse.urlsplit(config.endpoint_url)
+        scheme, host = url.scheme.lower(), url.hostname
+        port = url.port or (443 if scheme == "https" else 80)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if "Authorization" not in self._headers:
+            path = os.path.expanduser(os.environ.get("NETRC", "~/.netrc"))
+            try:
+                entry = netrc.netrc(path).authenticators(host)
+            except (OSError, netrc.NetrcParseError):
+                entry = None  # no readable netrc: no netrc auth
+            if entry:
+                login, account, password = entry
+                self._headers["Authorization"] = basic(login or account or "", password or "")
+
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(scheme) or proxies.get("all")
+        if proxy and urllib.request.proxy_bypass(host):
+            proxy = None
+        address, tunnel = (host, port), None
+        if proxy:
+            parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if parts.scheme.lower() != "http" or not parts.hostname:
+                raise GenerationError(
+                    f"the proxy for {scheme} requests must be an http:// URL with a host"
+                )
+            address = (parts.hostname, parts.port or 80)
+            proxy_headers = {}
+            if parts.username:
+                proxy_headers["Proxy-Authorization"] = basic(
+                    urllib.parse.unquote(parts.username),
+                    urllib.parse.unquote(parts.password or ""),
+                )
+            if scheme == "https":
+                tunnel = (host, port, proxy_headers)  # CONNECT, then TLS to the endpoint
+            else:
+                self._target = url._replace(fragment="").geturl()
+                self._headers.update(proxy_headers)
+
+        if scheme == "https":
+            cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            connection = functools.partial(
+                http.client.HTTPSConnection,
+                context=ssl.create_default_context(cafile=cafile or None),
+            )
+        else:
+            connection = http.client.HTTPConnection
+
+        def open_connection():
+            conn = connection(*address, timeout=config.timeout)
+            conn._create_connection = nodelay_socket
+            if tunnel:
+                conn.set_tunnel(*tunnel)
+            return conn
+
+        self._open_connection = open_connection
+        self._dropped = lambda sock: bool(select.select([sock], [], [], 0)[0])
+        self._transient = (OSError, http.client.HTTPException)
+
+    def _connection(self):
+        """An idle connection the server has not closed, else a new one."""
+        while True:
+            with self._idle_lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                return self._open_connection()
+            # an idle socket that reads as ready holds the server's close
+            # (or bytes nobody asked for): it cannot carry a request
+            if not self._dropped(conn.sock):
+                return conn
+            conn.close()
+
+    def _post(self, payload: bytes):
+        """One POST on a kept-alive connection: (the response, its whole body)."""
+        conn = self._connection()
+        try:
+            conn.request("POST", self._target, payload, self._headers)
+            response = conn.getresponse()
+            raw = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return response, raw
+
+    def _body(self, request: GenerationRequest, n: int) -> bytes:
         body = {
             "model": self.config.model_name,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -286,40 +386,41 @@ class GenerationClient:
             body["n"] = n
         if request.stop_sequences:
             body["stop"] = list(request.stop_sequences)
-        return body
+        return json.dumps(body).encode()
 
-    def _post_with_retries(self, body: dict) -> dict:
+    def _post_with_retries(self, payload: bytes) -> dict:
         attempt = 0
         while True:
             transient: str | None = None
             retry_after = 0.0
             try:
                 with self._sem:
-                    response = self._session.post(
-                        self.config.endpoint_url,
-                        json=body,
-                        headers=self._headers,
-                        timeout=self.config.timeout,
-                        **self._send_settings,
-                    )
+                    response, raw = self._post(payload)
             except self._transient as exc:
                 transient = type(exc).__name__
             else:
-                status = response.status_code
+                status = response.status
                 if status in (401, 403):
                     raise CredentialError(
                         f"authentication rejected (HTTP {status}); check the "
                         f"'{self.config.auth_env or 'unset'}' credential"
                     )
+                if 300 <= status < 400:
+                    raise GenerationError(
+                        f"HTTP {status} redirect to {response.getheader('Location')!r} "
+                        "is not followed; set endpoint_url to the URL that answers"
+                    )
                 if status == 429 or status >= 500:
                     transient = f"HTTP {status}"
                     if status in (429, 503):
-                        retry_after = _retry_after_s(response.headers.get("Retry-After"))
+                        retry_after = _retry_after_s(response.getheader("Retry-After"))
                 elif status >= 400:
-                    raise GenerationError(f"HTTP {status}: {response.text[:200]}")
+                    raise GenerationError(
+                        f"HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}"
+                    )
                 else:
                     try:
-                        return response.json()
+                        return json.loads(raw)
                     except ValueError:
                         raise GenerationError(
                             "response schema violation: body is not JSON"
@@ -359,9 +460,9 @@ class GenerationClient:
             data = self._post_with_retries(self._body(request, request.n_samples))
             texts, truncated = self._extract(data, request.n_samples)
         else:
-            body = self._body(request, 1)
+            payload = self._body(request, 1)
             futures = [
-                self._fan_out.submit(self._post_with_retries, dict(body))
+                self._fan_out.submit(self._post_with_retries, payload)
                 for _ in range(request.n_samples)
             ]
             texts, truncated = [], []

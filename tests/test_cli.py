@@ -13,6 +13,7 @@ import pytest
 from conftest import child_env, make_record, run_python
 from lfqa_eval import cli as cli_module
 from lfqa_eval import corpus as corpus_module
+from lfqa_eval import genclient as genclient_module
 from lfqa_eval import scoring as scoring_module
 from lfqa_eval.cli import ConfigError, load_config, main
 from lfqa_eval.corpus import load_corpus, save_corpus
@@ -541,7 +542,10 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
     Once ``answer_limit`` requests have been answered, later ones are held
     unanswered until the server's ``release`` event is set. The request
     numbered ``reject_post`` (1-based) gets an HTTP 400, which is not retried;
-    its prompt is kept as ``rejected``.
+    its prompt is kept as ``rejected``. The first request for a prompt in
+    ``faults`` gets that fault instead of a good reply: a ``status`` with
+    optional ``headers`` and an empty body, or a body cut ``truncate`` bytes
+    short of its ``Content-Length`` (HTTP/1.0: the connection then closes).
     """
 
     def do_POST(self):
@@ -560,7 +564,17 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        texts = server.store.lookup(body["messages"][0]["content"])
+        prompt = body["messages"][0]["content"]
+        with server.lock:
+            fault = server.faults.pop(prompt, {})
+        if "status" in fault:
+            self.send_response(fault["status"])
+            for name, value in fault.get("headers", {}).items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        texts = server.store.lookup(prompt)
         choices = [
             {"message": {"content": texts[i % len(texts)]}, "finish_reason": "stop"}
             for i in range(body.get("n", 1))
@@ -569,14 +583,14 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
-        self.wfile.write(payload)
+        self.wfile.write(payload[: len(payload) - fault.get("truncate", 0)])
 
     def log_message(self, *args):
         pass
 
 
 @contextlib.contextmanager
-def _fixture_stub(fixtures, tmp_path, answer_limit=None, reject_post=None):
+def _fixture_stub(fixtures, tmp_path, answer_limit=None, reject_post=None, faults=None):
     """Serve the fixtures over HTTP; yields (server, a config file using it for both roles)."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureStubHandler)
     server.daemon_threads = False  # server_close() joins every handler thread
@@ -586,6 +600,7 @@ def _fixture_stub(fixtures, tmp_path, answer_limit=None, reject_post=None):
     server.answer_limit = answer_limit
     server.reject_post = reject_post
     server.rejected = None
+    server.faults = dict(faults or {})
     server.held = threading.Event()
     server.release = threading.Event()
     thread = threading.Thread(
@@ -639,6 +654,42 @@ def test_http_batch_writes_the_scripted_bytes_at_any_workers(
             assert code == 0
             assert out.read_bytes() == scripted.read_bytes()
     assert pools == [4]  # only the http run with more than one worker uses a pool
+
+
+def _feedback_prompts(golden_env) -> dict[str, str]:
+    """The feedback prompt of each golden record (one answer each), by record id."""
+    return {
+        record.id: build_feedback_prompt(
+            record.question, sentence_texts(answer.text, segment_sentences(answer.text))
+        )
+        for record in load_corpus(golden_env["corpus"])
+        for answer in record.answers
+    }
+
+
+def test_http_faults_mid_run_end_byte_identical(golden_env, tmp_path, monkeypatch):
+    scripted = tmp_path / "scripted.jsonl"
+    assert _run_feedback_cli(golden_env, scripted) == 0
+    prompts = _feedback_prompts(golden_env)
+    faults = {
+        prompts["g03"]: {"status": 429, "headers": {"Retry-After": "1"}},
+        prompts["g05"]: {"status": 503},
+        prompts["g07"]: {"truncate": 5},
+    }
+    sleeps = []
+    monkeypatch.setattr(genclient_module.time, "sleep", sleeps.append)
+    with _fixture_stub(golden_env["fixtures"], tmp_path, faults=faults) as (server, config):
+        out = tmp_path / "http.jsonl"
+        code = main(
+            ["feedback", str(golden_env["corpus"]), "--config", str(config),
+             "--workers", "2", "--out", str(out)]
+        )
+    assert code == 0
+    assert out.read_bytes() == scripted.read_bytes()
+    assert server.faults == {}  # every fault was served
+    assert server.posts == 10 + 3
+    # the backoff twice, and max(backoff, Retry-After) once
+    assert sorted(sleeps) == [0.5, 0.5, 1.0]
 
 
 def _killed_feedback_run(golden_env, tmp_path, out: Path, workers: str, **stub) -> str | None:
@@ -705,13 +756,9 @@ def test_second_kill_after_resume_loses_no_line(workers, golden_env, tmp_path, m
         golden_env, tmp_path, out, workers, answer_limit=3, reject_post=2
     )
     (rejected,) = [
-        record.id
-        for record in load_corpus(golden_env["corpus"])
-        for answer in record.answers
-        if build_feedback_prompt(
-            record.question, sentence_texts(answer.text, segment_sentences(answer.text))
-        )
-        == rejected_prompt
+        record_id
+        for record_id, prompt in _feedback_prompts(golden_env).items()
+        if prompt == rejected_prompt
     ]
     assert out.read_text(encoding="utf-8") == "".join(previous)
     first = partial.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -948,17 +995,15 @@ def test_missing_credential_fails_the_run_before_any_record(
 _CLI_IN_CHILD = """
 import contextlib, io, json, sys
 if "--no-requests" in sys.argv:
-    sys.modules["requests"] = None
+    sys.modules["requests"] = sys.modules["urllib3"] = None
 from lfqa_eval import cli
-if "--no-corpus" in sys.argv:
-    def no_corpus(path):
-        raise AssertionError("the corpus was loaded before the clients were made")
-    cli.load_corpus = no_corpus
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-loaded = [m for m in ("requests", "urllib3") if sys.modules.get(m) is not None]
+loaded = [
+    m for m in ("requests", "urllib3", "http.client", "ssl") if sys.modules.get(m) is not None
+]
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
@@ -992,20 +1037,23 @@ def test_analysis_and_scripted_runs_load_no_http_stack(flags, golden_env, tmp_pa
         assert Path(argv[-1]).read_bytes() == reference.read_bytes()
 
 
-@pytest.mark.parametrize("command", [["feedback"], ["refine", "--mode", "eir"]])
-def test_missing_requests_fails_the_http_run_before_any_record(command, golden_env, tmp_path):
-    config_path = _unreachable_http_config(tmp_path)
-    out = tmp_path / "out.jsonl"
-    out.write_text('{"record_id": "g00", "answer_index": 0}\n', encoding="utf-8")
-    before = out.read_bytes()
-    argv = [*command, str(golden_env["corpus"]), "--config", str(config_path),
-            "--resume", "--out", str(out)]
-    report, err = _cli_in_child([argv], "--no-requests", "--no-corpus")
-    assert report == {"codes": [1], "loaded": []}
-    assert err.count("error:") == 1
-    assert "error: the 'requests' package is needed only for kind = http backends" in err
-    assert out.read_bytes() == before
-    assert not Path(f"{out}.partial").exists()
+@pytest.mark.parametrize(
+    "command", [["feedback"], ["refine", "--mode", "eir"]], ids=["feedback", "refine-eir"]
+)
+def test_http_run_without_requests_writes_the_scripted_bytes(command, golden_env, tmp_path):
+    scripted = tmp_path / "scripted.jsonl"
+    code = main(
+        [*command, str(golden_env["corpus"]),
+         "--backend", f"scripted:{golden_env['fixtures']}", "--out", str(scripted)]
+    )
+    assert code == 0
+    out = tmp_path / "http.jsonl"
+    with _fixture_stub(golden_env["fixtures"], tmp_path) as (server, config):
+        argv = [*command, str(golden_env["corpus"]), "--config", str(config),
+                "--workers", "2", "--out", str(out)]
+        report, err = _cli_in_child([argv], "--no-requests")
+    assert (report, err) == ({"codes": [0], "loaded": ["http.client", "ssl"]}, "")
+    assert out.read_bytes() == scripted.read_bytes()
 
 
 # ---------------------------------------------------------------------------
