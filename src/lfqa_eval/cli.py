@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter, defaultdict
@@ -171,9 +172,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> CliConfig:
     max_tokens: dict[str, int] = {}
     for role, settings in role_settings.items():
         if "temperature" in settings:
-            temperatures[role] = settings.pop("temperature")
+            value = temperatures[role] = settings.pop("temperature")
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{role}.temperature must be a finite number >= 0, got {value}")
         if "max_tokens" in settings:
-            max_tokens[role] = settings.pop("max_tokens")
+            value = max_tokens[role] = settings.pop("max_tokens")
+            if value < 1:
+                raise ConfigError(f"{role}.max_tokens must be at least 1, got {value}")
         if settings and "kind" not in settings:
             raise ConfigError(f"backend '{role}' is configured but has no '{role}.kind'")
         if settings:
@@ -927,10 +932,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, CorpusError, GenerationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -356,7 +356,7 @@ def run_feedback(
     prompt = build_feedback_prompt(question, sentences)
     request = GenerationRequest(
         prompt=prompt,
-        max_tokens=max_tokens or feedback_max_tokens(len(sentences)),
+        max_tokens=feedback_max_tokens(len(sentences)) if max_tokens is None else max_tokens,
         temperature=temperature,
         n_samples=n_samples,
         metadata=metadata,

@@ -19,22 +19,26 @@ appear in error messages.
 
 The HTTP transport is the standard library's ``http.client``, imported when
 the first ``kind = http`` client is made; importing this module, or making a
-scripted client, loads no HTTP stack. Each HTTP client keeps at most
-``max_in_flight`` idle kept-alive connections, the same bound the client's
-semaphore puts on live requests; an idle connection the server has closed is
-replaced before it is reused. What the environment says about the endpoint
+scripted client, loads no HTTP stack. Each HTTP client makes its
+``max_in_flight`` connections when it is made (opening no socket) and sends
+every request on one of them, so they are both its kept-alive pool and the
+bound on its live requests: a request waits while all of them are out. A
+connection the server has closed connects again on its next request, without
+costing an attempt. What the environment says about the endpoint
 (the proxy from ``*_proxy``/``NO_PROXY``, the ``REQUESTS_CA_BUNDLE``/
 ``CURL_CA_BUNDLE`` CA file and ``.netrc`` auth) is resolved once when the
 client is made; a change to it afterwards reaches only clients made after it.
 With ``native_n`` off, the n single-sample calls of every request share one
 client-wide executor of ``max_in_flight`` threads. ``close()`` (or leaving a
-``with`` block) releases the sockets and the executor's threads.
+``with`` block) shuts the executor down and closes every connection's socket.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -123,6 +127,8 @@ class BackendConfig:
             raise ValueError("max_in_flight must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +211,10 @@ class GenerationClient:
     def __init__(self, config: BackendConfig):
         config.validate()
         self.config = config
-        self._sem = threading.BoundedSemaphore(config.max_in_flight)
         self._store = (
             FixtureStore(config.fixture_dir) if config.kind == "scripted" else None
         )
-        self._idle: list = []  # kept-alive connections not in use; the semaphore bounds them
-        self._idle_lock = threading.Lock()
+        self._connections: list = []
         self._fan_out: ThreadPoolExecutor | None = None
         if config.kind == "http":
             self._headers = self._auth_headers(config)  # raises before anything is resolved
@@ -220,12 +224,10 @@ class GenerationClient:
                 self._fan_out = ThreadPoolExecutor(max_workers=config.max_in_flight)
 
     def close(self) -> None:
-        """Shut down the fan-out threads and close the idle connections."""
+        """Shut down the fan-out threads and close every connection's socket."""
         if self._fan_out is not None:
             self._fan_out.shutdown(wait=True)
-        with self._idle_lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
+        for conn in self._connections:
             conn.close()
 
     def __enter__(self) -> GenerationClient:
@@ -334,46 +336,35 @@ class GenerationClient:
         else:
             connection = http.client.HTTPConnection
 
-        def open_connection():
+        # a closed connection connects again on its next request, so these
+        # objects live as long as the client; LIFO keeps the fewest sockets warm
+        self._pool = queue.LifoQueue()
+        for _ in range(config.max_in_flight):
             conn = connection(*address, timeout=config.timeout)
             conn._create_connection = nodelay_socket
             if tunnel:
                 conn.set_tunnel(*tunnel)
-            return conn
-
-        self._open_connection = open_connection
+            self._connections.append(conn)
+            self._pool.put(conn)
         self._dropped = lambda sock: bool(select.select([sock], [], [], 0)[0])
         self._transient = (OSError, http.client.HTTPException)
 
-    def _connection(self):
-        """An idle connection the server has not closed, else a new one."""
-        while True:
-            with self._idle_lock:
-                conn = self._idle.pop() if self._idle else None
-            if conn is None:
-                return self._open_connection()
+    def _post(self, payload: bytes):
+        """One POST on a pooled connection: (the response, its whole body)."""
+        conn = self._pool.get()  # waits while all max_in_flight are out
+        try:
             # an idle socket that reads as ready holds the server's close
             # (or bytes nobody asked for): it cannot carry a request
-            if not self._dropped(conn.sock):
-                return conn
-            conn.close()
-
-    def _post(self, payload: bytes):
-        """One POST on a kept-alive connection: (the response, its whole body)."""
-        conn = self._connection()
-        try:
+            if conn.sock is not None and self._dropped(conn.sock):
+                conn.close()
             conn.request("POST", self._target, payload, self._headers)
-            response = conn.getresponse()
-            raw = response.read()
+            response = conn.getresponse()  # closes conn if the reply will close
+            return response, response.read()
         except BaseException:
             conn.close()
             raise
-        if response.will_close:
-            conn.close()
-        else:
-            with self._idle_lock:
-                self._idle.append(conn)
-        return response, raw
+        finally:
+            self._pool.put(conn)
 
     def _body(self, request: GenerationRequest, n: int) -> bytes:
         body = {
@@ -394,8 +385,7 @@ class GenerationClient:
             transient: str | None = None
             retry_after = 0.0
             try:
-                with self._sem:
-                    response, raw = self._post(payload)
+                response, raw = self._post(payload)
             except self._transient as exc:
                 transient = type(exc).__name__
             else:

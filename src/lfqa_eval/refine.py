@@ -109,7 +109,7 @@ def refine_answer(
     prompt = build_refine_prompt(mode, question, answer, reasons)
     request = GenerationRequest(
         prompt=prompt,
-        max_tokens=max_tokens or refine_max_tokens(answer),
+        max_tokens=refine_max_tokens(answer) if max_tokens is None else max_tokens,
         temperature=temperature,
         n_samples=1,
         metadata=record_id,

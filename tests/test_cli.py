@@ -124,6 +124,29 @@ def test_config_counts_below_one_are_refused(key, value):
         load_config(None, {key: value})
 
 
+@pytest.mark.parametrize("role", ["feedback", "refine"])
+@pytest.mark.parametrize(
+    ("setting", "value", "message"),
+    [
+        ("temperature", "-1", "must be a finite number >= 0, got -1.0"),
+        ("temperature", "nan", "must be a finite number >= 0, got nan"),
+        ("temperature", "inf", "must be a finite number >= 0, got inf"),
+        ("max_tokens", "0", "must be at least 1, got 0"),
+        ("max_tokens", "-5", "must be at least 1, got -5"),
+    ],
+)
+def test_config_role_sampling_settings_out_of_range_are_refused(role, setting, value, message):
+    key = f"{role}.{setting}"
+    with pytest.raises(ConfigError, match=f"^{key} {message}$"):
+        load_config(None, {key: value})
+
+
+def test_config_role_sampling_settings_in_range_load():
+    config = load_config(None, {"feedback.temperature": "0", "refine.max_tokens": "1"})
+    assert config.temperatures == {"feedback": 0.0}
+    assert config.max_tokens == {"refine": 1}
+
+
 @pytest.mark.parametrize(("flag", "key"), [("--n-samples", "n_samples"), ("--workers", "workers")])
 def test_batch_count_below_one_exits_1_before_reading_anything(
     flag, key, golden_env, tmp_path, monkeypatch, capsys
@@ -137,6 +160,24 @@ def test_batch_count_below_one_exits_1_before_reading_anything(
     assert _run_feedback_cli(golden_env, out, (flag, "0", "--resume")) == 1
     assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "previous\n"
+    assert not Path(f"{out}.partial").exists()
+
+
+@pytest.mark.parametrize("setting", ["feedback.temperature = -1", "feedback.max_tokens = 0"])
+def test_bad_role_sampling_setting_exits_1_before_reading_anything(
+    setting, golden_env, tmp_path, monkeypatch, capsys
+):
+    def no_corpus(path):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli_module, "load_corpus", no_corpus)
+    config = tmp_path / "cfg"
+    config.write_text(setting + "\n", encoding="utf-8")
+    out = tmp_path / "fb.jsonl"
+    out.write_bytes(b"previous\n")
+    assert _run_feedback_cli(golden_env, out, ("--config", str(config))) == 1
+    assert setting.split(" = ")[0] in capsys.readouterr().err
+    assert out.read_bytes() == b"previous\n"
     assert not Path(f"{out}.partial").exists()
 
 

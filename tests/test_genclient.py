@@ -482,6 +482,26 @@ def test_http_concurrent_callers_open_at_most_max_in_flight_connections(keepaliv
     assert keepalive_server.connections <= 2
 
 
+def test_http_native_callers_beyond_max_in_flight_wait_for_a_connection(keepalive_server):
+    keepalive_server.script = [{"sleep": 0.02}] * 20
+    results = []
+    with GenerationClient(_http_config(keepalive_server, max_in_flight=2)) as client:
+        def call_five_times():
+            for _ in range(5):
+                results.append(client.generate(_request(n_samples=3)).texts)
+
+        callers = [threading.Thread(target=call_five_times) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=10)
+        assert not any(caller.is_alive() for caller in callers)
+    assert len(results) == 20 and all(len(texts) == 3 for texts in results)
+    assert all(req["body"]["n"] == 3 for req in keepalive_server.requests)
+    assert keepalive_server.peak_active <= 2
+    assert keepalive_server.connections <= 2
+
+
 def test_http_retry_reuses_kept_alive_connection(keepalive_server):
     keepalive_server.script = [{"status": 503}, {"status": 200}]
     with GenerationClient(_http_config(keepalive_server, max_retries=2)) as client:
@@ -785,3 +805,7 @@ def test_config_validation():
         BackendConfig(kind="scripted").validate()
     with pytest.raises(ValueError, match="kind"):
         BackendConfig(kind="carrier-pigeon").validate()
+    for timeout in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"timeout must be a finite number > 0, got {timeout}"):
+            BackendConfig(kind="scripted", fixture_dir="fx", timeout=timeout).validate()
+    BackendConfig(kind="scripted", fixture_dir="fx", timeout=0.001).validate()

@@ -127,6 +127,16 @@ def test_refine_answer_empty_generation_rejected(tmp_path):
         refine_answer("Why?", "Because.", RefineMode.IMPROVE, None, client)
 
 
+def test_max_tokens_zero_is_refused_not_replaced_by_the_default(tmp_path):
+    client, _ = scripted(tmp_path)
+    counting = CountingClient(client)
+    with pytest.raises(ValueError, match="max_tokens must be >= 1"):
+        refine_answer("Why?", "Because.", RefineMode.IMPROVE, None, counting, max_tokens=0)
+    with pytest.raises(ValueError, match="max_tokens must be >= 1"):
+        run_feedback("Why?", "Because.", counting, 2, temperature=0.0, max_tokens=0)
+    assert counting.calls == 0
+
+
 def test_refine_answer_deterministic(tmp_path):
     client, store = scripted(tmp_path)
     prompt = build_refine_prompt(RefineMode.IMPROVE, "Why?", "Because.")
