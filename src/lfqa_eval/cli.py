@@ -55,7 +55,7 @@ from .evalmetrics import (
 )
 from .feedback import TAG_INCOMPLETE, FeedbackResult, run_feedback
 from .genclient import BackendConfig, GenerationClient, GenerationError
-from .models import Aspect, QARecord, SpanGranularity
+from .models import Aspect, QARecord, SentenceSpan, SpanGranularity
 from .refine import REFINE_TEMPERATURE, RefineMode, refine_answer, run_eir
 from .scoring import domain_report, format_aspect_table, format_domain_table, preference_report
 from .segment import segment_sentences
@@ -328,17 +328,19 @@ def _length_bucket(words: int) -> str:
 
 
 def span_granularity_stats(corpus: Corpus) -> dict[str, dict]:
-    """Per-aspect granularity distribution; whole-answer marks span the text."""
+    """Per-aspect granularity distribution; whole-answer marks span the text.
+
+    Only the texts an annotation targets are segmented, each once.
+    """
     counts: dict[Aspect, Counter] = {a: Counter() for a in Aspect}
     for record in corpus:
-        question_sentences = segment_sentences(record.question)
-        answer_sentences = [segment_sentences(a.text) for a in record.answers]
+        segmented: dict[int | None, list[SentenceSpan]] = {}
         for ann in record.annotations:
-            if ann.targets_question:
-                text, sentences = record.question, question_sentences
-            else:
-                text = record.answers[ann.answer_index].text
-                sentences = answer_sentences[ann.answer_index]
+            target = ann.answer_index  # None targets the question
+            text = record.question if target is None else record.answers[target].text
+            sentences = segmented.get(target)
+            if sentences is None:
+                sentences = segmented[target] = segment_sentences(text)
             start, end = ann.span if ann.span is not None else (0, len(text))
             granularity = classify_granularity(start, end, sentences, text)
             counts[ann.aspect][granularity] += 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .genclient import GenerationClient, GenerationRequest
 from .segment import segment_sentences, sentence_texts
@@ -219,8 +220,8 @@ def _reason_support(samples: list[FeedbackSample]) -> list[tuple[int, int]]:
     support sum adds it up over the sample's tokens, repeats included.
     """
     token_lists = [tokenize_reasons(s) for s in samples]
-    support = Counter(t for ts in token_lists for t in set(ts))
-    return [(sum(support[t] for t in ts), len(ts)) for ts in token_lists]
+    support = Counter(chain.from_iterable(map(set, token_lists)))
+    return [(sum(map(support.__getitem__, ts)), len(ts)) for ts in token_lists]
 
 
 def reason_consistency(survivors: list[FeedbackSample]) -> list[float]:

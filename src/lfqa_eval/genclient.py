@@ -4,7 +4,9 @@ Two kinds: ``http`` speaks the common chat-completion JSON protocol
 (bearer-token auth, ``model``/``messages``/``temperature``/``n``/
 ``max_tokens`` body, ``choices[i].message.content`` responses); ``scripted``
 replays fixtures from a directory keyed by the SHA-256 digest of the exact
-prompt text, for deterministic tests and offline runs.
+prompt text, for deterministic tests and offline runs. ``hashlib``, and with
+it OpenSSL's ``_hashlib``, is imported at the first prompt digest, so the
+analysis subcommands never load it.
 
 Transient transport failures (``OSError``, such as a refused or reset
 connection, a timeout or a TLS error, and ``http.client.HTTPException``, such
@@ -34,7 +36,6 @@ client-wide executor of ``max_in_flight`` threads. ``close()`` (or leaving a
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -80,8 +81,8 @@ class GenerationRequest:
             raise ValueError("max_tokens must be >= 1")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
 
 
 @dataclass
@@ -143,6 +144,8 @@ class FixtureStore:
 
     @staticmethod
     def digest(prompt: str) -> str:
+        import hashlib  # loads OpenSSL, which only the scripted backend needs
+
         return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
     def path_for(self, prompt: str) -> Path:

@@ -64,35 +64,29 @@ def _abbreviation_before(text: str, dot: int) -> bool:
 
 def segment_sentences(text: str) -> list[SentenceSpan]:
     """Split ``text`` into sentence spans; '' yields []."""
-    n = len(text)
-    if not text.strip():
+    end = len(text.rstrip())
+    if not end:
         return []
     protected = _protected_spans(text)
 
-    ends: list[int] = []
-    for match in _CANDIDATE_RE.finditer(text):
-        k = match.end()
-        if k >= n:
-            break  # only whitespace follows
-        nxt = text[k]
+    # Each accepted candidate ends one sentence at its terminator and closers
+    # (group 1) and starts the next at the non-space character after its
+    # whitespace run. Scanning stops at the trailing whitespace, so every
+    # match is followed by a non-space character.
+    spans: list[SentenceSpan] = []
+    start = len(text) - len(text.lstrip())
+    for match in _CANDIDATE_RE.finditer(text, start, end):
+        nxt = text[match.end()]
         if not (nxt.isupper() or nxt.isdigit() or nxt in _OPENERS):
             continue
         i = match.start()
-        if _in_protected(i, protected):
+        if protected and _in_protected(i, protected):
             continue
         if text[i] == "." and _abbreviation_before(text, i):
             continue
-        ends.append(match.end(1))
-
-    spans: list[SentenceSpan] = []
-    cursor = 0
-    for boundary in ends + [n]:
-        chunk = text[cursor:boundary]
-        start = cursor + (len(chunk) - len(chunk.lstrip()))
-        end = cursor + len(chunk.rstrip())
-        if end > start:
-            spans.append(SentenceSpan(index=len(spans), start=start, end=end))
-        cursor = boundary
+        spans.append(SentenceSpan(index=len(spans), start=start, end=match.end(1)))
+        start = match.end()
+    spans.append(SentenceSpan(index=len(spans), start=start, end=end))
     return spans
 
 

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import threading
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -16,7 +17,7 @@ from lfqa_eval import corpus as corpus_module
 from lfqa_eval import genclient as genclient_module
 from lfqa_eval import scoring as scoring_module
 from lfqa_eval.cli import ConfigError, load_config, main
-from lfqa_eval.corpus import load_corpus, save_corpus
+from lfqa_eval.corpus import classify_granularity, load_corpus, save_corpus
 from lfqa_eval.evalmetrics import DEFAULT_WEIGHTS, detection_eval
 from lfqa_eval.feedback import build_feedback_prompt
 from lfqa_eval.genclient import FixtureStore, GenerationClient
@@ -27,6 +28,7 @@ from lfqa_eval.models import (
     ErrorAnnotation,
     PreferenceJudgment,
     Source,
+    SpanGranularity,
 )
 from lfqa_eval.refine import RefineMode, build_refine_prompt
 from lfqa_eval.scoring import domain_report, score_record
@@ -285,6 +287,58 @@ def test_score_segments_each_answer_once(name, request, tmp_path, monkeypatch):
     assert main(["score", str(path), "--out", str(tmp_path / "cards.jsonl")]) == 0
     answers = [a.text for record in load_corpus(path) for a in record.answers]
     assert sorted(segmented) == sorted(answers)
+
+
+@pytest.mark.parametrize("name", ["small", "golden"])
+def test_stats_segments_each_annotated_text_once(name, request, tmp_path, monkeypatch):
+    path = _corpus_path(request, name)
+    segmented = _count_segmented(monkeypatch)
+    out = tmp_path / "stats.jsonl"
+    assert main(["stats", str(path), "--out", str(out)]) == 0
+    records = load_corpus(path)
+    targets = {
+        (record.id, ann.answer_index): (
+            record.question if ann.targets_question else record.answers[ann.answer_index].text
+        )
+        for record in records
+        for ann in record.annotations
+    }
+    assert sorted(segmented) == sorted(targets.values())
+    # each annotation classified against a segmentation of its own text
+    counts: dict[str, Counter] = defaultdict(Counter)
+    for record in records:
+        for ann in record.annotations:
+            text = targets[record.id, ann.answer_index]
+            start, end = ann.span if ann.span is not None else (0, len(text))
+            counts[ann.aspect.value][
+                classify_granularity(start, end, segment_sentences(text), text).value
+            ] += 1
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+    span_rows = {r["aspect"]: r for r in rows if r["kind"] == "span_granularity"}
+    span_rows.pop("average", None)
+    assert span_rows.keys() == counts.keys()
+    for aspect, counter in counts.items():
+        total = sum(counter.values())
+        assert span_rows[aspect]["n_spans"] == total
+        for g in SpanGranularity:
+            assert span_rows[aspect][g.value] == 100.0 * counter[g.value] / total
+
+
+def test_stats_segments_a_text_annotated_twice_once(tmp_path, monkeypatch):
+    answer = "One sentence here. Another one here."
+    record = make_record(
+        answers=[Answer(Source.HUMAN, answer), Answer(Source.MODEL, "Never annotated.")],
+        annotations=[
+            ErrorAnnotation(Aspect.COMPLETENESS, 0, (0, 18), "a", "a1"),
+            ErrorAnnotation(Aspect.FACTUALITY, 0, (19, 36), "b", "a1"),
+            ErrorAnnotation(Aspect.RELEVANCE, 0, None, "c", "a2"),
+        ],
+    )
+    path = tmp_path / "corpus.jsonl"
+    save_corpus([record], path)
+    segmented = _count_segmented(monkeypatch)
+    assert main(["stats", str(path), "--out", str(tmp_path / "stats.jsonl")]) == 0
+    assert segmented == [answer]
 
 
 @pytest.mark.parametrize("name", ["small", "golden"])
@@ -1076,6 +1130,37 @@ def test_analysis_and_scripted_runs_load_no_http_stack(flags, golden_env, tmp_pa
         reference = tmp_path / "reference.jsonl"
         assert main([*argv[:-1], str(reference)]) == 0
         assert Path(argv[-1]).read_bytes() == reference.read_bytes()
+
+
+_HASHLIB_IN_CHILD = """
+import contextlib, io, json, sys
+from lfqa_eval import cli
+loaded = []
+for argvs in json.loads(sys.argv[1]):
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    loaded.append([m for m in ("hashlib", "_hashlib") if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_analysis_runs_load_no_openssl_and_a_scripted_run_does(golden_env, tmp_path):
+    corpus, backend = str(golden_env["corpus"]), f"scripted:{golden_env['fixtures']}"
+    predictions = tmp_path / "predictions.jsonl"
+    assert _run_feedback_cli(golden_env, predictions) == 0
+    analysis = [
+        ["validate", corpus],
+        ["stats", corpus, "--out", str(tmp_path / "stats.jsonl")],
+        ["score", corpus, "--out", str(tmp_path / "cards.jsonl")],
+        ["agreement", corpus, "--out", str(tmp_path / "agreement.jsonl")],
+        ["eval-detect", corpus, "--predictions", str(predictions),
+         "--out", str(tmp_path / "detect.jsonl")],
+    ]
+    scripted = [["feedback", corpus, "--backend", backend, "--out", str(tmp_path / "fb.jsonl")]]
+    done = run_python(_HASHLIB_IN_CHILD, json.dumps([analysis, scripted]))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], ["hashlib", "_hashlib"]]
 
 
 @pytest.mark.parametrize(

@@ -794,8 +794,11 @@ def test_request_validation():
         _request(max_tokens=0)
     with pytest.raises(ValueError):
         _request(n_samples=0)
-    with pytest.raises(ValueError):
-        _request(temperature=-0.5)
+    for temperature in (-0.5, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+            _request(temperature=temperature)
+    for temperature in (0.0, 2.0):
+        assert _request(temperature=temperature).temperature == temperature
 
 
 def test_config_validation():

@@ -44,6 +44,11 @@ _texts = st.lists(_token, max_size=30).map("".join)
 @example("Go to www.site.com. Then http://x.io/a.b?c=1! Now.")
 @example('He said "Stop." (Then) he left.\x1cÉtait-ce fini?')
 @example("Trailing terminator.")
+@example("  \n\tLeading whitespace. Then more.")
+@example("Trailing whitespace. Then more.  \n\u3000")
+@example(". A")
+@example("First one.\u2003Second one.")
+@example("one sentence and no terminator")
 @given(text=_texts)
 def test_regex_scan_matches_per_character_scan(text):
     assert segment_sentences(text) == oracle_segment_sentences(text)
