@@ -53,7 +53,13 @@ from .evalmetrics import (
     normalize_verdict,
     selfcheck_aggregate,
 )
-from .feedback import TAG_INCOMPLETE, FeedbackResult, run_feedback
+from .feedback import (
+    DEFAULT_N_SAMPLES,
+    LOW_CONFIDENCE_THRESHOLD,
+    TAG_INCOMPLETE,
+    FeedbackResult,
+    run_feedback,
+)
 from .genclient import BackendConfig, GenerationClient, GenerationError
 from .models import Aspect, QARecord, SentenceSpan, SpanGranularity
 from .refine import REFINE_TEMPERATURE, RefineMode, refine_answer, run_eir
@@ -101,10 +107,10 @@ _ROLES = ("feedback", "refine")
 
 @dataclass
 class CliConfig:
-    n_samples: int = 20
-    consistency_threshold: float = 0.80
+    n_samples: int = DEFAULT_N_SAMPLES
+    consistency_threshold: float = LOW_CONFIDENCE_THRESHOLD
     weights: DetectionWeights = DEFAULT_WEIGHTS
-    workers: int = 4
+    workers: int | None = None  # cap on the batch runner's threads; None = no cap
     backends: dict | None = None          # role -> BackendConfig
     temperatures: dict | None = None      # role -> float
     max_tokens: dict | None = None        # role -> int
@@ -116,8 +122,9 @@ class CliConfig:
         if not 0.0 <= self.consistency_threshold <= 1.0:
             raise ConfigError("consistency_threshold must be in [0, 1]")
         for key in ("n_samples", "workers"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ConfigError(f"{key} must be at least 1, got {value}")
 
 
 def _coerce(key: str, raw: str, kind: type):
@@ -277,6 +284,8 @@ def _errors_name(source: str) -> Iterator[None]:
 def _int_field(obj: dict, key: str, default: int, ln: int) -> int:
     value = obj.get(key, default)
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
         return int(value)
     except (TypeError, ValueError):
         message = f"record '{obj.get('record_id')}': {key} {value!r} is not an integer"
@@ -537,9 +546,10 @@ def _run_batch(
     as it was and OUT.partial holding whole lines for --resume. A resumed
     run that finds OUT.partial first folds every kept line into --out, so
     truncating OUT.partial loses none of them if it is killed too. Records run
-    one at a time unless some client is http and workers > 1: only then do
-    they spend time waiting, which a pool of workers overlaps. Failures are
-    reported per record and turn the exit code to 3.
+    on one thread per connection slot, the sum of max_in_flight over the http
+    clients, capped at workers when it is set; a scripted client has no slot,
+    and one thread or fewer runs the records inline. Failures are reported
+    per record and turn the exit code to 3.
     """
     selector = _parse_answer_selector(args.answer)
     corpus = load_corpus(args.corpus)
@@ -572,8 +582,10 @@ def _run_batch(
     failures: list[str] = []
     with ExitStack() as stack:
         handle = stack.enter_context(open(partial, "w", encoding="utf-8"))
-        if config.workers > 1 and any(c.config.kind == "http" for c in clients):
-            results = stack.enter_context(ThreadPoolExecutor(config.workers)).map(attempt, todo)
+        threads = sum(c.config.max_in_flight for c in clients if c.config.kind == "http")
+        threads = min(threads, config.workers or threads)
+        if threads > 1:
+            results = stack.enter_context(ThreadPoolExecutor(threads)).map(attempt, todo)
         else:
             results = map(attempt, todo)
         for record, idx in targets:
@@ -860,7 +872,12 @@ def _add_batch_options(sub) -> None:
     sub.add_argument("--backend", help="backend override, e.g. scripted:fixtures/")
     sub.add_argument("--answer", default="all", help="all | human | model | answer index")
     sub.add_argument("--n-samples", dest="n_samples", type=int, help="samples per answer")
-    sub.add_argument("--workers", type=int, help="concurrent records (http backends only)")
+    sub.add_argument(
+        "--workers",
+        type=int,
+        help="cap on concurrent records; default one per connection slot "
+        "(the sum of max_in_flight over the http backends)",
+    )
     sub.add_argument("--resume", action="store_true", help="skip records already in --out")
     sub.add_argument("--audit", action="store_true", help="keep prompts/raw samples in the output")
     sub.add_argument("--out", required=True, help="output JSONL path")

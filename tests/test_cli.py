@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -444,8 +445,25 @@ def _cut(line: str) -> str:
             lambda line: json.dumps({**json.loads(line), "answer_index": "x"}),
             "line 3: record 'g02': answer_index 'x' is not an integer",
         ),
+        (
+            2,
+            lambda line: json.dumps({**json.loads(line), "answer_index": 1.5}),
+            "line 3: record 'g02': answer_index 1.5 is not an integer",
+        ),
+        (
+            2,
+            lambda line: json.dumps({**json.loads(line), "answer_index": True}),
+            "line 3: record 'g02': answer_index True is not an integer",
+        ),
     ],
-    ids=["middle-line-cut", "last-line-cut-with-newline", "not-an-object", "bad-answer-index"],
+    ids=[
+        "middle-line-cut",
+        "last-line-cut-with-newline",
+        "not-an-object",
+        "bad-answer-index",
+        "fractional-answer-index",
+        "bool-answer-index",
+    ],
 )
 def test_feedback_cli_resume_malformed_line_exits_1(
     index, replace, message, golden_env, tmp_path, capsys
@@ -634,10 +652,10 @@ def test_scripted_batch_runs_start_no_thread(command, runner, golden_env, tmp_pa
 class _FixtureStubHandler(BaseHTTPRequestHandler):
     """Chat completions answered from a fixture directory, as the scripted backend would.
 
-    Once ``answer_limit`` requests have been answered, later ones are held
-    unanswered until the server's ``release`` event is set. The request
-    numbered ``reject_post`` (1-based) gets an HTTP 400, which is not retried;
-    its prompt is kept as ``rejected``. The first request for a prompt in
+    A request for the ``hold`` prompt is held unanswered until the server's
+    ``release`` event is set; ``held`` is set once it arrives. A request for
+    the ``reject`` prompt gets an HTTP 400, which is not retried. Neither is
+    counted in ``posts``. The first request for a prompt in
     ``faults`` gets that fault instead of a good reply: a ``status`` with
     optional ``headers`` and an empty body, or a body cut ``truncate`` bytes
     short of its ``Content-Length`` (HTTP/1.0: the connection then closes).
@@ -646,21 +664,18 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         server = self.server
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        with server.lock:
-            server.posts += 1
-            post = server.posts
-        if server.answer_limit is not None and post > server.answer_limit:
+        prompt = body["messages"][0]["content"]
+        if prompt == server.hold:
             server.held.set()
             server.release.wait(30)
             return
-        if post == server.reject_post:
-            server.rejected = body["messages"][0]["content"]
+        if prompt == server.reject:
             self.send_response(400)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        prompt = body["messages"][0]["content"]
         with server.lock:
+            server.posts += 1
             fault = server.faults.pop(prompt, {})
         if "status" in fault:
             self.send_response(fault["status"])
@@ -685,16 +700,15 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def _fixture_stub(fixtures, tmp_path, answer_limit=None, reject_post=None, faults=None):
+def _fixture_stub(fixtures, tmp_path, hold=None, reject=None, faults=None):
     """Serve the fixtures over HTTP; yields (server, a config file using it for both roles)."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureStubHandler)
     server.daemon_threads = False  # server_close() joins every handler thread
     server.store = FixtureStore(fixtures)
     server.lock = threading.Lock()
     server.posts = 0
-    server.answer_limit = answer_limit
-    server.reject_post = reject_post
-    server.rejected = None
+    server.hold = hold
+    server.reject = reject
     server.faults = dict(faults or {})
     server.held = threading.Event()
     server.release = threading.Event()
@@ -725,12 +739,6 @@ def _fixture_stub(fixtures, tmp_path, answer_limit=None, reject_post=None, fault
 def test_http_batch_writes_the_scripted_bytes_at_any_workers(
     command, golden_env, tmp_path, monkeypatch
 ):
-    scripted = tmp_path / "scripted.jsonl"
-    code = main(
-        [*command, str(golden_env["corpus"]),
-         "--backend", f"scripted:{golden_env['fixtures']}", "--out", str(scripted)]
-    )
-    assert code == 0
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -739,16 +747,27 @@ def test_http_batch_writes_the_scripted_bytes_at_any_workers(
             super().__init__(max_workers)
 
     monkeypatch.setattr(cli_module, "ThreadPoolExecutor", RecordingPool)
+    scripted = tmp_path / "scripted.jsonl"
+    code = main(
+        [*command, str(golden_env["corpus"]),
+         "--backend", f"scripted:{golden_env['fixtures']}", "--out", str(scripted)]
+    )
+    assert code == 0
+    assert pools == []  # a scripted client has no connection slot: the run is inline
     with _fixture_stub(golden_env["fixtures"], tmp_path) as (server, config):
-        for workers in ("1", "4"):
+        for workers in ("1", "4", None):
             out = tmp_path / f"http-{workers}.jsonl"
+            cap = ["--workers", workers] if workers else []
             code = main(
                 [*command, str(golden_env["corpus"]), "--config", str(config),
-                 "--workers", workers, "--out", str(out)]
+                 *cap, "--out", str(out)]
             )
             assert code == 0
             assert out.read_bytes() == scripted.read_bytes()
-    assert pools == [4]  # only the http run with more than one worker uses a pool
+    # one thread per connection slot, capped by --workers; one thread runs
+    # inline. Each client keeps max_in_flight = 4, and eir opens two.
+    slots = {"feedback": 4, "refine": 4 + 4}[command[0]]
+    assert pools == [4, slots]
 
 
 def _feedback_prompts(golden_env) -> dict[str, str]:
@@ -787,11 +806,19 @@ def test_http_faults_mid_run_end_byte_identical(golden_env, tmp_path, monkeypatc
     assert sorted(sleeps) == [0.5, 0.5, 1.0]
 
 
-def _killed_feedback_run(golden_env, tmp_path, out: Path, workers: str, **stub) -> str | None:
-    """Run a resumed feedback child against the fixture stub and SIGKILL it once a request is held.
+def _killed_feedback_run(
+    golden_env, tmp_path, out: Path, workers: str, written: int, hold: str, reject: str | None = None
+) -> None:
+    """Run a resumed feedback child against the fixture stub and SIGKILL it.
 
-    Returns the prompt of the request the stub rejected, if any.
+    The stub holds the request of record ``hold`` and rejects that of record
+    ``reject``. Lines go to OUT.partial in corpus order, so none after the held
+    record can be written: the kill comes once OUT.partial holds ``written``
+    whole lines, whatever the number of workers.
     """
+    prompts = _feedback_prompts(golden_env)
+    partial = Path(f"{out}.partial")
+    stub = {"hold": prompts[hold], "reject": reject and prompts[reject]}
     with _fixture_stub(golden_env["fixtures"], tmp_path, **stub) as (server, config):
         child = subprocess.Popen(
             [sys.executable, "-m", "lfqa_eval.cli", "feedback", str(golden_env["corpus"]),
@@ -799,7 +826,12 @@ def _killed_feedback_run(golden_env, tmp_path, out: Path, workers: str, **stub) 
             env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
-            assert server.held.wait(60), "the child never reached the unanswered request"
+            assert server.held.wait(60), "the child never reached the held request"
+            deadline = time.monotonic() + 60
+            while partial.read_text(encoding="utf-8").count("\n") < written:
+                assert child.poll() is None, "the child exited before the kill"
+                assert time.monotonic() < deadline, "OUT.partial never held the lines"
+                time.sleep(0.01)
             child.send_signal(signal.SIGKILL)
             child.wait(timeout=30)
         finally:
@@ -807,7 +839,6 @@ def _killed_feedback_run(golden_env, tmp_path, out: Path, workers: str, **stub) 
                 child.kill()
                 child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
-    return server.rejected
 
 
 @pytest.mark.parametrize("workers", ["1", "4"])
@@ -819,14 +850,10 @@ def test_killed_feedback_run_keeps_out_and_resumes_byte_identical(workers, golde
     previous = "".join(clean_lines[:2])  # an earlier interrupted run
     out.write_text(previous, encoding="utf-8")
     partial = Path(f"{out}.partial")
-    answered = 3
-    _killed_feedback_run(golden_env, tmp_path, out, workers, answer_limit=answered)
+    _killed_feedback_run(golden_env, tmp_path, out, workers, written=5, hold="g05")
     assert out.read_text(encoding="utf-8") == previous
-    written = partial.read_text(encoding="utf-8").splitlines(keepends=True)
-    # whole lines in corpus order: a prefix of the clean run
-    assert written == clean_lines[: len(written)]
-    if workers == "1":
-        assert len(written) == 2 + answered
+    # whole lines in corpus order: the clean run's up to the held record
+    assert partial.read_text(encoding="utf-8").splitlines(keepends=True) == clean_lines[:5]
     assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
     assert out.read_bytes() == clean.read_bytes()
     assert not partial.exists()
@@ -846,35 +873,19 @@ def test_second_kill_after_resume_loses_no_line(workers, golden_env, tmp_path, m
     out.write_text("".join(previous), encoding="utf-8")
     partial = Path(f"{out}.partial")
 
-    # First kill: the second request fails, so OUT.partial has a gap before later lines.
-    rejected_prompt = _killed_feedback_run(
-        golden_env, tmp_path, out, workers, answer_limit=3, reject_post=2
-    )
-    (rejected,) = [
-        record_id
-        for record_id, prompt in _feedback_prompts(golden_env).items()
-        if prompt == rejected_prompt
-    ]
+    # First kill: g03 fails, so OUT.partial has a gap before g04, and g05 is held.
+    _killed_feedback_run(golden_env, tmp_path, out, workers, written=4, hold="g05", reject="g03")
     assert out.read_text(encoding="utf-8") == "".join(previous)
     first = partial.read_text(encoding="utf-8").splitlines(keepends=True)
-    # whole lines in corpus order: a prefix of the clean run less only the rejected line,
-    # so the kept --out lines come first and no finished line is dropped
-    assert first == [line for line, i in zip(clean_lines, _ids(clean_lines)) if i != rejected][: len(first)]
-    if workers == "1":
-        assert rejected == "g03"
-        assert _ids(first) == ["g00", "g01", "g02", "g04"]  # g05 was held
-    # At 4 workers the kill can come before the kept --out lines reach OUT.partial.
-    kept = [line for line in clean_lines if line in previous or line in first]
+    # the kept --out lines come first, and no finished line is dropped
+    assert first == [clean_lines[i] for i in (0, 1, 2, 4)]
 
-    # Second kill, on the resumed run's first request: every line kept so far is now in --out.
-    _killed_feedback_run(golden_env, tmp_path, out, workers, answer_limit=0)
-    assert out.read_text(encoding="utf-8") == "".join(kept)
-    second = partial.read_text(encoding="utf-8").splitlines(keepends=True)
-    # nothing failed in this run: a prefix of the clean run, held at the first line not kept
-    assert second == clean_lines[: len(second)]
-    assert len(second) <= next(i for i, line in enumerate(clean_lines) if line not in kept)
-    if workers == "1":
-        assert _ids(second) == ["g00", "g01", "g02"]  # held on g03
+    # Second kill, held on the resumed run's first request (g03): every line
+    # kept so far is now in --out.
+    _killed_feedback_run(golden_env, tmp_path, out, workers, written=3, hold="g03")
+    assert out.read_text(encoding="utf-8") == "".join(first)
+    # nothing failed in this run: the clean run's lines up to the held record
+    assert partial.read_text(encoding="utf-8").splitlines(keepends=True) == clean_lines[:3]
 
     computed = []
     real = cli_module.run_feedback
@@ -888,7 +899,7 @@ def test_second_kill_after_resume_loses_no_line(workers, golden_env, tmp_path, m
     assert out.read_bytes() == clean.read_bytes()
     assert not partial.exists()
     # the last resume recomputes no record an earlier run wrote
-    assert computed == [i for i in _ids(clean_lines) if i not in _ids(kept)]
+    assert computed == [i for i in _ids(clean_lines) if i not in _ids(first)]
 
 
 def test_resume_reads_partial_whose_lines_win(golden_env, tmp_path, capsys, monkeypatch):
@@ -1265,11 +1276,26 @@ def test_eval_detect_out_is_one_detection_eval_report(tmp_path):
             "line 2: record 'd1': answer_index 'first' is not an integer",
         ),
         (
+            '{"record_id": "d1", "answer_index": 1.5, "tags": ["Complete", "Complete"]}',
+            "line 2: record 'd1': answer_index 1.5 is not an integer",
+        ),
+        (
+            '{"record_id": "d1", "answer_index": true, "tags": ["Complete", "Complete"]}',
+            "line 2: record 'd1': answer_index True is not an integer",
+        ),
+        (
             '{"record_id": "d1", "tags": ["Complete", "Complete"]}',
             "line 2: duplicate prediction for 'd1' answer 0",
         ),
     ],
-    ids=["not-an-object", "null-selected", "bad-answer-index", "duplicate"],
+    ids=[
+        "not-an-object",
+        "null-selected",
+        "bad-answer-index",
+        "fractional-answer-index",
+        "bool-answer-index",
+        "duplicate",
+    ],
 )
 def test_eval_detect_malformed_prediction_line_exits_1(line, message, tmp_path, capsys):
     text = "First sentence here. Second sentence here."
@@ -1402,6 +1428,16 @@ def test_selfcheck_cli(tmp_path, capsys):
         ),
         (
             "selfcheck",
+            '{"record_id": "r2", "sentence_index": 1.5, "verdicts": ["no"]}',
+            "line 2: record 'r2': sentence_index 1.5 is not an integer",
+        ),
+        (
+            "selfcheck",
+            '{"record_id": "r2", "sentence_index": true, "verdicts": ["no"]}',
+            "line 2: record 'r2': sentence_index True is not an integer",
+        ),
+        (
+            "selfcheck",
             '{"record_id": "r2", "sentence_index": 3, "verdicts": ["yes", "maybe"]}',
             "line 2: record 'r2', sentence 3: unknown verdict 'maybe'",
         ),
@@ -1426,6 +1462,8 @@ def test_selfcheck_cli(tmp_path, capsys):
         "eval-correct-not-an-object",
         "selfcheck-duplicate-sentence",
         "selfcheck-bad-index",
+        "selfcheck-fractional-index",
+        "selfcheck-bool-index",
         "selfcheck-unknown-verdict",
         "eval-correct-no-score",
         "eval-correct-no-record-id",
