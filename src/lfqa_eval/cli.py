@@ -110,7 +110,7 @@ class CliConfig:
     n_samples: int = DEFAULT_N_SAMPLES
     consistency_threshold: float = LOW_CONFIDENCE_THRESHOLD
     weights: DetectionWeights = DEFAULT_WEIGHTS
-    workers: int | None = None  # cap on the batch runner's threads; None = no cap
+    workers: int | None = None  # cap on the runner's threads, None = none; kept for the benchmark
     backends: dict | None = None          # role -> BackendConfig
     temperatures: dict | None = None      # role -> float
     max_tokens: dict | None = None        # role -> int
@@ -875,8 +875,9 @@ def _add_batch_options(sub) -> None:
     sub.add_argument(
         "--workers",
         type=int,
-        help="cap on concurrent records; default one per connection slot "
-        "(the sum of max_in_flight over the http backends)",
+        help="cap on concurrent records, kept for the benchmark's fixed thread "
+        "count; default one per connection slot (the sum of max_in_flight "
+        "over the http backends)",
     )
     sub.add_argument("--resume", action="store_true", help="skip records already in --out")
     sub.add_argument("--audit", action="store_true", help="keep prompts/raw samples in the output")

@@ -30,10 +30,9 @@ costing an attempt. What the environment says about the endpoint
 (the proxy from ``*_proxy``/``NO_PROXY``, the ``REQUESTS_CA_BUNDLE``/
 ``CURL_CA_BUNDLE`` CA file and ``.netrc`` auth) is resolved once when the
 client is made; a change to it afterwards reaches only clients made after it.
-With ``native_n`` off, a request for n samples is n single-sample POSTs sent
-one after another on the calling thread; the first failure raises and sends
-no further POST. ``close()`` (or leaving a ``with`` block) closes every
-connection's socket.
+With ``native_n`` off, the n single-sample calls of every request share one
+client-wide executor of ``max_in_flight`` threads. ``close()`` (or leaving a
+``with`` block) shuts the executor down and closes every connection's socket.
 """
 from __future__ import annotations
 
@@ -43,6 +42,7 @@ import os
 import queue
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,7 +103,7 @@ class BackendConfig:
     max_retries: int = 2
     max_in_flight: int = 4
     fixture_dir: str = ""
-    native_n: bool = True  # server honors the n parameter; else n single-sample calls
+    native_n: bool = True  # server honors the n parameter; else fan out n calls
 
     def validate(self) -> None:
         if self.kind == "http":
@@ -218,12 +218,18 @@ class GenerationClient:
             FixtureStore(config.fixture_dir) if config.kind == "scripted" else None
         )
         self._connections: list = []
+        self._fan_out: ThreadPoolExecutor | None = None
         if config.kind == "http":
             self._headers = self._auth_headers(config)  # raises before anything is resolved
             self._resolve_transport(config)
+            if not config.native_n:
+                # starts its threads on first use, up to max_in_flight
+                self._fan_out = ThreadPoolExecutor(max_workers=config.max_in_flight)
 
     def close(self) -> None:
-        """Close every connection's socket."""
+        """Shut down the fan-out threads and close every connection's socket."""
+        if self._fan_out is not None:
+            self._fan_out.shutdown(wait=True)
         for conn in self._connections:
             conn.close()
 
@@ -441,17 +447,31 @@ class GenerationClient:
         return texts, truncated
 
     def _http_generate(self, request: GenerationRequest) -> GenerationResult:
+        backend_id = f"http:{self.config.model_name}"
         start = time.monotonic()
-        k = request.n_samples if self.config.native_n else 1
-        payload = self._body(request, k)
-        texts, truncated = [], []
-        for _ in range(request.n_samples // k):
-            t, trunc = self._extract(self._post_with_retries(payload), k)
-            texts.extend(t)
-            truncated.extend(trunc)
+        if self.config.native_n or request.n_samples == 1:
+            data = self._post_with_retries(self._body(request, request.n_samples))
+            texts, truncated = self._extract(data, request.n_samples)
+        else:
+            payload = self._body(request, 1)
+            futures = [
+                self._fan_out.submit(self._post_with_retries, payload)
+                for _ in range(request.n_samples)
+            ]
+            texts, truncated = [], []
+            try:
+                for future in futures:  # submission order, not completion order
+                    t, trunc = self._extract(future.result(), 1)
+                    texts.extend(t)
+                    truncated.extend(trunc)
+            finally:
+                # after a failure, calls still queued in the shared pool are
+                # dropped rather than sent for a request that already failed
+                for future in futures:
+                    future.cancel()
         return GenerationResult(
             texts=texts,
-            backend_id=f"http:{self.config.model_name}",
+            backend_id=backend_id,
             latency=time.monotonic() - start,
             truncated=truncated,
         )
