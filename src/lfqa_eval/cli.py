@@ -196,13 +196,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> CliConfig:
                 raise ConfigError(f"backend '{role}': {exc}") from None
             backends[role] = backend
 
-    weights = DetectionWeights(
-        exact=scalars.pop("weight_exact", DEFAULT_WEIGHTS.exact),
-        adjacent=scalars.pop("weight_adjacent", DEFAULT_WEIGHTS.adjacent),
-        different=scalars.pop("weight_different", DEFAULT_WEIGHTS.different),
-    )
+    weights = {}
+    for name in ("exact", "adjacent", "different"):
+        value = weights[name] = scalars.pop(f"weight_{name}", getattr(DEFAULT_WEIGHTS, name))
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(f"weight_{name} must be a finite number >= 0, got {value}")
     return CliConfig(
-        weights=weights,
+        weights=DetectionWeights(**weights),
         backends=backends,
         temperatures=temperatures,
         max_tokens=max_tokens,
@@ -329,8 +329,7 @@ _LENGTH_BUCKET = 50
 _LENGTH_BUCKETS = 10  # final bucket is open-ended
 
 
-def _length_bucket(words: int) -> str:
-    idx = min(words // _LENGTH_BUCKET, _LENGTH_BUCKETS)
+def _bucket_label(idx: int) -> str:
     if idx == _LENGTH_BUCKETS:
         return f"{_LENGTH_BUCKET * _LENGTH_BUCKETS}+"
     return f"{idx * _LENGTH_BUCKET}-{(idx + 1) * _LENGTH_BUCKET - 1}"
@@ -377,10 +376,12 @@ def span_granularity_stats(corpus: Corpus) -> dict[str, dict]:
 
 
 def answer_length_histogram(corpus: Corpus) -> dict[str, Counter]:
+    """Answers per source and length bucket, a bucket being its index in word order."""
     histogram: dict[str, Counter] = defaultdict(Counter)
     for record in corpus:
         for answer in record.answers:
-            histogram[answer.source.value][_length_bucket(len(answer.text.split()))] += 1
+            bucket = min(len(answer.text.split()) // _LENGTH_BUCKET, _LENGTH_BUCKETS)
+            histogram[answer.source.value][bucket] += 1
     return dict(histogram)
 
 
@@ -399,13 +400,9 @@ def _cmd_stats(args) -> int:
         )
     print()
     print(f"{'Answer words':<12}" + "".join(f"{s:>10}" for s in sorted(lengths)))
-    buckets = sorted(
-        {b for counter in lengths.values() for b in counter},
-        key=lambda b: int(b.split("-")[0].rstrip("+")),
-    )
-    for bucket in buckets:
+    for bucket in sorted({b for counter in lengths.values() for b in counter}):
         print(
-            f"{bucket:<12}"
+            f"{_bucket_label(bucket):<12}"
             + "".join(f"{lengths[s].get(bucket, 0):>10}" for s in sorted(lengths))
         )
 
@@ -416,12 +413,10 @@ def _cmd_stats(args) -> int:
         ]
         lines += [
             _dump(
-                {"kind": "answer_length", "source": source, "bucket": bucket, "count": n}
+                {"kind": "answer_length", "source": source, "bucket": _bucket_label(b), "count": n}
             )
             for source, counter in sorted(lengths.items())
-            for bucket, n in sorted(
-                counter.items(), key=lambda kv: int(kv[0].split("-")[0].rstrip("+"))
-            )
+            for b, n in sorted(counter.items())
         ]
         _write_lines(args.out, lines)
     return 0
@@ -539,8 +534,9 @@ def _existing_lines(out: str, expected: dict[str, object]) -> dict[tuple[str, in
 def _run_batch(
     args, config: CliConfig, clients: list[GenerationClient], expected: dict[str, object], work
 ) -> int:
-    """Run work(record, answer_index) -> output line over the corpus.
+    """Run work(record, answer_index) -> a line's fields over the corpus.
 
+    Each line leads with the record_id and answer_index that --resume keys by.
     Lines stream in corpus order to OUT.partial, each flushed once written,
     and the finished file then replaces --out, so a killed run leaves --out
     as it was and OUT.partial holding whole lines for --resume. A resumed
@@ -574,8 +570,9 @@ def _run_batch(
         os.replace(folded, args.out)
 
     def attempt(target: tuple[QARecord, int]) -> str | Exception:
+        record, idx = target
         try:
-            return work(*target)
+            return _dump({"record_id": record.id, "answer_index": idx, **work(record, idx)})
         except Exception as exc:  # per-record isolation
             return exc
 
@@ -622,7 +619,6 @@ def _feedback_step(
             temperature=temperature,
             max_tokens=config.max_tokens.get("feedback"),
             low_confidence_threshold=config.consistency_threshold,
-            metadata=record.id,
         )
 
     return feedback_for
@@ -633,11 +629,8 @@ def _cmd_feedback(args) -> int:
     with _client_for(config, "feedback") as client:
         feedback_for = _feedback_step(config, client)
 
-        def work(record: QARecord, idx: int) -> str:
-            result = feedback_for(record, idx)
-            return _dump(
-                {"record_id": record.id, "answer_index": idx, **result.to_dict(args.audit)}
-            )
+        def work(record: QARecord, idx: int) -> dict:
+            return feedback_for(record, idx).to_dict(args.audit)
 
         return _run_batch(args, config, [client], {"n_sampled": config.n_samples}, work)
 
@@ -659,30 +652,15 @@ def _cmd_refine(args) -> int:
             clients.append(feedback_client)
             expected["feedback.n_sampled"] = config.n_samples
 
-        def work(record: QARecord, idx: int) -> str:
+        def work(record: QARecord, idx: int) -> dict:
             answer = record.answers[idx].text
             if mode is RefineMode.ERROR_INFORMED:
                 result = run_eir(
-                    record.question,
-                    answer,
-                    feedback_for(record, idx),
-                    client,
-                    **settings,
-                    record_id=record.id,
-                    answer_index=idx,
+                    record.question, answer, feedback_for(record, idx), client, **settings
                 )
             else:
-                result = refine_answer(
-                    record.question,
-                    answer,
-                    mode,
-                    None,
-                    client,
-                    **settings,
-                    record_id=record.id,
-                    answer_index=idx,
-                )
-            return _dump(result.to_dict(audit=args.audit))
+                result = refine_answer(record.question, answer, mode, None, client, **settings)
+            return result.to_dict(audit=args.audit)
 
         return _run_batch(args, config, clients, expected, work)
 

@@ -13,6 +13,7 @@ is an introduced error (FP).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -27,8 +28,8 @@ class DetectionWeights:
     different: float = 0.1
 
     def __post_init__(self):
-        if min(self.exact, self.adjacent, self.different) < 0:
-            raise ValueError("weights must be non-negative")
+        if not all(0.0 <= w < math.inf for w in (self.exact, self.adjacent, self.different)):
+            raise ValueError("weights must be finite and non-negative")
 
 
 DEFAULT_WEIGHTS = DetectionWeights()
@@ -147,8 +148,8 @@ class ErrorScoreRecord:
     error_score: float
 
     def __post_init__(self):
-        if self.error_score < 0:
-            raise ValueError("error_score must be non-negative")
+        if not 0.0 <= self.error_score < math.inf:
+            raise ValueError(f"error_score must be a finite number >= 0, got {self.error_score}")
 
     @property
     def flagged(self) -> bool:
@@ -206,10 +207,7 @@ class SelfCheckReport:
         }
 
 
-def selfcheck_aggregate(
-    judgments: Sequence[SupportJudgment],
-    mapping: Mapping[str, float] = VERDICT_MAPPING,
-) -> SelfCheckReport:
+def selfcheck_aggregate(judgments: Sequence[SupportJudgment]) -> SelfCheckReport:
     """Average mapped verdicts per sentence, then across the answer.
 
     Both orientations are reported: support (higher = better supported) and
@@ -219,7 +217,7 @@ def selfcheck_aggregate(
         raise ValueError("no judgments")
     per_sentence = []
     for judgment in judgments:
-        mapped = [mapping[normalize_verdict(v)] for v in judgment.verdicts]
+        mapped = [VERDICT_MAPPING[normalize_verdict(v)] for v in judgment.verdicts]
         per_sentence.append(sum(mapped) / len(mapped))
     support = sum(per_sentence) / len(per_sentence)
     return SelfCheckReport(
@@ -258,7 +256,6 @@ def detection_eval(
     corpus: Corpus,
     predictions: Mapping[tuple[str, int], Sequence[bool]],
     weights: DetectionWeights = DEFAULT_WEIGHTS,
-    aspect: Aspect = Aspect.COMPLETENESS,
     invert: bool = False,
 ) -> DetectionEvalReport:
     """Evaluate predicted Incomplete sentences against annotated gold labels.
@@ -266,7 +263,7 @@ def detection_eval(
     ``predictions`` maps ``(record_id, answer_index)`` to one Incomplete flag
     per sentence of that answer, the shape of the gold
     ``SentenceLabeling.errors``. Gold labels come from projecting the corpus
-    annotations of ``aspect`` onto the answer's sentences. Records with gold
+    completeness annotations onto the answer's sentences. Records with gold
     errors but an empty prediction count as misses and stay out of the
     accuracy denominator. Ids absent from the corpus are listed in
     ``skipped`` in prediction order. ``invert=True`` classifies gold
@@ -285,7 +282,7 @@ def detection_eval(
             raise ValueError(
                 f"record '{record_id}': answer index {idx} out of range"
             )
-        labeling = label_answer(record, idx, aspect)
+        labeling = label_answer(record, idx, Aspect.COMPLETENESS)
         if len(flags) != labeling.n_sentences:
             raise ValueError(
                 f"record '{record_id}': prediction has {len(flags)} tags "
@@ -319,8 +316,9 @@ def detection_eval(
 def load_error_scores(lines: Iterable[tuple[int, dict]]) -> list[ErrorScoreRecord]:
     """Build score records from (line number, parsed JSONL object) pairs.
 
-    Each object is ``{record_id, error_score}``; a line that is not raises a
-    CorpusError naming the line and, when it has one, the record.
+    Each object is ``{record_id, error_score}``, the score a finite number
+    >= 0 or a numeric string (a bool is not a number); a line that is not
+    raises a CorpusError naming the line and, when it has one, the record.
     """
     scores = []
     for ln, obj in lines:
@@ -329,6 +327,8 @@ def load_error_scores(lines: Iterable[tuple[int, dict]]) -> list[ErrorScoreRecor
             raise CorpusError(f"{where}score line needs record_id and error_score", line=ln)
         value = obj["error_score"]
         try:
+            if isinstance(value, bool):
+                raise ValueError(value)
             error_score = float(value)
         except (TypeError, ValueError):
             raise CorpusError(f"{where}error_score {value!r} is not a number", line=ln) from None

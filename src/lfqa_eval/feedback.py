@@ -343,7 +343,6 @@ def run_feedback(
     temperature: float,
     max_tokens: int | None = None,
     low_confidence_threshold: float = LOW_CONFIDENCE_THRESHOLD,
-    metadata: str = "",
 ) -> FeedbackResult:
     """Sample n feedback outputs for one answer and select the most consistent.
 
@@ -360,7 +359,6 @@ def run_feedback(
         max_tokens=feedback_max_tokens(len(sentences)) if max_tokens is None else max_tokens,
         temperature=temperature,
         n_samples=n_samples,
-        metadata=metadata,
     )
     result = client.generate(request)
     # Sampled outputs repeat; equal texts share one parsed sample, which

@@ -73,8 +73,6 @@ class GenerationRequest:
     max_tokens: int
     temperature: float
     n_samples: int = 1
-    stop_sequences: tuple[str, ...] = ()
-    metadata: str = ""  # caller's record id, for logs only
 
     def __post_init__(self):
         if self.max_tokens < 1:
@@ -378,8 +376,6 @@ class GenerationClient:
         }
         if n > 1:
             body["n"] = n
-        if request.stop_sequences:
-            body["stop"] = list(request.stop_sequences)
         return json.dumps(body).encode()
 
     def _post_with_retries(self, payload: bytes) -> dict:

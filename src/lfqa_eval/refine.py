@@ -66,20 +66,16 @@ def refine_max_tokens(answer: str) -> int:
 
 @dataclass
 class RefinementRecord:
-    record_id: str
     question: str
     original_answer: str
     mode: RefineMode
     feedback: FeedbackResult | None
     refined_answer: str
     passthrough: bool
-    answer_index: int = 0
     prompt: str = ""  # the refine prompt actually sent ("" on passthrough)
 
     def to_dict(self, audit: bool = False) -> dict:
         out = {
-            "record_id": self.record_id,
-            "answer_index": self.answer_index,
             "mode": self.mode.value,
             "passthrough": self.passthrough,
             "refined_answer": self.refined_answer,
@@ -101,8 +97,6 @@ def refine_answer(
     *,
     temperature: float = REFINE_TEMPERATURE,
     max_tokens: int | None = None,
-    record_id: str = "",
-    answer_index: int = 0,
     feedback: FeedbackResult | None = None,
 ) -> RefinementRecord:
     """Issue one refinement generation and wrap it as a record."""
@@ -112,21 +106,18 @@ def refine_answer(
         max_tokens=refine_max_tokens(answer) if max_tokens is None else max_tokens,
         temperature=temperature,
         n_samples=1,
-        metadata=record_id,
     )
     result = client.generate(request)
     refined = result.texts[0].strip()
     if not refined:
-        raise GenerationError(f"empty refinement for record '{record_id}'")
+        raise GenerationError("empty refinement")
     return RefinementRecord(
-        record_id=record_id,
         question=question,
         original_answer=answer,
         mode=mode,
         feedback=feedback,
         refined_answer=refined,
         passthrough=False,
-        answer_index=answer_index,
         prompt=prompt,
     )
 
@@ -139,8 +130,6 @@ def run_eir(
     *,
     temperature: float = REFINE_TEMPERATURE,
     max_tokens: int | None = None,
-    record_id: str = "",
-    answer_index: int = 0,
 ) -> RefinementRecord:
     """Error-informed refinement of one answer from its selected feedback.
 
@@ -150,14 +139,12 @@ def run_eir(
     incomplete = feedback.selected.incomplete_indices()
     if not incomplete:
         return RefinementRecord(
-            record_id=record_id,
             question=question,
             original_answer=answer,
             mode=RefineMode.ERROR_INFORMED,
             feedback=feedback,
             refined_answer=answer,
             passthrough=True,
-            answer_index=answer_index,
         )
     reasons = [feedback.selected.reasons[i] for i in sorted(incomplete)]
     return refine_answer(
@@ -168,7 +155,5 @@ def run_eir(
         client,
         temperature=temperature,
         max_tokens=max_tokens,
-        record_id=record_id,
-        answer_index=answer_index,
         feedback=feedback,
     )

@@ -144,6 +144,13 @@ def test_config_role_sampling_settings_out_of_range_are_refused(role, setting, v
         load_config(None, {key: value})
 
 
+@pytest.mark.parametrize("key", ["weight_exact", "weight_adjacent", "weight_different"])
+@pytest.mark.parametrize(("value", "shown"), [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+def test_config_detection_weights_out_of_range_are_refused(key, value, shown):
+    with pytest.raises(ConfigError, match=f"^{key} must be a finite number >= 0, got {shown}$"):
+        load_config(None, {key: value})
+
+
 def test_config_role_sampling_settings_in_range_load():
     config = load_config(None, {"feedback.temperature": "0", "refine.max_tokens": "1"})
     assert config.temperatures == {"feedback": 0.0}
@@ -182,6 +189,23 @@ def test_bad_role_sampling_setting_exits_1_before_reading_anything(
     assert setting.split(" = ")[0] in capsys.readouterr().err
     assert out.read_bytes() == b"previous\n"
     assert not Path(f"{out}.partial").exists()
+
+
+@pytest.mark.parametrize("setting", ["weight_exact = nan", "weight_adjacent = inf"])
+def test_bad_detection_weight_exits_1_before_reading_anything(
+    setting, tmp_path, monkeypatch, capsys
+):
+    def no_corpus(path):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli_module, "load_corpus", no_corpus)
+    config = tmp_path / "cfg"
+    config.write_text(setting + "\n", encoding="utf-8")
+    argv = ["eval-detect", str(tmp_path / "corpus.jsonl"),
+            "--predictions", str(tmp_path / "predictions.jsonl"), "--config", str(config)]
+    assert main(argv) == 1
+    key, _, value = setting.partition(" = ")
+    assert f"{key} must be a finite number >= 0, got {value}" in capsys.readouterr().err
 
 
 def test_scorer_config_keys_are_unknown(small_corpus, tmp_path, capsys):
@@ -233,6 +257,21 @@ def test_stats_outputs_table_and_jsonl(small_corpus, tmp_path, capsys):
     comp = next(r for r in span_rows if r["aspect"] == "completeness")
     assert comp["sentence"] == 100.0  # the q1 annotation covers sentence 1 exactly
     assert any(r["kind"] == "answer_length" for r in rows)
+
+
+def test_stats_length_buckets_in_word_order(tmp_path, capsys):
+    # bucket labels in word order, which is not their string order
+    answers = [Answer(Source.MODEL, " ".join(["word"] * n) + ".") for n in (600, 120, 60, 10, 10)]
+    path = tmp_path / "corpus.jsonl"
+    save_corpus([make_record(record_id="len", answers=answers)], path)
+    out = tmp_path / "stats.jsonl"
+    assert main(["stats", str(path), "--out", str(out)]) == 0
+    table = capsys.readouterr().out.split("Answer words")[1].splitlines()[1:]
+    expected = [("0-49", 2), ("50-99", 1), ("100-149", 1), ("500+", 1)]
+    assert [tuple(line.split()) for line in table] == [(b, str(n)) for b, n in expected]
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    lengths = [(r["bucket"], r["count"]) for r in rows if r["kind"] == "answer_length"]
+    assert lengths == expected
 
 
 def test_score_emits_scorecards_and_report(small_corpus, tmp_path, capsys):
@@ -592,6 +631,50 @@ def test_refine_improve_and_generic_cli(tmp_path):
         assert line["feedback"] is None
 
 
+_FEEDBACK_KEYS = [
+    "record_id", "answer_index", "tag_score", "reason_score", "n_sampled", "n_parseable",
+    "low_confidence", "selected",
+]
+_REFINE_KEYS = ["record_id", "answer_index", "mode", "passthrough", "refined_answer", "feedback"]
+
+
+@pytest.mark.parametrize(
+    ("command", "keys", "audit_keys"),
+    [
+        (["feedback"], _FEEDBACK_KEYS, ["selected_raw", "samples_raw"]),
+        *(
+            (["refine", "--mode", mode], _REFINE_KEYS, ["question", "original_answer", "prompt"])
+            for mode in ("eir", "improve", "generic")
+        ),
+    ],
+    ids=["feedback", "eir", "improve", "generic"],
+)
+@pytest.mark.parametrize("audit", [False, True], ids=["plain", "audit"])
+def test_batch_line_key_order(command, keys, audit_keys, audit, tmp_path):
+    answer = "Tiny answer. It has two sentences."
+    record = make_record(record_id="solo", answers=[Answer(Source.MODEL, answer)])
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus([record], corpus_path)
+    fixtures = tmp_path / "fixtures"
+    store = FixtureStore(fixtures)
+    sentences = sentence_texts(answer, segment_sentences(answer))
+    store.record(
+        build_feedback_prompt(record.question, sentences),
+        ["1. [Incomplete] Reasons: too short\n2. [Complete]"] * 20,
+    )
+    store.record(
+        build_refine_prompt(RefineMode.ERROR_INFORMED, record.question, answer, ["too short"]),
+        ["eir fix"],
+    )
+    for mode in (RefineMode.IMPROVE, RefineMode.GENERIC):
+        store.record(build_refine_prompt(mode, record.question, answer), [f"{mode.value} fix"])
+    out = tmp_path / "out.jsonl"
+    argv = [*command, str(corpus_path), "--backend", f"scripted:{fixtures}", "--out", str(out)]
+    assert main(argv + (["--audit"] if audit else [])) == 0
+    (line,) = out.read_text(encoding="utf-8").splitlines()
+    assert list(json.loads(line)) == keys + (audit_keys if audit else [])
+
+
 def _no_thread_pool(*args, **kwargs):
     raise AssertionError("a run whose clients are all scripted started a thread pool")
 
@@ -889,10 +972,11 @@ def test_second_kill_after_resume_loses_no_line(workers, golden_env, tmp_path, m
 
     computed = []
     real = cli_module.run_feedback
+    ids = {record.question: record.id for record in load_corpus(golden_env["corpus"])}
 
-    def recording(*args, **kwargs):
-        computed.append(kwargs["metadata"])
-        return real(*args, **kwargs)
+    def recording(question, *args, **kwargs):
+        computed.append(ids[question])
+        return real(question, *args, **kwargs)
 
     monkeypatch.setattr(cli_module, "run_feedback", recording)
     assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
@@ -913,10 +997,11 @@ def test_resume_reads_partial_whose_lines_win(golden_env, tmp_path, capsys, monk
     partial.write_text("\n".join(lines[:5]) + "\n" + lines[5][:10], encoding="utf-8")
     computed = []
     real = cli_module.run_feedback
+    ids = {record.question: record.id for record in load_corpus(golden_env["corpus"])}
 
-    def recording(*args, **kwargs):
-        computed.append(kwargs["metadata"])
-        return real(*args, **kwargs)
+    def recording(question, *args, **kwargs):
+        computed.append(ids[question])
+        return real(question, *args, **kwargs)
 
     monkeypatch.setattr(cli_module, "run_feedback", recording)
     capsys.readouterr()
@@ -1375,9 +1460,33 @@ _SCORES = '{"record_id": "a", "error_score": 1.0}\n{"record_id": "b", "error_sco
         ),
         ("\n", _SCORES, "--baseline {baseline}: no score records"),
         (_SCORES, "", "--refined {refined}: no score records"),
+        (
+            '{"record_id": "a", "error_score": NaN}\n',
+            _SCORES,
+            "--baseline {baseline}: line 1: record 'a': error_score must be a finite number "
+            ">= 0, got nan",
+        ),
+        (
+            _SCORES,
+            '{"record_id": "b", "error_score": Infinity}\n',
+            "--refined {refined}: line 1: record 'b': error_score must be a finite number "
+            ">= 0, got inf",
+        ),
+        (
+            _SCORES + '{"record_id": "c", "error_score": 1e999}\n',
+            _SCORES,
+            "--baseline {baseline}: line 3: record 'c': error_score must be a finite number "
+            ">= 0, got inf",
+        ),
+        (
+            _SCORES,
+            '{"record_id": "a", "error_score": true}\n',
+            "--refined {refined}: line 1: record 'a': error_score True is not a number",
+        ),
     ],
     ids=["refined-not-an-object", "refined-not-a-number", "duplicate", "empty-baseline",
-         "empty-refined"],
+         "empty-refined", "baseline-nan", "refined-infinity", "baseline-overflow",
+         "refined-bool"],
 )
 def test_eval_correct_errors_name_the_file(
     baseline_text, refined_text, message, tmp_path, capsys

@@ -115,8 +115,9 @@ def test_weighted_accuracy_random_within_weight_range():
 
 
 def test_weights_must_be_non_negative():
-    with pytest.raises(ValueError):
-        DetectionWeights(exact=-1.0)
+    for value in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DetectionWeights(exact=value)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +205,17 @@ def test_error_report_empty_rejected():
 def test_flagged_iff_positive_score():
     assert not ErrorScoreRecord("r", 0.0).flagged
     assert ErrorScoreRecord("r", 0.0001).flagged
-    with pytest.raises(ValueError):
-        ErrorScoreRecord("r", -0.1)
+    for score in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ErrorScoreRecord("r", score)
 
 
 def test_load_error_scores_and_flag_map():
     scores = load_error_scores(
-        enumerate([{"record_id": "a", "error_score": 0}, {"record_id": "b", "error_score": 2.5}], 1)
+        enumerate([{"record_id": "a", "error_score": 0}, {"record_id": "b", "error_score": 2.5},
+                   {"record_id": "c", "error_score": "0.5"}], 1)
     )
-    assert flag_map(scores) == {"a": False, "b": True}
+    assert flag_map(scores) == {"a": False, "b": True, "c": True}
     with pytest.raises(ValueError, match="duplicate"):
         flag_map(load_error_scores(enumerate([{"record_id": "a", "error_score": 0}] * 2, 1)))
 

@@ -287,7 +287,7 @@ def test_fixture_digest_is_exact_prompt_hash(tmp_path):
 def test_http_single_call_body_and_result(stub_server, monkeypatch):
     monkeypatch.setenv("STUB_KEY", "secret-token")
     config = _http_config(stub_server, auth_env="STUB_KEY")
-    result = GenerationClient(config).generate(_request(n_samples=2, stop_sequences=("###",)))
+    result = GenerationClient(config).generate(_request(n_samples=2))
     assert result.texts == ["reply 1.0", "reply 1.1"]
     assert result.backend_id == "http:stub-model"
     sent = stub_server.requests[0]
@@ -295,7 +295,6 @@ def test_http_single_call_body_and_result(stub_server, monkeypatch):
     assert sent["body"]["model"] == "stub-model"
     assert sent["body"]["messages"] == [{"role": "user", "content": "hello"}]
     assert sent["body"]["n"] == 2
-    assert sent["body"]["stop"] == ["###"]
 
 
 def test_http_missing_credential_no_network_call(stub_server, monkeypatch):

@@ -105,7 +105,7 @@ def test_refine_answer_playback(tmp_path):
     client, store = scripted(tmp_path)
     prompt = build_refine_prompt(RefineMode.IMPROVE, "Why?", "Because.")
     store.record(prompt, ["better answer"])
-    record = refine_answer("Why?", "Because.", RefineMode.IMPROVE, None, client, record_id="r1")
+    record = refine_answer("Why?", "Because.", RefineMode.IMPROVE, None, client)
     assert record.refined_answer == "better answer"
     assert record.mode is RefineMode.IMPROVE
     assert not record.passthrough
@@ -163,7 +163,7 @@ def test_run_eir_passthrough_on_all_complete(tmp_path):
         ["1. [Complete]\n2. [Complete]"] * 20,
     )
     feedback = run_feedback(QUESTION, ANSWER, feedback_client, temperature=0.7)
-    record = run_eir(QUESTION, ANSWER, feedback, refine_client, record_id="r1")
+    record = run_eir(QUESTION, ANSWER, feedback, refine_client)
     assert record.passthrough
     assert record.refined_answer == ANSWER
     assert refine_client.calls == 0
@@ -185,7 +185,7 @@ def test_run_eir_refines_with_numbered_reasons(tmp_path):
     assert "1. missing drainage" in expected_prompt
     rf_store.record(expected_prompt, ["Ballast also improves drainage."])
     feedback = run_feedback(QUESTION, ANSWER, feedback_client, temperature=0.7)
-    record = run_eir(QUESTION, ANSWER, feedback, refine_client, record_id="r1")
+    record = run_eir(QUESTION, ANSWER, feedback, refine_client)
     assert not record.passthrough
     assert refine_client.calls == 1
     assert record.refined_answer == "Ballast also improves drainage."
