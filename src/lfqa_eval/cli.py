@@ -56,6 +56,7 @@ from .evalmetrics import (
 from .feedback import (
     DEFAULT_N_SAMPLES,
     LOW_CONFIDENCE_THRESHOLD,
+    TAG_COMPLETE,
     TAG_INCOMPLETE,
     FeedbackResult,
     run_feedback,
@@ -267,11 +268,6 @@ def _parse_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
         yield ln, obj
 
 
-def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as handle:
-        yield from _parse_jsonl(handle)
-
-
 @contextmanager
 def _errors_name(source: str) -> Iterator[None]:
     """Prefix each CorpusError raised inside with source, e.g. '--judgments PATH'."""
@@ -281,14 +277,41 @@ def _errors_name(source: str) -> Iterator[None]:
         raise CorpusError(f"{source}: {exc}") from None
 
 
+def _keyed_lines(source: str, lines: Iterable[str], parse: Callable[[dict, int], tuple]) -> dict:
+    """{key: value} over a file keyed by record, parse(obj, line) giving each pair.
+
+    Every line needs a non-empty string record_id and a key no earlier line
+    has; each error names source, e.g. '--judgments PATH', and the line.
+    """
+    values: dict = {}
+    first_seen: dict = {}
+    with _errors_name(source):
+        for ln, obj in _parse_jsonl(lines):
+            record_id = obj.get("record_id")
+            named = isinstance(record_id, str) and record_id != ""
+            if record_id is not None and not named:
+                raise CorpusError(f"record_id {record_id!r} is not a non-empty string", line=ln)
+            key, value = parse(obj, ln)  # a line with no record_id gets its file's message first
+            if not named:
+                raise CorpusError("line has no record_id", line=ln)
+            if key in first_seen:
+                message = f"duplicate key {key!r} (first seen on line {first_seen[key]})"
+                raise CorpusError(message, line=ln)
+            first_seen[key] = ln
+            values[key] = value
+    return values
+
+
 def _int_field(obj: dict, key: str, default: int, ln: int) -> int:
     value = obj.get(key, default)
     try:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
+        if int(value) < 0:
+            raise ValueError(value)
         return int(value)
     except (TypeError, ValueError):
-        message = f"record '{obj.get('record_id')}': {key} {value!r} is not an integer"
+        message = f"record '{obj.get('record_id')}': {key} {value!r} is not an integer >= 0"
         raise CorpusError(message, line=ln) from None
 
 
@@ -506,27 +529,28 @@ def _kept_lines(path: str, expected: dict[str, object]) -> dict[tuple[str, int],
             warning = f"warning: {path}: line {len(lines)}: torn last line dropped and recomputed"
             print(warning, file=sys.stderr)
             lines.pop()
-    kept = {}
-    with _errors_name(path):
-        for ln, obj in _parse_jsonl(lines):
-            key = (str(obj.get("record_id")), _int_field(obj, "answer_index", 0, ln))
-            for dotted, value in expected.items():
-                found = _field(obj, dotted)
-                if found != value:
-                    raise UsageError(
-                        f"{path}: line {ln}: record '{key[0]}' answer {key[1]} has "
-                        f"{dotted} {found!r} but this run has {value!r}; "
-                        "--resume keeps only lines of the same run"
-                    )
-            kept[key] = _dump(obj)
-    return kept
+
+    def parse(obj: dict, ln: int) -> tuple[tuple[str, int], str]:
+        key = (obj.get("record_id"), _int_field(obj, "answer_index", 0, ln))
+        audited = "selected_raw" in obj or "prompt" in obj  # feedback's, refine's audit field
+        for dotted, value in expected.items():
+            found = audited if dotted == "audit" else _field(obj, dotted)
+            if found != value:
+                raise UsageError(
+                    f"{path}: line {ln}: record '{key[0]}' answer {key[1]} has "
+                    f"{dotted} {found!r} but this run has {value!r}; "
+                    "--resume keeps only lines of the same run"
+                )
+        return key, _dump(obj)
+
+    return _keyed_lines(path, lines, parse)
 
 
 def _existing_lines(out: str, expected: dict[str, object]) -> dict[tuple[str, int], str]:
     """The lines --resume keeps: OUT's, then OUT.partial's, which win.
 
-    ``expected`` maps dotted keys of a line to this run's values; a kept
-    line that differs comes from another run and is a UsageError.
+    ``expected`` maps dotted keys of a line, and "audit", to this run's values;
+    a kept line that differs comes from another run and is a UsageError.
     """
     return {**_kept_lines(out, expected), **_kept_lines(f"{out}.partial", expected)}
 
@@ -561,7 +585,7 @@ def _run_batch(
         else:
             hint = f"no record has a {selector} answer"
         raise UsageError(f"--answer {args.answer} selects no answer in {args.corpus}; {hint}")
-    existing = _existing_lines(args.out, expected) if args.resume else {}
+    existing = _existing_lines(args.out, {**expected, "audit": args.audit}) if args.resume else {}
     todo = [(record, idx) for record, idx in targets if (record.id, idx) not in existing]
     partial = f"{args.out}.partial"
     if existing and Path(partial).exists():
@@ -672,20 +696,25 @@ def _cmd_refine(args) -> int:
 def _cmd_eval_detect(args) -> int:
     config = _config_from_args(args)
     corpus = load_corpus(args.corpus)
-    predictions: dict[tuple[str, int], list[bool]] = {}
-    with _errors_name(f"--predictions {args.predictions}"):
-        for ln, obj in _read_jsonl(args.predictions):
-            record_id = str(obj.get("record_id"))
-            key = (record_id, _int_field(obj, "answer_index", 0, ln))
-            selected = obj.get("selected") if "selected" in obj else obj
-            tags = selected.get("tags") if isinstance(selected, dict) else None
-            if not isinstance(tags, list):
-                raise CorpusError(f"prediction for '{record_id}' has no tags", line=ln)
-            if key in predictions:
-                message = f"duplicate prediction for '{record_id}' answer {key[1]}"
-                raise CorpusError(message, line=ln)
-            predictions[key] = [str(t) == TAG_INCOMPLETE for t in tags]
 
+    def prediction(obj: dict, ln: int) -> tuple[tuple[str, int], list[bool]]:
+        record_id, idx = obj.get("record_id"), _int_field(obj, "answer_index", 0, ln)
+        record = corpus.get(record_id)
+        if record is not None and idx >= len(record.answers):
+            message = f"answer_index {idx} out of range 0..{len(record.answers) - 1}"
+            raise CorpusError(f"record '{record_id}': {message}", line=ln)
+        selected = obj.get("selected") if "selected" in obj else obj
+        tags = selected.get("tags") if isinstance(selected, dict) else None
+        if not isinstance(tags, list):
+            raise CorpusError(f"prediction for '{record_id}' has no tags", line=ln)
+        for tag in tags:
+            if tag not in (TAG_COMPLETE, TAG_INCOMPLETE):
+                message = f"record '{record_id}': tag {tag!r} is neither Complete nor Incomplete"
+                raise CorpusError(message, line=ln)
+        return (record_id, idx), [tag == TAG_INCOMPLETE for tag in tags]
+
+    with open(args.predictions, encoding="utf-8") as handle:
+        predictions = _keyed_lines(f"--predictions {args.predictions}", handle, prediction)
     report = detection_eval(corpus, predictions, weights=config.weights, invert=args.invert)
     totals, accuracy = report.counts, report.weighted_accuracy
     total = max(totals.total_predicted, 1)
@@ -713,20 +742,15 @@ _CORRECTION_DEFINITIONS = {
 
 def _read_scores(flag: str, path: str) -> list[ErrorScoreRecord]:
     """One score file; each of its errors names the flag, the path and the line."""
-    with _errors_name(f"{flag} {path}"):
-        lines = list(_read_jsonl(path))
-        scores = load_error_scores(lines)
-        first_seen: dict[str, int] = {}
-        for (ln, _obj), score in zip(lines, scores):
-            if score.record_id in first_seen:
-                message = (
-                    f"duplicate record_id '{score.record_id}' "
-                    f"(first seen on line {first_seen[score.record_id]})"
-                )
-                raise CorpusError(message, line=ln)
-            first_seen[score.record_id] = ln
-        if not scores:
-            raise CorpusError("no score records")
+
+    def score(obj: dict, ln: int) -> tuple[str, ErrorScoreRecord]:
+        (record,) = load_error_scores([(ln, obj)])
+        return record.record_id, record
+
+    with open(path, encoding="utf-8") as handle:
+        scores = list(_keyed_lines(f"{flag} {path}", handle, score).values())
+    if not scores:
+        raise CorpusError(f"{flag} {path}: no score records")
     return scores
 
 
@@ -783,39 +807,29 @@ def _cmd_eval_correct(args) -> int:
 
 def _cmd_selfcheck(args) -> int:
     grouped: dict[str, list[SupportJudgment]] = defaultdict(list)
-    order: list[str] = []
-    first_seen: dict[tuple[str, int], int] = {}
-    with _errors_name(f"--judgments {args.judgments}"):
-        for ln, obj in _read_jsonl(args.judgments):
-            record_id = str(obj.get("record_id"))
-            verdicts = obj.get("verdicts")
-            if not isinstance(verdicts, list) or not verdicts:
-                raise CorpusError(f"judgment for '{record_id}' has no verdicts", line=ln)
-            if record_id not in grouped:
-                order.append(record_id)
-            sentence_index = _int_field(obj, "sentence_index", len(grouped[record_id]), ln)
-            where = f"record '{record_id}', sentence {sentence_index}"
-            first = first_seen.setdefault((record_id, sentence_index), ln)
-            if first != ln:
-                message = f"{where}: duplicate judgment (first seen on line {first})"
-                raise CorpusError(message, line=ln)
-            for verdict in verdicts:
-                try:
-                    normalize_verdict(str(verdict))
-                except ValueError as exc:
-                    raise CorpusError(f"{where}: {exc}", line=ln) from None
-            grouped[record_id].append(
-                SupportJudgment(
-                    sentence_index=sentence_index,
-                    verdicts=tuple(str(v) for v in verdicts),
-                )
-            )
+
+    def judgment(obj: dict, ln: int) -> tuple[tuple[str, int], None]:
+        """Adds the line's judgment to grouped, in first-seen record order."""
+        record_id, verdicts = obj.get("record_id"), obj.get("verdicts")
+        if not isinstance(verdicts, list) or not verdicts:
+            raise CorpusError(f"judgment for '{record_id}' has no verdicts", line=ln)
+        sentence_index = _int_field(obj, "sentence_index", len(grouped[record_id]), ln)
+        for verdict in verdicts:
+            try:
+                normalize_verdict(str(verdict))
+            except ValueError as exc:
+                where = f"record '{record_id}', sentence {sentence_index}"
+                raise CorpusError(f"{where}: {exc}", line=ln) from None
+        grouped[record_id].append(SupportJudgment(sentence_index, tuple(map(str, verdicts))))
+        return (record_id, sentence_index), None
+
+    with open(args.judgments, encoding="utf-8") as handle:
+        _keyed_lines(f"--judgments {args.judgments}", handle, judgment)
 
     lines = []
     supports = []
-    for record_id in order:
-        judgments = sorted(grouped[record_id], key=lambda j: j.sentence_index)
-        report = selfcheck_aggregate(judgments)
+    for record_id, group in grouped.items():
+        report = selfcheck_aggregate(sorted(group, key=lambda j: j.sentence_index))
         supports.append(report.answer_support)
         lines.append(_dump({"record_id": record_id, **report.to_dict()}))
     mean_support = sum(supports) / len(supports) if supports else 0.0

@@ -14,7 +14,7 @@ is an introduced error (FP).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, CorpusError, label_answer
@@ -99,15 +99,7 @@ class CorrectionReport:
     degenerate: bool  # no record was flagged at baseline
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def correction_prf(
@@ -200,11 +192,7 @@ class SelfCheckReport:
     answer_inconsistency: float  # 1 - support, for consumers that rank by error
 
     def to_dict(self) -> dict:
-        return {
-            "per_sentence": self.per_sentence,
-            "answer_support": self.answer_support,
-            "answer_inconsistency": self.answer_inconsistency,
-        }
+        return asdict(self)
 
 
 def selfcheck_aggregate(judgments: Sequence[SupportJudgment]) -> SelfCheckReport:

@@ -10,7 +10,7 @@ preference score.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, label_aspects
@@ -260,14 +260,7 @@ class DomainRow:
     means: dict[str, dict[str, float | None]]  # source -> aspect/overall -> mean
 
     def to_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "n_records": self.n_records,
-            "human_pref_pct": self.human_pref_pct,
-            "model_pref_pct": self.model_pref_pct,
-            "alpha": self.alpha,
-            "means": self.means,
-        }
+        return asdict(self)
 
 
 @dataclass

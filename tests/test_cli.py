@@ -494,6 +494,26 @@ def _cut(line: str) -> str:
             lambda line: json.dumps({**json.loads(line), "answer_index": True}),
             "line 3: record 'g02': answer_index True is not an integer",
         ),
+        (
+            2,
+            lambda line: json.dumps({**json.loads(line), "answer_index": -1}),
+            "line 3: record 'g02': answer_index -1 is not an integer >= 0",
+        ),
+        (
+            2,
+            lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "record_id"}),
+            "line 3: line has no record_id",
+        ),
+        (
+            2,
+            lambda line: json.dumps({**json.loads(line), "record_id": None}),
+            "line 3: line has no record_id",
+        ),
+        (
+            2,
+            lambda line: json.dumps({**json.loads(line), "record_id": 2}),
+            "line 3: record_id 2 is not a non-empty string",
+        ),
     ],
     ids=[
         "middle-line-cut",
@@ -502,6 +522,10 @@ def _cut(line: str) -> str:
         "bad-answer-index",
         "fractional-answer-index",
         "bool-answer-index",
+        "negative-answer-index",
+        "no-record-id",
+        "null-record-id",
+        "numeric-record-id",
     ],
 )
 def test_feedback_cli_resume_malformed_line_exits_1(
@@ -1026,8 +1050,21 @@ def test_resume_reads_partial_whose_lines_win(golden_env, tmp_path, capsys, monk
             ["refine", "--mode", "improve"],
             "mode 'error_informed' but this run has 'improve'",
         ),
+        (["feedback"], ["feedback", "--audit"], "audit False but this run has True"),
+        (["feedback", "--audit"], ["feedback"], "audit True but this run has False"),
+        (
+            ["refine", "--mode", "eir"],
+            ["refine", "--mode", "eir", "--audit"],
+            "audit False but this run has True",
+        ),
+        (
+            ["refine", "--mode", "eir", "--audit"],
+            ["refine", "--mode", "eir"],
+            "audit True but this run has False",
+        ),
     ],
-    ids=["feedback-n-samples", "eir-n-samples", "refine-mode"],
+    ids=["feedback-n-samples", "eir-n-samples", "refine-mode", "feedback-to-audit",
+         "feedback-from-audit", "eir-to-audit", "eir-from-audit"],
 )
 @pytest.mark.parametrize("kept_in", ["out", "partial"])
 def test_resume_refuses_lines_of_another_run(
@@ -1046,6 +1083,26 @@ def test_resume_refuses_lines_of_another_run(
     assert f"{kept}: line 1: record 'g00' answer 0 has {difference}" in err
     assert kept.read_bytes() == before
     assert [p.name for p in tmp_path.glob("out.jsonl*")] == [kept.name]
+
+
+@pytest.mark.parametrize("kept_in", ["out", "partial"])
+def test_resume_refuses_a_duplicate_line(kept_in, golden_env, tmp_path, capsys):
+    out = tmp_path / "fb.jsonl"
+    assert _run_feedback_cli(golden_env, out) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    partial = Path(f"{out}.partial")
+    edited = json.dumps({**json.loads(lines[1]), "tag_score": -1.0})  # a second line for g01
+    with_duplicate = "\n".join([*lines[:3], edited]) + "\n"
+    out.write_text("\n".join(lines[:4]) + "\n", encoding="utf-8")
+    partial.write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
+    broken = out if kept_in == "out" else partial
+    broken.write_text(with_duplicate, encoding="utf-8")
+    before = out.read_bytes(), partial.read_bytes()
+    capsys.readouterr()
+    assert _run_feedback_cli(golden_env, out, ("--resume",)) == 1
+    err = capsys.readouterr().err
+    assert f"{broken}: line 4: duplicate key ('g01', 0) (first seen on line 2)" in err
+    assert (out.read_bytes(), partial.read_bytes()) == before
 
 
 def test_audit_flag_includes_raw(golden_env, tmp_path):
@@ -1370,7 +1427,39 @@ def test_eval_detect_out_is_one_detection_eval_report(tmp_path):
         ),
         (
             '{"record_id": "d1", "tags": ["Complete", "Complete"]}',
-            "line 2: duplicate prediction for 'd1' answer 0",
+            "line 2: duplicate key ('d1', 0) (first seen on line 1)",
+        ),
+        (
+            '{"answer_index": 0, "tags": ["Complete", "Complete"]}',
+            "--predictions {path}: line 2: line has no record_id",
+        ),
+        (
+            '{"record_id": null, "tags": ["Complete", "Complete"]}',
+            "--predictions {path}: line 2: line has no record_id",
+        ),
+        (
+            '{"record_id": 7, "tags": ["Complete", "Complete"]}',
+            "--predictions {path}: line 2: record_id 7 is not a non-empty string",
+        ),
+        (
+            '{"record_id": "", "tags": ["Complete", "Complete"]}',
+            "--predictions {path}: line 2: record_id '' is not a non-empty string",
+        ),
+        (
+            '{"record_id": "d2", "tags": ["incomplete", "Complete"]}',
+            "line 2: record 'd2': tag 'incomplete' is neither Complete nor Incomplete",
+        ),
+        (
+            '{"record_id": "d2", "tags": ["Complete", true]}',
+            "line 2: record 'd2': tag True is neither Complete nor Incomplete",
+        ),
+        (
+            '{"record_id": "d1", "answer_index": -1, "tags": ["Complete", "Complete"]}',
+            "line 2: record 'd1': answer_index -1 is not an integer >= 0",
+        ),
+        (
+            '{"record_id": "d1", "answer_index": 1, "tags": ["Complete", "Complete"]}',
+            "--predictions {path}: line 2: record 'd1': answer_index 1 out of range 0..0",
         ),
     ],
     ids=[
@@ -1380,6 +1469,14 @@ def test_eval_detect_out_is_one_detection_eval_report(tmp_path):
         "fractional-answer-index",
         "bool-answer-index",
         "duplicate",
+        "no-record-id",
+        "null-record-id",
+        "numeric-record-id",
+        "empty-record-id",
+        "lowercase-tag",
+        "non-string-tag",
+        "negative-answer-index",
+        "answer-index-past-the-answers",
     ],
 )
 def test_eval_detect_malformed_prediction_line_exits_1(line, message, tmp_path, capsys):
@@ -1456,7 +1553,7 @@ _SCORES = '{"record_id": "a", "error_score": 1.0}\n{"record_id": "b", "error_sco
         (
             _SCORES + '{"record_id": "a", "error_score": 0.5}\n',
             _SCORES,
-            "--baseline {baseline}: line 3: duplicate record_id 'a' (first seen on line 1)",
+            "--baseline {baseline}: line 3: duplicate key 'a' (first seen on line 1)",
         ),
         ("\n", _SCORES, "--baseline {baseline}: no score records"),
         (_SCORES, "", "--refined {refined}: no score records"),
@@ -1527,8 +1624,7 @@ def test_selfcheck_cli(tmp_path, capsys):
         (
             "selfcheck",
             '{"record_id": "r1", "sentence_index": 0, "verdicts": ["no"]}',
-            "--judgments {path}: line 2: record 'r1', sentence 0: "
-            "duplicate judgment (first seen on line 1)",
+            "--judgments {path}: line 2: duplicate key ('r1', 0) (first seen on line 1)",
         ),
         (
             "selfcheck",
@@ -1565,6 +1661,28 @@ def test_selfcheck_cli(tmp_path, capsys):
             '{"record_id": "b", "error_score": "high"}',
             "line 2: record 'b': error_score 'high' is not a number",
         ),
+        (
+            "selfcheck",
+            '{"record_id": "r2", "sentence_index": -1, "verdicts": ["no"]}',
+            "line 2: record 'r2': sentence_index -1 is not an integer >= 0",
+        ),
+        ("selfcheck", '{"verdicts": ["no"]}', "--judgments {path}: line 2: line has no record_id"),
+        (
+            "selfcheck",
+            '{"record_id": null, "verdicts": ["no"]}',
+            "--judgments {path}: line 2: line has no record_id",
+        ),
+        (
+            "selfcheck",
+            '{"record_id": 2, "verdicts": ["no"]}',
+            "--judgments {path}: line 2: record_id 2 is not a non-empty string",
+        ),
+        ("eval-correct", '{"record_id": null, "error_score": 1}', "line 2: line has no record_id"),
+        (
+            "eval-correct",
+            '{"record_id": 2, "error_score": 1}',
+            "line 2: record_id 2 is not a non-empty string",
+        ),
     ],
     ids=[
         "selfcheck-not-an-object",
@@ -1577,6 +1695,12 @@ def test_selfcheck_cli(tmp_path, capsys):
         "eval-correct-no-score",
         "eval-correct-no-record-id",
         "eval-correct-score-not-a-number",
+        "selfcheck-negative-index",
+        "selfcheck-no-record-id",
+        "selfcheck-null-record-id",
+        "selfcheck-numeric-record-id",
+        "eval-correct-null-record-id",
+        "eval-correct-numeric-record-id",
     ],
 )
 def test_side_file_malformed_line_exits_1(command, second_line, message, tmp_path, capsys):
