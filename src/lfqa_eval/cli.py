@@ -39,11 +39,13 @@ from .corpus import (
     classify_granularity,
     iter_corpus_records,
     load_corpus,
+    read_field,
 )
 from .evalmetrics import (
     DEFAULT_WEIGHTS,
     DetectionWeights,
     ErrorScoreRecord,
+    PredictionError,
     SupportJudgment,
     correction_prf,
     detection_eval,
@@ -280,39 +282,28 @@ def _errors_name(source: str) -> Iterator[None]:
 def _keyed_lines(source: str, lines: Iterable[str], parse: Callable[[dict, int], tuple]) -> dict:
     """{key: value} over a file keyed by record, parse(obj, line) giving each pair.
 
-    Every line needs a non-empty string record_id and a key no earlier line
-    has; each error names source, e.g. '--judgments PATH', and the line.
+    Every line needs a non-empty string record_id, checked before parse, and a key
+    no earlier line has; each error names source, e.g. '--judgments PATH', and the line.
     """
     values: dict = {}
     first_seen: dict = {}
     with _errors_name(source):
         for ln, obj in _parse_jsonl(lines):
             record_id = obj.get("record_id")
-            named = isinstance(record_id, str) and record_id != ""
-            if record_id is not None and not named:
-                raise CorpusError(f"record_id {record_id!r} is not a non-empty string", line=ln)
-            key, value = parse(obj, ln)  # a line with no record_id gets its file's message first
-            if not named:
+            if record_id is None:
                 raise CorpusError("line has no record_id", line=ln)
+            if type(record_id) is not str or not record_id:
+                raise CorpusError(f"record_id {record_id!r} is not a non-empty string", line=ln)
+            try:
+                key, value = parse(obj, ln)
+            except CorpusError as exc:  # read_field's errors name no line
+                raise exc if exc.line else CorpusError(str(exc), line=ln) from None
             if key in first_seen:
                 message = f"duplicate key {key!r} (first seen on line {first_seen[key]})"
                 raise CorpusError(message, line=ln)
             first_seen[key] = ln
             values[key] = value
     return values
-
-
-def _int_field(obj: dict, key: str, default: int, ln: int) -> int:
-    value = obj.get(key, default)
-    try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError(value)
-        if int(value) < 0:
-            raise ValueError(value)
-        return int(value)
-    except (TypeError, ValueError):
-        message = f"record '{obj.get('record_id')}': {key} {value!r} is not an integer >= 0"
-        raise CorpusError(message, line=ln) from None
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -531,7 +522,8 @@ def _kept_lines(path: str, expected: dict[str, object]) -> dict[tuple[str, int],
             lines.pop()
 
     def parse(obj: dict, ln: int) -> tuple[tuple[str, int], str]:
-        key = (obj.get("record_id"), _int_field(obj, "answer_index", 0, ln))
+        record_id = obj["record_id"]
+        key = (record_id, read_field(obj, "answer_index", int, f"record '{record_id}'", 0))
         audited = "selected_raw" in obj or "prompt" in obj  # feedback's, refine's audit field
         for dotted, value in expected.items():
             found = audited if dotted == "audit" else _field(obj, dotted)
@@ -696,26 +688,34 @@ def _cmd_refine(args) -> int:
 def _cmd_eval_detect(args) -> int:
     config = _config_from_args(args)
     corpus = load_corpus(args.corpus)
+    lines: dict[tuple[str, int], int] = {}
 
     def prediction(obj: dict, ln: int) -> tuple[tuple[str, int], list[bool]]:
-        record_id, idx = obj.get("record_id"), _int_field(obj, "answer_index", 0, ln)
+        record_id = obj["record_id"]
+        idx = read_field(obj, "answer_index", int, f"record '{record_id}'", 0)
         record = corpus.get(record_id)
         if record is not None and idx >= len(record.answers):
             message = f"answer_index {idx} out of range 0..{len(record.answers) - 1}"
-            raise CorpusError(f"record '{record_id}': {message}", line=ln)
+            raise CorpusError(f"record '{record_id}': {message}")
         selected = obj.get("selected") if "selected" in obj else obj
         tags = selected.get("tags") if isinstance(selected, dict) else None
         if not isinstance(tags, list):
-            raise CorpusError(f"prediction for '{record_id}' has no tags", line=ln)
+            raise CorpusError(f"prediction for '{record_id}' has no tags")
         for tag in tags:
             if tag not in (TAG_COMPLETE, TAG_INCOMPLETE):
                 message = f"record '{record_id}': tag {tag!r} is neither Complete nor Incomplete"
-                raise CorpusError(message, line=ln)
+                raise CorpusError(message)
+        lines[record_id, idx] = ln
         return (record_id, idx), [tag == TAG_INCOMPLETE for tag in tags]
 
+    source = f"--predictions {args.predictions}"
     with open(args.predictions, encoding="utf-8") as handle:
-        predictions = _keyed_lines(f"--predictions {args.predictions}", handle, prediction)
-    report = detection_eval(corpus, predictions, weights=config.weights, invert=args.invert)
+        predictions = _keyed_lines(source, handle, prediction)
+    with _errors_name(source):
+        try:
+            report = detection_eval(corpus, predictions, weights=config.weights, invert=args.invert)
+        except PredictionError as exc:
+            raise CorpusError(str(exc), line=lines[exc.key]) from None
     totals, accuracy = report.counts, report.weighted_accuracy
     total = max(totals.total_predicted, 1)
     print(
@@ -810,16 +810,17 @@ def _cmd_selfcheck(args) -> int:
 
     def judgment(obj: dict, ln: int) -> tuple[tuple[str, int], None]:
         """Adds the line's judgment to grouped, in first-seen record order."""
-        record_id, verdicts = obj.get("record_id"), obj.get("verdicts")
-        if not isinstance(verdicts, list) or not verdicts:
-            raise CorpusError(f"judgment for '{record_id}' has no verdicts", line=ln)
-        sentence_index = _int_field(obj, "sentence_index", len(grouped[record_id]), ln)
+        record_id = obj["record_id"]
+        where = f"record '{record_id}'"
+        verdicts = read_field(obj, "verdicts", list, where)
+        if not verdicts:
+            raise CorpusError(f"{where}: verdicts [] is empty")
+        sentence_index = read_field(obj, "sentence_index", int, where, len(grouped[record_id]))
         for verdict in verdicts:
             try:
                 normalize_verdict(str(verdict))
             except ValueError as exc:
-                where = f"record '{record_id}', sentence {sentence_index}"
-                raise CorpusError(f"{where}: {exc}", line=ln) from None
+                raise CorpusError(f"{where}, sentence {sentence_index}: {exc}") from None
         grouped[record_id].append(SupportJudgment(sentence_index, tuple(map(str, verdicts))))
         return (record_id, sentence_index), None
 

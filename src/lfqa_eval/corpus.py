@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -54,105 +55,94 @@ class CorpusError(ValueError):
 # Record (de)serialization
 
 
-def _require(obj: dict, key: str, kind: type, where: str):
-    if key not in obj:
-        raise CorpusError(f"{where}: missing field '{key}'")
-    value = obj[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise CorpusError(f"{where}: field '{key}' must be {kind.__name__}")
-    return value
+_ABSENT = object()
+_KIND_NAMES = {int: "an integer >= 0", str: "a string", list: "a list", dict: "an object"}
 
 
-def _parse_enum(enum_cls, raw: str, key: str, where: str):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_cls)
-        raise CorpusError(f"{where}: field '{key}' must be one of: {allowed}") from None
+def read_field(obj: dict, key: str, kind: type, where: str, default=_ABSENT):
+    """obj[key] as kind, or default when absent; else a CorpusError naming where, key, value.
+
+    An int is an index or offset: a JSON number >= 0 with an integral value, so
+    ``1.0`` reads as 1 and ``true``, ``"1"`` and ``-1`` do not. An Enum kind takes
+    one of its values; str, list and dict must match exactly.
+    """
+    value = obj.get(key, _ABSENT)
+    if type(value) is kind and (kind is not int or value >= 0):
+        return value
+    if value is _ABSENT:
+        if default is _ABSENT:
+            raise CorpusError(f"{where}: {key} is missing")
+        return default
+    if kind is int:
+        if type(value) is float and value >= 0 and value.is_integer():
+            return int(value)
+    elif issubclass(kind, Enum) and type(value) is str:
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    name = _KIND_NAMES.get(kind) or "one of: " + ", ".join(m.value for m in kind)
+    raise CorpusError(f"{where}: {key} {value!r} is not {name}")
 
 
 def _parse_annotation(obj: dict, where: str) -> ErrorAnnotation:
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: annotation must be an object")
-    aspect = _parse_enum(Aspect, _require(obj, "aspect", str, where), "aspect", where)
+    aspect = read_field(obj, "aspect", Aspect, where)
 
     target = obj.get("target")
     if target == "question":
         answer_index = None
-    elif isinstance(target, dict) and isinstance(target.get("answer"), int):
-        answer_index = target["answer"]
+    elif isinstance(target, dict):
+        answer_index = read_field(target, "answer", int, f"{where} target")
     else:
-        raise CorpusError(f"{where}: field 'target' must be \"question\" or {{\"answer\": <index>}}")
+        raise CorpusError(f"{where}: target {target!r} is not \"question\" or {{\"answer\": <index>}}")
 
-    raw_span = obj.get("span")
-    if isinstance(raw_span, dict) and raw_span.get("whole_answer") is True:
+    raw_span = read_field(obj, "span", dict, where)
+    if raw_span.get("whole_answer") is True:
         span = None
-    elif (
-        isinstance(raw_span, dict)
-        and isinstance(raw_span.get("start"), int)
-        and isinstance(raw_span.get("end"), int)
-    ):
-        span = (raw_span["start"], raw_span["end"])
     else:
-        raise CorpusError(
-            f"{where}: field 'span' must be {{\"start\", \"end\"}} or {{\"whole_answer\": true}}"
-        )
+        sw = f"{where} span"
+        span = (read_field(raw_span, "start", int, sw), read_field(raw_span, "end", int, sw))
 
-    return ErrorAnnotation(
-        aspect=aspect,
-        answer_index=answer_index,
-        span=span,
-        justification=str(obj.get("justification", "")),
-        annotator=str(obj.get("annotator", "")),
-    )
+    justification = read_field(obj, "justification", str, where, "")
+    annotator = read_field(obj, "annotator", str, where, "")
+    return ErrorAnnotation(aspect, answer_index, span, justification, annotator)
 
 
 def record_from_dict(obj: dict) -> QARecord:
     """Parse one corpus line; raises CorpusError naming the offending field."""
     if not isinstance(obj, dict):
         raise CorpusError("record must be a JSON object")
-    rid = _require(obj, "id", str, "record")
+    rid = read_field(obj, "id", str, "record")
     where = f"record '{rid}'" if rid else "record"
-    domain = _parse_enum(Domain, _require(obj, "domain", str, where), "domain", where)
-    question = _require(obj, "question", str, where)
+    domain = read_field(obj, "domain", Domain, where)
+    question = read_field(obj, "question", str, where)
 
-    raw_answers = _require(obj, "answers", list, where)
     answers = []
-    for i, a in enumerate(raw_answers):
+    for i, a in enumerate(read_field(obj, "answers", list, where)):
         aw = f"{where} answers[{i}]"
         if not isinstance(a, dict):
             raise CorpusError(f"{aw}: answer must be an object")
-        source = _parse_enum(Source, _require(a, "source", str, aw), "source", aw)
-        answers.append(Answer(source=source, text=_require(a, "text", str, aw)))
+        source = read_field(a, "source", Source, aw)
+        answers.append(Answer(source=source, text=read_field(a, "text", str, aw)))
 
     annotations = [
         _parse_annotation(a, f"{where} annotations[{i}]")
-        for i, a in enumerate(obj.get("annotations", []))
+        for i, a in enumerate(read_field(obj, "annotations", list, where, []))
     ]
 
     preferences = []
-    for i, p in enumerate(obj.get("preferences", [])):
+    for i, p in enumerate(read_field(obj, "preferences", list, where, [])):
         pw = f"{where} preferences[{i}]"
         if not isinstance(p, dict):
             raise CorpusError(f"{pw}: preference must be an object")
-        preferences.append(
-            PreferenceJudgment(
-                annotator=str(p.get("annotator", "")),
-                choice=_require(p, "choice", int, pw),
-                justification=str(p.get("justification", "")),
-            )
-        )
+        annotator = read_field(p, "annotator", str, pw, "")
+        choice = read_field(p, "choice", int, pw)
+        justification = read_field(p, "justification", str, pw, "")
+        preferences.append(PreferenceJudgment(annotator, choice, justification))
 
-    return QARecord(
-        id=rid,
-        domain=domain,
-        question=question,
-        answers=answers,
-        annotations=annotations,
-        preferences=preferences,
-    )
+    return QARecord(rid, domain, question, answers, annotations, preferences)
 
 
 def record_to_dict(record: QARecord) -> dict:

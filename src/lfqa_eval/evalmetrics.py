@@ -169,7 +169,7 @@ def normalize_verdict(raw: str) -> str:
     verdict = raw.strip().lower()
     verdict = _VERDICT_ALIASES.get(verdict, verdict)
     if verdict not in VERDICT_MAPPING:
-        raise ValueError(f"unknown verdict '{raw}'")
+        raise ValueError(f"unknown verdict {raw!r}")
     return verdict
 
 
@@ -219,6 +219,14 @@ def selfcheck_aggregate(judgments: Sequence[SupportJudgment]) -> SelfCheckReport
 # Corpus-level detection evaluation
 
 
+class PredictionError(CorpusError):
+    """A prediction that does not fit its answer, ``key`` = (record_id, answer_index)."""
+
+    def __init__(self, key: tuple[str, int], message: str):
+        super().__init__(f"record '{key[0]}' answer {key[1]}: {message}")
+        self.key = key
+
+
 @dataclass
 class DetectionEvalReport:
     counts: DetectionCounts
@@ -255,7 +263,8 @@ def detection_eval(
     errors but an empty prediction count as misses and stay out of the
     accuracy denominator. Ids absent from the corpus are listed in
     ``skipped`` in prediction order. ``invert=True`` classifies gold
-    sentences against the predictions instead.
+    sentences against the predictions instead. A tag count that is not the
+    answer's sentence count is a PredictionError.
     """
     totals = DetectionCounts()
     misses = 0
@@ -267,14 +276,13 @@ def detection_eval(
             skipped.append(record_id)
             continue
         if not 0 <= idx < len(record.answers):
-            raise ValueError(
-                f"record '{record_id}': answer index {idx} out of range"
-            )
+            raise CorpusError(f"record '{record_id}': answer index {idx} out of range")
         labeling = label_answer(record, idx, Aspect.COMPLETENESS)
         if len(flags) != labeling.n_sentences:
-            raise ValueError(
-                f"record '{record_id}': prediction has {len(flags)} tags "
-                f"but the answer has {labeling.n_sentences} sentences"
+            raise PredictionError(
+                (record_id, idx),
+                f"prediction has {len(flags)} tags "
+                f"but the answer has {labeling.n_sentences} sentences",
             )
         gold = {i for i, err in enumerate(labeling.errors) if err}
         predicted = {i for i, flagged in enumerate(flags) if flagged}

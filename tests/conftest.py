@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import lfqa_eval
 from lfqa_eval.corpus import save_corpus
@@ -23,6 +24,11 @@ from lfqa_eval.models import (
 )
 from lfqa_eval.refine import RefineMode, build_refine_prompt
 from lfqa_eval.segment import segment_sentences, sentence_texts
+
+
+# CI runs the properties harder (--hypothesis-profile=ci) and prints a blob
+# that replays a failing example with @reproduce_failure.
+settings.register_profile("ci", max_examples=1000, deadline=None, print_blob=True)
 
 
 def child_env() -> dict[str, str]:

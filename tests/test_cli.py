@@ -1461,6 +1461,11 @@ def test_eval_detect_out_is_one_detection_eval_report(tmp_path):
             '{"record_id": "d1", "answer_index": 1, "tags": ["Complete", "Complete"]}',
             "--predictions {path}: line 2: record 'd1': answer_index 1 out of range 0..0",
         ),
+        (
+            '{"record_id": "d1", "answer_index": "0", "tags": ["Complete", "Complete"]}',
+            "--predictions {path}: line 2: record 'd1': answer_index '0' is not an integer >= 0",
+        ),
+        ('{"answer_index": 0}', "--predictions {path}: line 2: line has no record_id"),
     ],
     ids=[
         "not-an-object",
@@ -1477,6 +1482,8 @@ def test_eval_detect_out_is_one_detection_eval_report(tmp_path):
         "non-string-tag",
         "negative-answer-index",
         "answer-index-past-the-answers",
+        "numeric-string-answer-index",
+        "no-record-id-and-no-tags",
     ],
 )
 def test_eval_detect_malformed_prediction_line_exits_1(line, message, tmp_path, capsys):
@@ -1489,6 +1496,24 @@ def test_eval_detect_malformed_prediction_line_exits_1(line, message, tmp_path, 
     code = main(["eval-detect", str(corpus_path), "--predictions", str(predictions)])
     assert code == 1
     assert message.format(path=predictions) in capsys.readouterr().err
+
+
+def test_eval_detect_tag_count_mismatch_names_the_line(tmp_path, capsys):
+    text = "First sentence here. Second sentence here."
+    corpus_path = tmp_path / "corpus.jsonl"
+    records = [make_record(record_id=r, answers=[Answer(Source.MODEL, text)]) for r in ("d1", "d2")]
+    save_corpus(records, corpus_path)
+    predictions = tmp_path / "pred.jsonl"
+    predictions.write_text(
+        '{"record_id": "d1", "tags": ["Complete", "Complete"]}\n'
+        '{"record_id": "d2", "tags": ["Complete", "Complete", "Incomplete"]}\n',
+        encoding="utf-8",
+    )
+    assert main(["eval-detect", str(corpus_path), "--predictions", str(predictions)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --predictions {predictions}: line 2: record 'd2' answer 0: "
+        "prediction has 3 tags but the answer has 2 sentences\n"
+    )
 
 
 def test_eval_detect_accepts_feedback_output(golden_env, tmp_path):
@@ -1651,11 +1676,7 @@ def test_selfcheck_cli(tmp_path, capsys):
             '{"record_id": "b"}',
             "line 2: record 'b': score line needs record_id and error_score",
         ),
-        (
-            "eval-correct",
-            '{"error_score": 1}',
-            "line 2: score line needs record_id and error_score",
-        ),
+        ("eval-correct", '{"error_score": 1}', "line 2: line has no record_id"),
         (
             "eval-correct",
             '{"record_id": "b", "error_score": "high"}',
@@ -1683,6 +1704,26 @@ def test_selfcheck_cli(tmp_path, capsys):
             '{"record_id": 2, "error_score": 1}',
             "line 2: record_id 2 is not a non-empty string",
         ),
+        (
+            "selfcheck",
+            '{"record_id": "r2", "sentence_index": "1", "verdicts": ["no"]}',
+            "--judgments {path}: line 2: record 'r2': sentence_index '1' is not an integer >= 0",
+        ),
+        (
+            "selfcheck",
+            '{"record_id": "r2", "verdicts": ["\\n"]}',
+            "--judgments {path}: line 2: record 'r2', sentence 0: unknown verdict '\\n'\n",
+        ),
+        (
+            "selfcheck",
+            '{"record_id": "r2", "verdicts": "yes"}',
+            "--judgments {path}: line 2: record 'r2': verdicts 'yes' is not a list",
+        ),
+        (
+            "selfcheck",
+            '{"record_id": "r2", "verdicts": []}',
+            "line 2: record 'r2': verdicts [] is empty",
+        ),
     ],
     ids=[
         "selfcheck-not-an-object",
@@ -1701,6 +1742,10 @@ def test_selfcheck_cli(tmp_path, capsys):
         "selfcheck-numeric-record-id",
         "eval-correct-null-record-id",
         "eval-correct-numeric-record-id",
+        "selfcheck-numeric-string-index",
+        "selfcheck-newline-verdict",
+        "selfcheck-verdicts-not-a-list",
+        "selfcheck-no-verdicts",
     ],
 )
 def test_side_file_malformed_line_exits_1(command, second_line, message, tmp_path, capsys):

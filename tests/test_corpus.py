@@ -2,8 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_record
+from json_mutation import one_node_changed
 from lfqa_eval.corpus import (
     CorpusError,
     classify_granularity,
@@ -400,3 +403,151 @@ def test_bad_target_schema_names_field():
     ]
     with pytest.raises(CorpusError, match="target"):
         record_from_dict(obj)
+
+
+# ---------------------------------------------------------------------------
+# one typed-field rule
+
+
+def _annotated_line(**annotation) -> dict:
+    obj = json.loads(_record_line())
+    obj["annotations"] = [
+        {
+            "aspect": "completeness",
+            "target": {"answer": 0},
+            "span": {"start": 0, "end": 12},
+            "justification": "terse",
+            "annotator": "a1",
+            **annotation,
+        }
+    ]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (json.loads(_record_line(annotations=5)), "record 'q1': annotations 5 is not a list"),
+        (json.loads(_record_line(annotations=True)), "record 'q1': annotations True is not a list"),
+        (json.loads(_record_line(annotations=None)), "record 'q1': annotations None is not a list"),
+        (json.loads(_record_line(preferences=7)), "record 'q1': preferences 7 is not a list"),
+        (json.loads(_record_line(preferences=True)), "record 'q1': preferences True is not a list"),
+        (json.loads(_record_line(preferences=None)), "record 'q1': preferences None is not a list"),
+        (json.loads(_record_line(annotations="")), "record 'q1': annotations '' is not a list"),
+        (json.loads(_record_line(annotations={})), "record 'q1': annotations {} is not a list"),
+        (
+            _annotated_line(span={"start": True, "end": 12}),
+            "record 'q1' annotations[0] span: start True is not an integer >= 0",
+        ),
+        (
+            _annotated_line(span={"start": 0, "end": True}),
+            "record 'q1' annotations[0] span: end True is not an integer >= 0",
+        ),
+        (
+            _annotated_line(target={"answer": True}),
+            "record 'q1' annotations[0] target: answer True is not an integer >= 0",
+        ),
+        (
+            _annotated_line(justification=None),
+            "record 'q1' annotations[0]: justification None is not a string",
+        ),
+    ],
+    ids=[
+        "annotations-number",
+        "annotations-bool",
+        "annotations-null",
+        "preferences-number",
+        "preferences-bool",
+        "preferences-null",
+        "annotations-empty-string",
+        "annotations-empty-object",
+        "bool-start",
+        "bool-end",
+        "bool-target-answer",
+        "null-justification",
+    ],
+)
+def test_mistyped_field_is_a_corpus_error_naming_it(obj, message, tmp_path):
+    with pytest.raises(CorpusError) as excinfo:
+        record_from_dict(obj)
+    assert str(excinfo.value) == message
+    path = tmp_path / "c.jsonl"
+    path.write_text(_record_line("q0") + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+    assert [(ln, problems) for ln, _, problems in iter_corpus_records(path)] == [
+        (1, []),
+        (2, [message]),
+    ]
+
+
+def test_integral_float_reads_as_an_index():
+    obj = _annotated_line(target={"answer": 0.0}, span={"start": 0.0, "end": 12.0})
+    obj["preferences"] = [{"annotator": "a1", "choice": 0.0}]
+    record = record_from_dict(obj)
+    assert record.annotations[0].answer_index == 0
+    assert record.annotations[0].span == (0, 12)
+    assert record.preferences[0].choice == 0
+    assert all(
+        type(n) is int
+        for n in (record.annotations[0].answer_index, *record.annotations[0].span,
+                  record.preferences[0].choice)
+    )
+
+
+# ---------------------------------------------------------------------------
+# properties: round trip and totality of the corpus reader
+
+
+_texts = st.text(max_size=12)
+_indexes = st.integers(min_value=0, max_value=2**64)
+_records = st.builds(
+    QARecord,
+    id=_texts,
+    domain=st.sampled_from(Domain),
+    question=_texts,
+    answers=st.lists(st.builds(Answer, st.sampled_from(Source), _texts), max_size=3),
+    annotations=st.lists(
+        st.builds(
+            ErrorAnnotation,
+            st.sampled_from(Aspect),
+            st.none() | _indexes,
+            st.none() | st.tuples(_indexes, _indexes),
+            _texts,
+            _texts,
+        ),
+        max_size=3,
+    ),
+    preferences=st.lists(st.builds(PreferenceJudgment, _texts, _indexes, _texts), max_size=3),
+)
+
+
+@given(record=_records)
+def test_record_round_trips(record):
+    assert record_from_dict(record_to_dict(record)) == record
+    assert record_from_dict(json.loads(json.dumps(record_to_dict(record)))) == record
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus-fuzz")
+
+
+@given(data=st.data(), record=_records)
+def test_one_changed_node_is_read_or_named_by_line(data, record, fuzz_dir):
+    """A line with one node changed yields problems on its own line or a record
+    that round-trips; nothing else escapes the reader."""
+    line = data.draw(one_node_changed(record_to_dict(record)))
+    path = fuzz_dir / "c.jsonl"
+    path.write_text(_record_line("first") + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    rows = list(iter_corpus_records(path))
+    assert [ln for ln, _, _ in rows] == [1, 2]
+    assert rows[0][1:] == (record_from_dict(json.loads(_record_line("first"))), [])
+    _, read, problems = rows[1]
+    if read is None:
+        assert problems
+    else:
+        assert record_from_dict(record_to_dict(read)) == read
+    if problems:
+        with pytest.raises(CorpusError, match="^line 2: "):
+            load_corpus(path)
+    else:
+        assert load_corpus(path).records[1] == read
