@@ -42,8 +42,6 @@ from .corpus import (
     read_field,
 )
 from .evalmetrics import (
-    DEFAULT_WEIGHTS,
-    DetectionWeights,
     ErrorScoreRecord,
     PredictionError,
     SupportJudgment,
@@ -57,7 +55,6 @@ from .evalmetrics import (
 )
 from .feedback import (
     DEFAULT_N_SAMPLES,
-    LOW_CONFIDENCE_THRESHOLD,
     TAG_COMPLETE,
     TAG_INCOMPLETE,
     FeedbackResult,
@@ -82,14 +79,7 @@ class UsageError(ValueError):
 # Configuration
 
 
-_SCALAR_KEYS = {
-    "n_samples": int,
-    "consistency_threshold": float,
-    "weight_exact": float,
-    "weight_adjacent": float,
-    "weight_different": float,
-    "workers": int,
-}
+_SCALAR_KEYS = {"n_samples": int, "workers": int}
 
 _BACKEND_KEYS = {
     "kind": str,
@@ -111,8 +101,6 @@ _ROLES = ("feedback", "refine")
 @dataclass
 class CliConfig:
     n_samples: int = DEFAULT_N_SAMPLES
-    consistency_threshold: float = LOW_CONFIDENCE_THRESHOLD
-    weights: DetectionWeights = DEFAULT_WEIGHTS
     workers: int | None = None  # cap on the runner's threads, None = none; kept for the benchmark
     backends: dict | None = None          # role -> BackendConfig
     temperatures: dict | None = None      # role -> float
@@ -122,8 +110,6 @@ class CliConfig:
         self.backends = self.backends or {}
         self.temperatures = self.temperatures or {}
         self.max_tokens = self.max_tokens or {}
-        if not 0.0 <= self.consistency_threshold <= 1.0:
-            raise ConfigError("consistency_threshold must be in [0, 1]")
         for key in ("n_samples", "workers"):
             value = getattr(self, key)
             if value is not None and value < 1:
@@ -199,18 +185,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> CliConfig:
                 raise ConfigError(f"backend '{role}': {exc}") from None
             backends[role] = backend
 
-    weights = {}
-    for name in ("exact", "adjacent", "different"):
-        value = weights[name] = scalars.pop(f"weight_{name}", getattr(DEFAULT_WEIGHTS, name))
-        if not 0.0 <= value < math.inf:
-            raise ConfigError(f"weight_{name} must be a finite number >= 0, got {value}")
-    return CliConfig(
-        weights=DetectionWeights(**weights),
-        backends=backends,
-        temperatures=temperatures,
-        max_tokens=max_tokens,
-        **scalars,
-    )
+    return CliConfig(backends=backends, temperatures=temperatures, max_tokens=max_tokens, **scalars)
 
 
 def _apply_backend_flag(config: CliConfig, flag: str | None) -> CliConfig:
@@ -506,7 +481,9 @@ def _field(obj: dict, dotted: str):
     return obj
 
 
-def _kept_lines(path: str, expected: dict[str, object]) -> dict[tuple[str, int], str]:
+def _kept_lines(
+    path: str, expected: dict[str, object], targets: set[tuple[str, int]]
+) -> dict[tuple[str, int], str]:
     """One file's lines by (record_id, answer_index), each checked against this run."""
     if not Path(path).exists():
         return {}
@@ -524,13 +501,17 @@ def _kept_lines(path: str, expected: dict[str, object]) -> dict[tuple[str, int],
     def parse(obj: dict, ln: int) -> tuple[tuple[str, int], str]:
         record_id = obj["record_id"]
         key = (record_id, read_field(obj, "answer_index", int, f"record '{record_id}'", 0))
+        where = f"{path}: line {ln}: record '{key[0]}' answer {key[1]}"
+        if key not in targets:
+            raise UsageError(
+                f"{where} is not a target of this run; --resume keeps only lines of the same run"
+            )
         audited = "selected_raw" in obj or "prompt" in obj  # feedback's, refine's audit field
         for dotted, value in expected.items():
             found = audited if dotted == "audit" else _field(obj, dotted)
             if found != value:
                 raise UsageError(
-                    f"{path}: line {ln}: record '{key[0]}' answer {key[1]} has "
-                    f"{dotted} {found!r} but this run has {value!r}; "
+                    f"{where} has {dotted} {found!r} but this run has {value!r}; "
                     "--resume keeps only lines of the same run"
                 )
         return key, _dump(obj)
@@ -538,13 +519,19 @@ def _kept_lines(path: str, expected: dict[str, object]) -> dict[tuple[str, int],
     return _keyed_lines(path, lines, parse)
 
 
-def _existing_lines(out: str, expected: dict[str, object]) -> dict[tuple[str, int], str]:
+def _existing_lines(
+    out: str, expected: dict[str, object], targets: set[tuple[str, int]]
+) -> dict[tuple[str, int], str]:
     """The lines --resume keeps: OUT's, then OUT.partial's, which win.
 
     ``expected`` maps dotted keys of a line, and "audit", to this run's values;
-    a kept line that differs comes from another run and is a UsageError.
+    a kept line that differs, or whose key is not in ``targets``, comes from
+    another run and is a UsageError.
     """
-    return {**_kept_lines(out, expected), **_kept_lines(f"{out}.partial", expected)}
+    return {
+        **_kept_lines(out, expected, targets),
+        **_kept_lines(f"{out}.partial", expected, targets),
+    }
 
 
 def _run_batch(
@@ -577,7 +564,10 @@ def _run_batch(
         else:
             hint = f"no record has a {selector} answer"
         raise UsageError(f"--answer {args.answer} selects no answer in {args.corpus}; {hint}")
-    existing = _existing_lines(args.out, {**expected, "audit": args.audit}) if args.resume else {}
+    existing = {}
+    if args.resume:
+        keys = {(record.id, idx) for record, idx in targets}
+        existing = _existing_lines(args.out, {**expected, "audit": args.audit}, keys)
     todo = [(record, idx) for record, idx in targets if (record.id, idx) not in existing]
     partial = f"{args.out}.partial"
     if existing and Path(partial).exists():
@@ -634,7 +624,6 @@ def _feedback_step(
             config.n_samples,
             temperature=temperature,
             max_tokens=config.max_tokens.get("feedback"),
-            low_confidence_threshold=config.consistency_threshold,
         )
 
     return feedback_for
@@ -686,7 +675,6 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_eval_detect(args) -> int:
-    config = _config_from_args(args)
     corpus = load_corpus(args.corpus)
     lines: dict[tuple[str, int], int] = {}
 
@@ -713,7 +701,7 @@ def _cmd_eval_detect(args) -> int:
         predictions = _keyed_lines(source, handle, prediction)
     with _errors_name(source):
         try:
-            report = detection_eval(corpus, predictions, weights=config.weights, invert=args.invert)
+            report = detection_eval(corpus, predictions)
         except PredictionError as exc:
             raise CorpusError(str(exc), line=lines[exc.key]) from None
     totals, accuracy = report.counts, report.weighted_accuracy
@@ -740,23 +728,34 @@ _CORRECTION_DEFINITIONS = {
 }
 
 
-def _read_scores(flag: str, path: str) -> list[ErrorScoreRecord]:
-    """One score file; each of its errors names the flag, the path and the line."""
+def _read_scores(flag: str, path: str) -> dict[str, tuple[int, ErrorScoreRecord]]:
+    """One score file by record_id, each score with its line; each of its
+    errors names the flag, the path and the line."""
 
-    def score(obj: dict, ln: int) -> tuple[str, ErrorScoreRecord]:
+    def score(obj: dict, ln: int) -> tuple[str, tuple[int, ErrorScoreRecord]]:
         (record,) = load_error_scores([(ln, obj)])
-        return record.record_id, record
+        return record.record_id, (ln, record)
 
     with open(path, encoding="utf-8") as handle:
-        scores = list(_keyed_lines(f"{flag} {path}", handle, score).values())
+        scores = _keyed_lines(f"{flag} {path}", handle, score)
     if not scores:
         raise CorpusError(f"{flag} {path}: no score records")
     return scores
 
 
 def _cmd_eval_correct(args) -> int:
-    baseline = _read_scores("--baseline", args.baseline)
-    refined = _read_scores("--refined", args.refined)
+    files = [
+        (f"{flag} {path}", _read_scores(flag, path))
+        for flag, path in (("--baseline", args.baseline), ("--refined", args.refined))
+    ]
+    # Names the first id, in file order, that the baseline lacks in the refined
+    # file, else the first the refined file lacks in the baseline.
+    for (source, scores), (other, other_scores) in (files, files[::-1]):
+        missing = next((rid for rid in scores if rid not in other_scores), None)
+        if missing is not None:
+            line = scores[missing][0]
+            raise CorpusError(f"{source}: line {line}: record '{missing}' has no line in {other}")
+    baseline, refined = ([record for _, record in scores.values()] for _, scores in files)
     base_pct, base_mean = error_report(baseline)
     ref_pct, ref_mean = error_report(refined)
     correction = correction_prf(flag_map(baseline), flag_map(refined))
@@ -816,12 +815,15 @@ def _cmd_selfcheck(args) -> int:
         if not verdicts:
             raise CorpusError(f"{where}: verdicts [] is empty")
         sentence_index = read_field(obj, "sentence_index", int, where, len(grouped[record_id]))
-        for verdict in verdicts:
+        where = f"{where}, sentence {sentence_index}"
+        for i, verdict in enumerate(verdicts):
+            if not isinstance(verdict, str):
+                raise CorpusError(f"{where}: verdicts[{i}] {verdict!r} is not a string")
             try:
-                normalize_verdict(str(verdict))
+                normalize_verdict(verdict)
             except ValueError as exc:
-                raise CorpusError(f"{where}, sentence {sentence_index}: {exc}") from None
-        grouped[record_id].append(SupportJudgment(sentence_index, tuple(map(str, verdicts))))
+                raise CorpusError(f"{where}: {exc}") from None
+        grouped[record_id].append(SupportJudgment(sentence_index, tuple(verdicts)))
         return (record_id, sentence_index), None
 
     with open(args.judgments, encoding="utf-8") as handle:
@@ -851,13 +853,8 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _config_from_args(args) -> CliConfig:
-    overrides = {}
-    if getattr(args, "n_samples", None) is not None:
-        overrides["n_samples"] = args.n_samples
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    config = load_config(getattr(args, "config", None), overrides)
-    return _apply_backend_flag(config, getattr(args, "backend", None))
+    config = load_config(args.config, {"n_samples": args.n_samples, "workers": args.workers})
+    return _apply_backend_flag(config, args.backend)
 
 
 def _add_batch_options(sub) -> None:
@@ -918,8 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("eval-detect", help="detection accuracy of predictions")
     sub.add_argument("corpus")
     sub.add_argument("--predictions", required=True, help="feedback output JSONL")
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--invert", action="store_true", help="classify gold against predictions")
     sub.add_argument("--out", help="summary JSONL path")
     sub.set_defaults(func=_cmd_eval_detect)
 

@@ -21,20 +21,6 @@ from .corpus import Corpus, CorpusError, label_answer
 from .models import Aspect
 
 
-@dataclass(frozen=True)
-class DetectionWeights:
-    exact: float = 1.0
-    adjacent: float = 0.5
-    different: float = 0.1
-
-    def __post_init__(self):
-        if not all(0.0 <= w < math.inf for w in (self.exact, self.adjacent, self.different)):
-            raise ValueError("weights must be finite and non-negative")
-
-
-DEFAULT_WEIGHTS = DetectionWeights()
-
-
 @dataclass
 class DetectionCounts:
     exact: int = 0
@@ -71,16 +57,12 @@ def classify_detections(
     return counts
 
 
-def weighted_accuracy(
-    counts: DetectionCounts, weights: DetectionWeights = DEFAULT_WEIGHTS
-) -> float:
-    """Weighted fraction of predictions per bucket; undefined with none."""
+def weighted_accuracy(counts: DetectionCounts) -> float:
+    """Predictions weighted 1.0/0.5/0.1 by bucket over their number; undefined with none."""
     if counts.total_predicted == 0:
         raise ValueError("no predictions: weighted accuracy undefined")
     return (
-        weights.exact * counts.exact
-        + weights.adjacent * counts.adjacent
-        + weights.different * counts.different
+        1.0 * counts.exact + 0.5 * counts.adjacent + 0.1 * counts.different
     ) / counts.total_predicted
 
 
@@ -251,8 +233,6 @@ class DetectionEvalReport:
 def detection_eval(
     corpus: Corpus,
     predictions: Mapping[tuple[str, int], Sequence[bool]],
-    weights: DetectionWeights = DEFAULT_WEIGHTS,
-    invert: bool = False,
 ) -> DetectionEvalReport:
     """Evaluate predicted Incomplete sentences against annotated gold labels.
 
@@ -262,9 +242,8 @@ def detection_eval(
     completeness annotations onto the answer's sentences. Records with gold
     errors but an empty prediction count as misses and stay out of the
     accuracy denominator. Ids absent from the corpus are listed in
-    ``skipped`` in prediction order. ``invert=True`` classifies gold
-    sentences against the predictions instead. A tag count that is not the
-    answer's sentence count is a PredictionError.
+    ``skipped`` in prediction order. A tag count that is not the answer's
+    sentence count is a PredictionError.
     """
     totals = DetectionCounts()
     misses = 0
@@ -290,12 +269,8 @@ def detection_eval(
         if gold and not predicted:
             misses += 1
             continue
-        if invert:
-            predicted, gold = gold, predicted
         totals.add(classify_detections(predicted, gold, labeling.n_sentences))
-    accuracy = (
-        weighted_accuracy(totals, weights) if totals.total_predicted else None
-    )
+    accuracy = weighted_accuracy(totals) if totals.total_predicted else None
     return DetectionEvalReport(
         counts=totals,
         weighted_accuracy=accuracy,

@@ -286,10 +286,7 @@ class FeedbackResult:
         return out
 
 
-def select_feedback(
-    samples: list[FeedbackSample],
-    low_confidence_threshold: float = LOW_CONFIDENCE_THRESHOLD,
-) -> FeedbackResult:
+def select_feedback(samples: list[FeedbackSample]) -> FeedbackResult:
     """Two-stage selection over sampled feedback outputs.
 
     Unparseable samples are discarded; stage 1 keeps every sample with the
@@ -320,7 +317,7 @@ def select_feedback(
         reason_score=reason_score,
         n_sampled=len(samples),
         n_parseable=len(parseable),
-        low_confidence=reason_score < low_confidence_threshold,
+        low_confidence=reason_score < LOW_CONFIDENCE_THRESHOLD,
         samples=list(samples),
     )
 
@@ -342,7 +339,6 @@ def run_feedback(
     *,
     temperature: float,
     max_tokens: int | None = None,
-    low_confidence_threshold: float = LOW_CONFIDENCE_THRESHOLD,
 ) -> FeedbackResult:
     """Sample n feedback outputs for one answer and select the most consistent.
 
@@ -367,4 +363,4 @@ def run_feedback(
         text: parse_feedback_output(text, len(sentences))
         for text in dict.fromkeys(result.texts)
     }
-    return select_feedback([distinct[t] for t in result.texts], low_confidence_threshold)
+    return select_feedback([distinct[t] for t in result.texts])

@@ -187,17 +187,13 @@ def score_record(record: QARecord) -> list[AspectScorecard]:
 # Krippendorff's alpha (nominal)
 
 
-def krippendorff_alpha(
-    rows: Sequence[Sequence[object | None]],
-    small_sample_correction: bool = False,
-) -> float:
+def krippendorff_alpha(rows: Sequence[Sequence[object | None]]) -> float:
     """Nominal-label agreement: 1 - observed/expected disagreement.
 
     ``rows`` is items x annotators with None for missing labels; items with
     fewer than two labels are excluded. Expected disagreement is estimated
-    from the pooled label distribution; ``small_sample_correction=True``
-    draws the pair without replacement (n(n-1) pairings) instead and is a
-    hair higher on small inputs. All-identical labels return 1.0.
+    from the pooled label distribution, drawing each pair with replacement
+    (n * n pairings). All-identical labels return 1.0.
     """
     if not rows or max(len(r) for r in rows) < 2:
         raise ValueError("need at least two annotator columns")
@@ -220,7 +216,6 @@ def krippendorff_alpha(
     n = sum(marginals.values())
 
     observed = sum(c for (a, b), c in coincidence.items() if a != b) / n
-    pair_total = n * (n - 1) if small_sample_correction else n * n
     expected = (
         sum(
             marginals[a] * marginals[b]
@@ -228,7 +223,7 @@ def krippendorff_alpha(
             for b in marginals
             if a != b
         )
-        / pair_total
+        / (n * n)
     )
     if expected == 0.0:
         return 1.0

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from lfqa_eval import genclient as genclient_module
 from lfqa_eval import scoring as scoring_module
 from lfqa_eval.cli import ConfigError, load_config, main
 from lfqa_eval.corpus import classify_granularity, load_corpus, save_corpus
-from lfqa_eval.evalmetrics import DEFAULT_WEIGHTS, detection_eval
+from lfqa_eval.evalmetrics import detection_eval
 from lfqa_eval.feedback import build_feedback_prompt
 from lfqa_eval.genclient import FixtureStore, GenerationClient
 from lfqa_eval.models import (
@@ -70,8 +71,7 @@ def small_corpus(tmp_path) -> Path:
 def test_config_defaults():
     config = load_config(None, {})
     assert config.n_samples == 20
-    assert config.consistency_threshold == 0.80
-    assert config.weights == DEFAULT_WEIGHTS
+    assert config.workers is None
     assert config.backends == {}
 
 
@@ -104,13 +104,13 @@ def test_config_backend_section(tmp_path):
         "feedback.model_name = local\n"
         "feedback.temperature = 0.7\n"
         "# comment\n"
-        "weight_adjacent = 0.4\n",
+        "n_samples = 4\n",
         encoding="utf-8",
     )
     config = load_config(str(path), {})
     assert config.backends["feedback"].kind == "http"
     assert config.temperatures["feedback"] == 0.7
-    assert config.weights.adjacent == 0.4
+    assert config.n_samples == 4
 
 
 def test_config_http_backend_needs_fields(tmp_path):
@@ -144,10 +144,14 @@ def test_config_role_sampling_settings_out_of_range_are_refused(role, setting, v
         load_config(None, {key: value})
 
 
-@pytest.mark.parametrize("key", ["weight_exact", "weight_adjacent", "weight_different"])
+@pytest.mark.parametrize(
+    "key", ["consistency_threshold", "weight_exact", "weight_adjacent", "weight_different"]
+)
 @pytest.mark.parametrize(("value", "shown"), [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
 def test_config_detection_weights_out_of_range_are_refused(key, value, shown):
-    with pytest.raises(ConfigError, match=f"^{key} must be a finite number >= 0, got {shown}$"):
+    # The weights and the low-confidence cutoff are constants: each key is unknown,
+    # refused before its value (once shown as "got {shown}") is read.
+    with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
         load_config(None, {key: value})
 
 
@@ -191,21 +195,14 @@ def test_bad_role_sampling_setting_exits_1_before_reading_anything(
     assert not Path(f"{out}.partial").exists()
 
 
-@pytest.mark.parametrize("setting", ["weight_exact = nan", "weight_adjacent = inf"])
-def test_bad_detection_weight_exits_1_before_reading_anything(
-    setting, tmp_path, monkeypatch, capsys
-):
-    def no_corpus(path):
-        raise AssertionError("the corpus was loaded")
-
-    monkeypatch.setattr(cli_module, "load_corpus", no_corpus)
-    config = tmp_path / "cfg"
-    config.write_text(setting + "\n", encoding="utf-8")
+@pytest.mark.parametrize("flags", [("--config", "cfg"), ("--invert",)], ids=["config", "invert"])
+def test_eval_detect_has_no_config_or_invert_flag(flags, tmp_path, capsys):
     argv = ["eval-detect", str(tmp_path / "corpus.jsonl"),
-            "--predictions", str(tmp_path / "predictions.jsonl"), "--config", str(config)]
-    assert main(argv) == 1
-    key, _, value = setting.partition(" = ")
-    assert f"{key} must be a finite number >= 0, got {value}" in capsys.readouterr().err
+            "--predictions", str(tmp_path / "predictions.jsonl"), *flags]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_scorer_config_keys_are_unknown(small_corpus, tmp_path, capsys):
@@ -217,6 +214,19 @@ def test_scorer_config_keys_are_unknown(small_corpus, tmp_path, capsys):
     )
     assert code == 1
     assert "unknown config key 'scorer.kind'" in capsys.readouterr().err
+
+
+def test_readme_config_block_matches_load_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Configuration\n", 1)[1].split("```", 2)[1]
+    # every `key = value` line, commented or not; refine.* takes the feedback.* keys
+    documented = {
+        key.replace("refine.", "feedback.", 1)
+        for key in re.findall(r"^#?\s*([\w.]+)\s*=", block, re.MULTILINE)
+    }
+    accepted = {*cli_module._SCALAR_KEYS, *(f"feedback.{key}" for key in cli_module._BACKEND_KEYS)}
+    assert documented - accepted == set(), "README documents keys load_config refuses"
+    assert accepted - documented == set(), "README omits keys load_config accepts"
 
 
 # ---------------------------------------------------------------------------
@@ -1085,6 +1095,49 @@ def test_resume_refuses_lines_of_another_run(
     assert [p.name for p in tmp_path.glob("out.jsonl*")] == [kept.name]
 
 
+def _renamed_record(golden_env, out: Path) -> tuple[list[str], str]:
+    """A feedback --out whose first line is renamed to a record the corpus lacks."""
+    assert _run_feedback_cli(golden_env, out) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "record_id": "zz"})
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    backend = ["--backend", f"scripted:{golden_env['fixtures']}"]
+    return ["feedback", str(golden_env["corpus"]), *backend], "record 'zz' answer 0"
+
+
+def _unselected_answer(golden_env, out: Path) -> tuple[list[str], str]:
+    """An --answer all run over a corpus that adds a human answer to each record,
+    resumed with --answer model; the human answer repeats the model one, so its
+    prompt has a fixture."""
+    corpus = load_corpus(golden_env["corpus"])
+    for record in corpus:
+        record.answers.insert(0, Answer(Source.HUMAN, record.answers[0].text))
+    path = out.parent / "two_answers.jsonl"
+    save_corpus(corpus, path)
+    argv = ["feedback", str(path), "--backend", f"scripted:{golden_env['fixtures']}"]
+    assert main([*argv, "--answer", "all", "--out", str(out)]) == 0
+    return [*argv, "--answer", "model"], "record 'g00' answer 0"
+
+
+@pytest.mark.parametrize("make_out", [_renamed_record, _unselected_answer],
+                         ids=["renamed-record", "unselected-answer"])
+@pytest.mark.parametrize("kept_in", ["out", "partial"])
+def test_resume_refuses_lines_that_are_not_targets(
+    make_out, kept_in, golden_env, tmp_path, capsys
+):
+    out = tmp_path / "out.jsonl"
+    again, key = make_out(golden_env, out)
+    kept = out if kept_in == "out" else Path(f"{out}.partial")
+    out.rename(kept)
+    before = kept.read_bytes()
+    capsys.readouterr()
+    assert main([*again, "--resume", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{kept}: line 1: {key} is not a target of this run" in err
+    assert kept.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.glob("out.jsonl*")) == [kept.name]
+
+
 @pytest.mark.parametrize("kept_in", ["out", "partial"])
 def test_resume_refuses_a_duplicate_line(kept_in, golden_env, tmp_path, capsys):
     out = tmp_path / "fb.jsonl"
@@ -1605,10 +1658,20 @@ _SCORES = '{"record_id": "a", "error_score": 1.0}\n{"record_id": "b", "error_sco
             '{"record_id": "a", "error_score": true}\n',
             "--refined {refined}: line 1: record 'a': error_score True is not a number",
         ),
+        (
+            _SCORES,
+            '{"record_id": "a", "error_score": 1.0}\n{"record_id": "z", "error_score": 0.0}\n',
+            "--baseline {baseline}: line 2: record 'b' has no line in --refined {refined}",
+        ),
+        (
+            '{"record_id": "a", "error_score": 1.0}\n',
+            _SCORES.replace('"b"', '"z"'),
+            "--refined {refined}: line 2: record 'z' has no line in --baseline {baseline}",
+        ),
     ],
     ids=["refined-not-an-object", "refined-not-a-number", "duplicate", "empty-baseline",
          "empty-refined", "baseline-nan", "refined-infinity", "baseline-overflow",
-         "refined-bool"],
+         "refined-bool", "baseline-id-not-refined", "refined-id-not-baseline"],
 )
 def test_eval_correct_errors_name_the_file(
     baseline_text, refined_text, message, tmp_path, capsys
@@ -1724,6 +1787,11 @@ def test_selfcheck_cli(tmp_path, capsys):
             '{"record_id": "r2", "verdicts": []}',
             "line 2: record 'r2': verdicts [] is empty",
         ),
+        (
+            "selfcheck",
+            '{"record_id": "r2", "verdicts": ["yes", 5]}',
+            "--judgments {path}: line 2: record 'r2', sentence 0: verdicts[1] 5 is not a string\n",
+        ),
     ],
     ids=[
         "selfcheck-not-an-object",
@@ -1746,6 +1814,7 @@ def test_selfcheck_cli(tmp_path, capsys):
         "selfcheck-newline-verdict",
         "selfcheck-verdicts-not-a-list",
         "selfcheck-no-verdicts",
+        "selfcheck-numeric-verdict",
     ],
 )
 def test_side_file_malformed_line_exits_1(command, second_line, message, tmp_path, capsys):

@@ -165,10 +165,6 @@ def test_alpha_mixed_two_annotators():
     # expected 2*5*3/64; alpha = 1 - (2/8)/(30/64) = 7/15
     rows = [["A", "A"], ["A", "A"], ["A", "B"], ["B", "B"]]
     assert krippendorff_alpha(rows) == pytest.approx(7 / 15, abs=1e-9)
-    # with the without-replacement pairing: expected 30/56, alpha = 8/15
-    assert krippendorff_alpha(rows, small_sample_correction=True) == pytest.approx(
-        8 / 15, abs=1e-9
-    )
 
 
 def test_alpha_with_missing_labels():
