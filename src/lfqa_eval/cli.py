@@ -34,17 +34,18 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .corpus import (
-    Corpus,
     CorpusError,
     classify_granularity,
     iter_corpus_records,
     load_corpus,
+    read_corpus,
     read_field,
 )
 from .evalmetrics import (
     ErrorScoreRecord,
     PredictionError,
     SupportJudgment,
+    completeness_gold,
     correction_prf,
     detection_eval,
     error_report,
@@ -287,6 +288,26 @@ def _write_lines(path: str, lines: list[str]) -> None:
             handle.write(line + "\n")
 
 
+@contextmanager
+def _partial_lines(out: str | None) -> Iterator[Callable[[Iterable[str]], None]]:
+    """write(lines) appends to OUT.partial, which replaces OUT when the block ends.
+
+    If the block raises, OUT.partial is removed and OUT keeps its bytes.
+    Without OUT, write discards its lines.
+    """
+    if not out:
+        yield lambda lines: None
+        return
+    partial = Path(f"{out}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            yield lambda lines: handle.writelines(line + "\n" for line in lines)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, out)
+
+
 def _dump(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
@@ -324,13 +345,18 @@ def _bucket_label(idx: int) -> str:
     return f"{idx * _LENGTH_BUCKET}-{(idx + 1) * _LENGTH_BUCKET - 1}"
 
 
-def span_granularity_stats(corpus: Corpus) -> dict[str, dict]:
-    """Per-aspect granularity distribution; whole-answer marks span the text.
+def corpus_stats(records: Iterable[QARecord]) -> tuple[dict[str, dict], dict[str, Counter]]:
+    """Per-aspect granularity distribution, and answers per source and length bucket.
 
-    Only the texts an annotation targets are segmented, each once.
+    Whole-answer marks span the text. Only the texts an annotation targets are
+    segmented, each once. A length bucket is its index in word order.
     """
     counts: dict[Aspect, Counter] = {a: Counter() for a in Aspect}
-    for record in corpus:
+    histogram: dict[str, Counter] = defaultdict(Counter)
+    for record in records:
+        for answer in record.answers:
+            bucket = min(len(answer.text.split()) // _LENGTH_BUCKET, _LENGTH_BUCKETS)
+            histogram[answer.source.value][bucket] += 1
         segmented: dict[int | None, list[SentenceSpan]] = {}
         for ann in record.annotations:
             target = ann.answer_index  # None targets the question
@@ -348,9 +374,7 @@ def span_granularity_stats(corpus: Corpus) -> dict[str, dict]:
         total = sum(counts[aspect].values())
         if total == 0:
             continue
-        pct = {
-            g.value: 100.0 * counts[aspect][g] / total for g in SpanGranularity
-        }
+        pct = {g.value: 100.0 * counts[aspect][g] / total for g in SpanGranularity}
         rows[aspect.value] = {"n_spans": total, **pct}
         percent_rows.append(pct)
     if percent_rows:
@@ -361,23 +385,11 @@ def span_granularity_stats(corpus: Corpus) -> dict[str, dict]:
                 for g in SpanGranularity
             },
         }
-    return rows
-
-
-def answer_length_histogram(corpus: Corpus) -> dict[str, Counter]:
-    """Answers per source and length bucket, a bucket being its index in word order."""
-    histogram: dict[str, Counter] = defaultdict(Counter)
-    for record in corpus:
-        for answer in record.answers:
-            bucket = min(len(answer.text.split()) // _LENGTH_BUCKET, _LENGTH_BUCKETS)
-            histogram[answer.source.value][bucket] += 1
-    return dict(histogram)
+    return rows, dict(histogram)
 
 
 def _cmd_stats(args) -> int:
-    corpus = load_corpus(args.corpus)
-    spans = span_granularity_stats(corpus)
-    lengths = answer_length_histogram(corpus)
+    spans, lengths = corpus_stats(read_corpus(args.corpus))
 
     header = f"{'Aspect':<24}{'Spans':>7}{'Phrase':>10}{'Sentence':>10}{'Multi':>10}"
     print(header)
@@ -401,9 +413,7 @@ def _cmd_stats(args) -> int:
             for aspect, row in spans.items()
         ]
         lines += [
-            _dump(
-                {"kind": "answer_length", "source": source, "bucket": _bucket_label(b), "count": n}
-            )
+            _dump({"kind": "answer_length", "source": source, "bucket": _bucket_label(b), "count": n})
             for source, counter in sorted(lengths.items())
             for b, n in sorted(counter.items())
         ]
@@ -416,13 +426,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    corpus = load_corpus(args.corpus)
-    report = domain_report(corpus)
+    with _partial_lines(args.out) as write:
+        report = domain_report(
+            read_corpus(args.corpus), lambda cards: write(_dump(c.to_dict()) for c in cards)
+        )
     print(format_domain_table(report))
     print()
     print(format_aspect_table(report))
-    if args.out:
-        _write_lines(args.out, [_dump(card.to_dict()) for card in report.cards])
     if args.report:
         _write_lines(
             args.report,
@@ -432,7 +442,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_agreement(args) -> int:
-    report = preference_report(load_corpus(args.corpus))
+    report = preference_report(read_corpus(args.corpus))
     header = f"{'Category':<14}{'Samples':>8}{'Alpha':>8}"
     print(header)
     print("-" * len(header))
@@ -440,11 +450,7 @@ def _cmd_agreement(args) -> int:
     for row in report.rows + [report.average]:
         alpha = "-" if row.alpha is None else f"{row.alpha:.2f}"
         print(f"{row.domain:<14}{row.n_records:>8}{alpha:>8}")
-        rows.append(
-            _dump(
-                {"domain": row.domain, "n_records": row.n_records, "alpha": row.alpha}
-            )
-        )
+        rows.append(_dump({"domain": row.domain, "n_records": row.n_records, "alpha": row.alpha}))
     if args.out:
         _write_lines(args.out, rows)
     return 0
@@ -675,15 +681,15 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_eval_detect(args) -> int:
-    corpus = load_corpus(args.corpus)
+    gold = completeness_gold(read_corpus(args.corpus))
     lines: dict[tuple[str, int], int] = {}
 
     def prediction(obj: dict, ln: int) -> tuple[tuple[str, int], list[bool]]:
         record_id = obj["record_id"]
         idx = read_field(obj, "answer_index", int, f"record '{record_id}'", 0)
-        record = corpus.get(record_id)
-        if record is not None and idx >= len(record.answers):
-            message = f"answer_index {idx} out of range 0..{len(record.answers) - 1}"
+        answers = gold.get(record_id)
+        if answers is not None and idx >= len(answers):
+            message = f"answer_index {idx} out of range 0..{len(answers) - 1}"
             raise CorpusError(f"record '{record_id}': {message}")
         selected = obj.get("selected") if "selected" in obj else obj
         tags = selected.get("tags") if isinstance(selected, dict) else None
@@ -701,7 +707,7 @@ def _cmd_eval_detect(args) -> int:
         predictions = _keyed_lines(source, handle, prediction)
     with _errors_name(source):
         try:
-            report = detection_eval(corpus, predictions)
+            report = detection_eval(gold, predictions)
         except PredictionError as exc:
             raise CorpusError(str(exc), line=lines[exc.key]) from None
     totals, accuracy = report.counts, report.weighted_accuracy
@@ -773,34 +779,14 @@ def _cmd_eval_correct(args) -> int:
     for key, meaning in _CORRECTION_DEFINITIONS.items():
         print(f"  {key}: {meaning}")
     if args.out:
-        _write_lines(
-            args.out,
-            [
-                _dump(
-                    {
-                        "kind": "error_report",
-                        "which": "baseline",
-                        "pct_error_samples": base_pct,
-                        "mean_error_score": base_mean,
-                    }
-                ),
-                _dump(
-                    {
-                        "kind": "error_report",
-                        "which": "refined",
-                        "pct_error_samples": ref_pct,
-                        "mean_error_score": ref_mean,
-                    }
-                ),
-                _dump(
-                    {
-                        "kind": "correction",
-                        **correction.to_dict(),
-                        "definitions": _CORRECTION_DEFINITIONS,
-                    }
-                ),
-            ],
-        )
+        reports = [("baseline", base_pct, base_mean), ("refined", ref_pct, ref_mean)]
+        lines = [
+            {"kind": "error_report", "which": which, "pct_error_samples": pct,
+             "mean_error_score": mean}
+            for which, pct, mean in reports
+        ]
+        lines.append({"kind": "correction", **correction.to_dict(), "definitions": _CORRECTION_DEFINITIONS})
+        _write_lines(args.out, [_dump(line) for line in lines])
     return 0
 
 

@@ -15,14 +15,14 @@ Corpus files are UTF-8 JSON lines, one record per line:
      "preferences": [{"annotator": "a1", "choice": 1, "justification": "..."}]}
 
 Loaded corpora are immutable in practice (nothing in the package mutates
-records) and safe to share across threads.
+records) and safe to share across threads. ``read_corpus`` yields records
+one at a time, so a caller that needs no random access holds one record.
 """
 from __future__ import annotations
 
 import json
 import unicodedata
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -57,52 +57,54 @@ class CorpusError(ValueError):
 
 _ABSENT = object()
 _KIND_NAMES = {int: "an integer >= 0", str: "a string", list: "a list", dict: "an object"}
+_MEMBERS = {kind: {m.value: m for m in kind} for kind in (Aspect, Domain, Source)}
 
 
-def read_field(obj: dict, key: str, kind: type, where: str, default=_ABSENT):
+def read_field(obj: dict, key: str, kind: type, where, default=_ABSENT):
     """obj[key] as kind, or default when absent; else a CorpusError naming where, key, value.
 
     An int is an index or offset: a JSON number >= 0 with an integral value, so
     ``1.0`` reads as 1 and ``true``, ``"1"`` and ``-1`` do not. An Enum kind takes
-    one of its values; str, list and dict must match exactly.
+    one of its values; str, list and dict must match exactly. ``where`` is a
+    string, or a function giving it that is called only when the field fails.
     """
     value = obj.get(key, _ABSENT)
     if type(value) is kind and (kind is not int or value >= 0):
         return value
-    if value is _ABSENT:
-        if default is _ABSENT:
-            raise CorpusError(f"{where}: {key} is missing")
+    members = _MEMBERS.get(kind)
+    if members is not None and type(value) is str and value in members:
+        return members[value]
+    if value is _ABSENT and default is not _ABSENT:
         return default
-    if kind is int:
-        if type(value) is float and value >= 0 and value.is_integer():
-            return int(value)
-    elif issubclass(kind, Enum) and type(value) is str:
-        try:
-            return kind(value)
-        except ValueError:
-            pass
+    if kind is int and type(value) is float and value >= 0 and value.is_integer():
+        return int(value)
+    if callable(where):
+        where = where()
+    if value is _ABSENT:
+        raise CorpusError(f"{where}: {key} is missing")
     name = _KIND_NAMES.get(kind) or "one of: " + ", ".join(m.value for m in kind)
     raise CorpusError(f"{where}: {key} {value!r} is not {name}")
 
 
-def _parse_annotation(obj: dict, where: str) -> ErrorAnnotation:
+def _parse_annotation(obj: dict, where) -> ErrorAnnotation:
+    """One annotation; where() names it in an error."""
     if not isinstance(obj, dict):
-        raise CorpusError(f"{where}: annotation must be an object")
+        raise CorpusError(f"{where()}: annotation must be an object")
     aspect = read_field(obj, "aspect", Aspect, where)
 
     target = obj.get("target")
     if target == "question":
         answer_index = None
     elif isinstance(target, dict):
-        answer_index = read_field(target, "answer", int, f"{where} target")
+        answer_index = read_field(target, "answer", int, lambda: f"{where()} target")
     else:
-        raise CorpusError(f"{where}: target {target!r} is not \"question\" or {{\"answer\": <index>}}")
+        raise CorpusError(f"{where()}: target {target!r} is not \"question\" or {{\"answer\": <index>}}")
 
     raw_span = read_field(obj, "span", dict, where)
     if raw_span.get("whole_answer") is True:
         span = None
     else:
-        sw = f"{where} span"
+        sw = lambda: f"{where()} span"  # noqa: E731
         span = (read_field(raw_span, "start", int, sw), read_field(raw_span, "end", int, sw))
 
     justification = read_field(obj, "justification", str, where, "")
@@ -111,7 +113,10 @@ def _parse_annotation(obj: dict, where: str) -> ErrorAnnotation:
 
 
 def record_from_dict(obj: dict) -> QARecord:
-    """Parse one corpus line; raises CorpusError naming the offending field."""
+    """Parse one corpus line; raises CorpusError naming the offending field.
+
+    Each place is named by a function, formatted only when a field there fails.
+    """
     if not isinstance(obj, dict):
         raise CorpusError("record must be a JSON object")
     rid = read_field(obj, "id", str, "record")
@@ -121,22 +126,21 @@ def record_from_dict(obj: dict) -> QARecord:
 
     answers = []
     for i, a in enumerate(read_field(obj, "answers", list, where)):
-        aw = f"{where} answers[{i}]"
+        aw = lambda: f"{where} answers[{i}]"  # noqa: E731
         if not isinstance(a, dict):
-            raise CorpusError(f"{aw}: answer must be an object")
-        source = read_field(a, "source", Source, aw)
-        answers.append(Answer(source=source, text=read_field(a, "text", str, aw)))
+            raise CorpusError(f"{aw()}: answer must be an object")
+        answers.append(Answer(read_field(a, "source", Source, aw), read_field(a, "text", str, aw)))
 
     annotations = [
-        _parse_annotation(a, f"{where} annotations[{i}]")
+        _parse_annotation(a, lambda: f"{where} annotations[{i}]")
         for i, a in enumerate(read_field(obj, "annotations", list, where, []))
     ]
 
     preferences = []
     for i, p in enumerate(read_field(obj, "preferences", list, where, [])):
-        pw = f"{where} preferences[{i}]"
+        pw = lambda: f"{where} preferences[{i}]"  # noqa: E731
         if not isinstance(p, dict):
-            raise CorpusError(f"{pw}: preference must be an object")
+            raise CorpusError(f"{pw()}: preference must be an object")
         annotator = read_field(p, "annotator", str, pw, "")
         choice = read_field(p, "choice", int, pw)
         justification = read_field(p, "justification", str, pw, "")
@@ -227,17 +231,11 @@ def validate_record(record: QARecord) -> list[str]:
 class Corpus:
     records: list[QARecord] = field(default_factory=list)
 
-    def __post_init__(self):
-        self.by_id = {r.id: r for r in self.records}
-
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self) -> Iterator[QARecord]:
         return iter(self.records)
-
-    def get(self, record_id: str) -> QARecord | None:
-        return self.by_id.get(record_id)
 
 
 def iter_corpus_records(
@@ -273,14 +271,21 @@ def iter_corpus_records(
             yield ln, record, problems
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    """Load and validate a corpus file; any violation aborts the load."""
-    records: list[QARecord] = []
+def read_corpus(path: str | Path) -> Iterator[QARecord]:
+    """Yield each record of a corpus file in order; its first violation raises.
+
+    The CorpusError names the line, so a caller that stops at it has seen only
+    the records before that line.
+    """
     for ln, record, problems in iter_corpus_records(path):
         if problems:
             raise CorpusError(problems[0], line=ln)
-        records.append(record)
-    return Corpus(records)
+        yield record
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Load and validate a corpus file; any violation aborts the load."""
+    return Corpus(list(read_corpus(path)))
 
 
 def save_corpus(corpus: Corpus | Iterable[QARecord], path: str | Path) -> None:

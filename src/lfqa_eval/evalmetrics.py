@@ -17,8 +17,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, CorpusError, label_answer
-from .models import Aspect
+from .corpus import CorpusError, label_answer
+from .models import Aspect, QARecord
 
 
 @dataclass
@@ -230,46 +230,59 @@ class DetectionEvalReport:
         }
 
 
+def completeness_gold(records: Iterable[QARecord]) -> dict[str, list[tuple[int, tuple[int, ...]]]]:
+    """Per record id, one (sentence count, gold Incomplete sentence indices) per answer.
+
+    Gold labels come from projecting each answer's completeness annotations
+    onto its sentences; the table is all ``detection_eval`` needs of a corpus.
+    """
+    gold = {}
+    for record in records:
+        answers = []
+        for idx in range(len(record.answers)):
+            labeling = label_answer(record, idx, Aspect.COMPLETENESS)
+            errors = tuple(i for i, err in enumerate(labeling.errors) if err)
+            answers.append((labeling.n_sentences, errors))
+        gold[record.id] = answers
+    return gold
+
+
 def detection_eval(
-    corpus: Corpus,
+    gold: Mapping[str, Sequence[tuple[int, Sequence[int]]]],
     predictions: Mapping[tuple[str, int], Sequence[bool]],
 ) -> DetectionEvalReport:
     """Evaluate predicted Incomplete sentences against annotated gold labels.
 
-    ``predictions`` maps ``(record_id, answer_index)`` to one Incomplete flag
-    per sentence of that answer, the shape of the gold
-    ``SentenceLabeling.errors``. Gold labels come from projecting the corpus
-    completeness annotations onto the answer's sentences. Records with gold
-    errors but an empty prediction count as misses and stay out of the
-    accuracy denominator. Ids absent from the corpus are listed in
-    ``skipped`` in prediction order. A tag count that is not the answer's
-    sentence count is a PredictionError.
+    ``gold`` is ``completeness_gold`` of the corpus. ``predictions`` maps
+    ``(record_id, answer_index)`` to one Incomplete flag per sentence of
+    that answer. Records with gold errors but an empty prediction count as
+    misses and stay out of the accuracy denominator. Ids absent from the
+    corpus are listed in ``skipped`` in prediction order. A tag count that
+    is not the answer's sentence count is a PredictionError.
     """
     totals = DetectionCounts()
     misses = 0
     evaluated = 0
     skipped: list[str] = []
     for (record_id, idx), flags in predictions.items():
-        record = corpus.get(record_id)
-        if record is None:
+        answers = gold.get(record_id)
+        if answers is None:
             skipped.append(record_id)
             continue
-        if not 0 <= idx < len(record.answers):
+        if not 0 <= idx < len(answers):
             raise CorpusError(f"record '{record_id}': answer index {idx} out of range")
-        labeling = label_answer(record, idx, Aspect.COMPLETENESS)
-        if len(flags) != labeling.n_sentences:
+        n_sentences, errors = answers[idx]
+        if len(flags) != n_sentences:
             raise PredictionError(
                 (record_id, idx),
-                f"prediction has {len(flags)} tags "
-                f"but the answer has {labeling.n_sentences} sentences",
+                f"prediction has {len(flags)} tags but the answer has {n_sentences} sentences",
             )
-        gold = {i for i, err in enumerate(labeling.errors) if err}
         predicted = {i for i, flagged in enumerate(flags) if flagged}
         evaluated += 1
-        if gold and not predicted:
+        if errors and not predicted:
             misses += 1
             continue
-        totals.add(classify_detections(predicted, gold, labeling.n_sentences))
+        totals.add(classify_detections(predicted, errors, n_sentences))
     accuracy = weighted_accuracy(totals) if totals.total_predicted else None
     return DetectionEvalReport(
         counts=totals,

@@ -56,13 +56,13 @@ class SpanGranularity(str, Enum):
     MULTI_SENTENCE = "multi_sentence"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Answer:
     source: Source
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorAnnotation:
     """One annotated error span.
 
@@ -86,14 +86,14 @@ class ErrorAnnotation:
         return self.answer_index is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferenceJudgment:
     annotator: str
     choice: int
     justification: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceSpan:
     """One sentence of a text: 0-based ordinal plus codepoint offsets."""
 

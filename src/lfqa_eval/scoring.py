@@ -10,10 +10,10 @@ preference score.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .corpus import Corpus, label_aspects
+from .corpus import label_aspects
 from .models import (
     ANSWER_ASPECTS,
     Aspect,
@@ -230,12 +230,9 @@ def krippendorff_alpha(rows: Sequence[Sequence[object | None]]) -> float:
     return 1.0 - observed / expected
 
 
-def preference_agreement_rows(records: Iterable[QARecord]) -> list[list[str]]:
-    """One row per record: the answer source each annotator preferred."""
-    rows = []
-    for record in records:
-        rows.append([record.answers[p.choice].source.value for p in record.preferences])
-    return rows
+def preference_agreement_row(record: QARecord) -> tuple[str, ...]:
+    """The answer source each annotator of the record preferred, in judgment order."""
+    return tuple(record.answers[p.choice].source.value for p in record.preferences)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +259,6 @@ class DomainRow:
 class DomainReport:
     rows: list[DomainRow]
     average: DomainRow
-    cards: list[AspectScorecard] = field(default_factory=list)  # corpus order
 
 
 def _mean(values: Iterable[float | None]) -> float | None:
@@ -270,19 +266,58 @@ def _mean(values: Iterable[float | None]) -> float | None:
     return sum(defined) / len(defined) if defined else None
 
 
-def _source_means(cards: Sequence[AspectScorecard]) -> dict[str, dict[str, float | None]]:
-    by_source: dict[str, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
-    for card in cards:
-        bucket = by_source[card.source.value]
-        for aspect, value in card.scores.items():
-            if value is not None:
-                bucket[aspect.value].append(value)
-        if card.overall is not None:
-            bucket["overall"].append(card.overall)
-    return {
-        source: {key: _mean(vals[key]) for key in MEAN_KEYS}
-        for source, vals in by_source.items()
-    }
+class _DomainTally:
+    """What one domain's row needs, gathered one record at a time.
+
+    Score values stay floats in corpus order, not running sums: sum() of
+    floats is compensated from Python 3.12 on, so only summing the same
+    sequence keeps the report's bytes. A preference share is 0, 0.5 or 1,
+    and sums of those are exact either way.
+    """
+
+    def __init__(self):
+        from array import array  # an extension module: runs that build no report never load it
+
+        self.n_records = 0
+        self.n_shares = 0
+        self.human = self.model = 0.0
+        self.agreement_rows: list[tuple[str, ...]] = []
+        # source -> aspect/overall -> values, sources in first-seen order
+        self.values: defaultdict = defaultdict(lambda: defaultdict(lambda: array("d")))
+
+    def add(self, record: QARecord) -> None:
+        self.n_records += 1
+        shares = preference_shares(record)
+        if shares is not None:
+            self.n_shares += 1
+            self.human += shares[0]
+            self.model += shares[1]
+        row = preference_agreement_row(record)
+        if len(row) >= 2:
+            self.agreement_rows.append(row)
+
+    def add_cards(self, cards: Sequence[AspectScorecard]) -> None:
+        for card in cards:
+            bucket = self.values[card.source.value]
+            for aspect, value in card.scores.items():
+                if value is not None:
+                    bucket[aspect.value].append(value)
+            if card.overall is not None:
+                bucket["overall"].append(card.overall)
+
+    def row(self, domain: Domain) -> DomainRow:
+        n = self.n_shares
+        return DomainRow(
+            domain=domain.value,
+            n_records=self.n_records,
+            human_pref_pct=100.0 * self.human / n if n else None,
+            model_pref_pct=100.0 * self.model / n if n else None,
+            alpha=krippendorff_alpha(self.agreement_rows) if self.agreement_rows else None,
+            means={
+                source: {key: _mean(values.get(key, ())) for key in MEAN_KEYS}
+                for source, values in self.values.items()
+            },
+        )
 
 
 def _average_row(rows: Sequence[DomainRow]) -> DomainRow:
@@ -306,61 +341,47 @@ def _average_row(rows: Sequence[DomainRow]) -> DomainRow:
     )
 
 
-def preference_report(corpus: Corpus) -> DomainReport:
-    """Per-domain sample counts, preference split, and agreement.
-
-    Scores no answer: every row's ``means`` is empty and ``cards`` is empty.
-    """
-    if len(corpus) == 0:
+def _report(
+    records: Iterable[QARecord],
+    on_cards: Callable[[list[AspectScorecard]], None] | None,
+) -> DomainReport:
+    """One pass over records; each is scored, and its cards passed on, iff on_cards."""
+    tallies: dict[Domain, _DomainTally] = {}
+    for record in records:
+        tally = tallies.get(record.domain)
+        if tally is None:
+            tally = tallies[record.domain] = _DomainTally()
+        tally.add(record)
+        if on_cards is not None:
+            cards = score_record(record)
+            tally.add_cards(cards)
+            on_cards(cards)
+    if not tallies:
         raise ValueError("corpus is empty")
-    grouped: dict[Domain, list[QARecord]] = defaultdict(list)
-    for record in corpus:
-        grouped[record.domain].append(record)
-
-    rows: list[DomainRow] = []
-    for domain in Domain:
-        records = grouped.get(domain)
-        if not records:
-            continue
-        shares = [s for s in map(preference_shares, records) if s is not None]
-        human_pct = 100.0 * sum(s[0] for s in shares) / len(shares) if shares else None
-        model_pct = 100.0 * sum(s[1] for s in shares) / len(shares) if shares else None
-
-        agreement_rows = [r for r in preference_agreement_rows(records) if len(r) >= 2]
-        alpha = krippendorff_alpha(agreement_rows) if agreement_rows else None
-        rows.append(
-            DomainRow(
-                domain=domain.value,
-                n_records=len(records),
-                human_pref_pct=human_pct,
-                model_pref_pct=model_pct,
-                alpha=alpha,
-                means={},
-            )
-        )
+    rows = [tallies[domain].row(domain) for domain in Domain if domain in tallies]
     return DomainReport(rows=rows, average=_average_row(rows))
 
 
-def domain_report(corpus: Corpus) -> DomainReport:
+def preference_report(records: Iterable[QARecord]) -> DomainReport:
+    """Per-domain sample counts, preference split, and agreement, in one pass.
+
+    Scores no answer: every row's ``means`` is empty.
+    """
+    return _report(records, None)
+
+
+def domain_report(
+    records: Iterable[QARecord],
+    on_cards: Callable[[list[AspectScorecard]], None] = lambda cards: None,
+) -> DomainReport:
     """Per-domain sample counts, preference split, agreement, and mean scores.
 
     The average row is the unweighted mean of the per-domain values (matching
     how a per-domain summary table averages its rows), with the total record
-    count. Every record is scored once; the report keeps the scorecards in
-    corpus order.
+    count. One pass scores every record once and hands its scorecards to
+    ``on_cards``, so they are seen in corpus order and none is kept.
     """
-    preferences = preference_report(corpus)
-    cards: list[AspectScorecard] = []
-    by_domain: dict[str, list[AspectScorecard]] = defaultdict(list)
-    for record in corpus:
-        record_cards = score_record(record)
-        cards.extend(record_cards)
-        by_domain[record.domain.value].extend(record_cards)
-    rows = [
-        replace(row, means=_source_means(by_domain[row.domain]))
-        for row in preferences.rows
-    ]
-    return DomainReport(rows=rows, average=_average_row(rows), cards=cards)
+    return _report(records, on_cards)
 
 
 def _fmt(value: float | None, pct: bool = False) -> str:

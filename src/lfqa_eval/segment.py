@@ -43,6 +43,8 @@ _CANDIDATE_RE = re.compile(
 
 
 def _protected_spans(text: str) -> list[tuple[int, int]]:
+    if "://" not in text and "www." not in text:
+        return []  # every URL_RE match holds one of the two
     return [m.span() for m in URL_RE.finditer(text)]
 
 
@@ -84,9 +86,9 @@ def segment_sentences(text: str) -> list[SentenceSpan]:
             continue
         if text[i] == "." and _abbreviation_before(text, i):
             continue
-        spans.append(SentenceSpan(index=len(spans), start=start, end=match.end(1)))
+        spans.append(SentenceSpan(len(spans), start, match.end(1)))
         start = match.end()
-    spans.append(SentenceSpan(index=len(spans), start=start, end=end))
+    spans.append(SentenceSpan(len(spans), start, end))
     return spans
 
 

@@ -118,9 +118,9 @@ def test_criterion_2_span_statistics():
     with criterion("2 span-level statistics"):
         path = _require_dataset()
         start = time.perf_counter()
-        from lfqa_eval.cli import span_granularity_stats
+        from lfqa_eval.cli import corpus_stats
 
-        stats = span_granularity_stats(load_corpus(path))
+        stats, _ = corpus_stats(load_corpus(path))
         average = stats["average"]
         assert average["phrase"] == pytest.approx(34.67, abs=3.0)
         assert average["sentence"] == pytest.approx(40.38, abs=3.0)

@@ -20,7 +20,7 @@ from lfqa_eval import genclient as genclient_module
 from lfqa_eval import scoring as scoring_module
 from lfqa_eval.cli import ConfigError, load_config, main
 from lfqa_eval.corpus import classify_granularity, load_corpus, save_corpus
-from lfqa_eval.evalmetrics import detection_eval
+from lfqa_eval.evalmetrics import completeness_gold, detection_eval
 from lfqa_eval.feedback import build_feedback_prompt
 from lfqa_eval.genclient import FixtureStore, GenerationClient
 from lfqa_eval.models import (
@@ -1452,7 +1452,7 @@ def test_eval_detect_out_is_one_detection_eval_report(tmp_path):
     )
     assert code == 0
     report = detection_eval(
-        load_corpus(corpus_path),
+        completeness_gold(load_corpus(corpus_path)),
         {(r, i): [tag == "Incomplete" for tag in tags] for r, i, tags in rows},
     )
     assert out.read_text(encoding="utf-8") == cli_module._dump(report.to_dict()) + "\n"

@@ -59,7 +59,8 @@ def test_single_record(tmp_path):
     path.write_text(_record_line() + "\n", encoding="utf-8")
     corpus = load_corpus(path)
     assert len(corpus) == 1
-    assert corpus.get("q1").domain is Domain.LAW
+    (record,) = corpus
+    assert (record.id, record.domain) == ("q1", Domain.LAW)
 
 
 def test_duplicate_id_rejected(tmp_path):

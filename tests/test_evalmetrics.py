@@ -3,12 +3,12 @@ import random
 import pytest
 
 from conftest import make_record, run_python
-from lfqa_eval.corpus import Corpus
 from lfqa_eval.evalmetrics import (
     DetectionCounts,
     ErrorScoreRecord,
     SupportJudgment,
     classify_detections,
+    completeness_gold,
     correction_prf,
     detection_eval,
     error_report,
@@ -291,57 +291,72 @@ def _prediction(tags):
     return [tag == TAG_INCOMPLETE for tag in tags]
 
 
+def test_completeness_gold_is_sentence_count_and_gold_indices_per_answer():
+    record = make_record(
+        record_id="r1",
+        answers=[Answer(Source.MODEL, TWO_SENTENCES), Answer(Source.HUMAN, "Only one.")],
+        annotations=[
+            ErrorAnnotation(Aspect.COMPLETENESS, 0, (25, 30), "gold", "a1"),
+            ErrorAnnotation(Aspect.FACTUALITY, 1, None, "not completeness", "a1"),
+        ],
+    )
+    assert completeness_gold([record, _detect_record("r2", [])]) == {
+        "r1": [(2, (1,)), (1, ())],
+        "r2": [(2, ())],
+    }
+
+
 def test_detection_eval_perfect_predictions():
-    corpus = Corpus([_detect_record("r1", [0]), _detect_record("r2", [1])])
+    gold = completeness_gold([_detect_record("r1", [0]), _detect_record("r2", [1])])
     predictions = {
         ("r1", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
         ("r2", 0): _prediction([TAG_COMPLETE, TAG_INCOMPLETE]),
     }
-    report = detection_eval(corpus, predictions)
+    report = detection_eval(gold, predictions)
     assert report.weighted_accuracy == 1.0
     assert report.misses == 0
     assert report.counts.exact == 2
 
 
 def test_detection_eval_adjacent_case():
-    corpus = Corpus([_detect_record("r1", [1])])
+    gold = completeness_gold([_detect_record("r1", [1])])
     predictions = {("r1", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE])}
-    report = detection_eval(corpus, predictions)
+    report = detection_eval(gold, predictions)
     assert report.counts.adjacent == 1
     assert report.weighted_accuracy == pytest.approx(0.5)
 
 
 def test_detection_eval_missed_record_excluded_from_denominator():
-    corpus = Corpus([_detect_record("r1", [1]), _detect_record("r2", [0])])
+    gold = completeness_gold([_detect_record("r1", [1]), _detect_record("r2", [0])])
     predictions = {
         ("r1", 0): _prediction([TAG_COMPLETE, TAG_COMPLETE]),  # miss: gold but no predictions
         ("r2", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
     }
-    report = detection_eval(corpus, predictions)
+    report = detection_eval(gold, predictions)
     assert report.misses == 1
     assert report.counts.total_predicted == 1
     assert report.weighted_accuracy == 1.0
 
 
 def test_detection_eval_tag_length_mismatch():
-    corpus = Corpus([_detect_record("r1", [0])])
+    gold = completeness_gold([_detect_record("r1", [0])])
     with pytest.raises(ValueError, match="2 sentences"):
-        detection_eval(corpus, {("r1", 0): _prediction([TAG_COMPLETE])})
+        detection_eval(gold, {("r1", 0): _prediction([TAG_COMPLETE])})
 
 
 def test_detection_eval_bad_answer_index():
-    corpus = Corpus([_detect_record("r1", [0])])
+    gold = completeness_gold([_detect_record("r1", [0])])
     with pytest.raises(ValueError, match="answer index 3"):
-        detection_eval(corpus, {("r1", 3): _prediction([TAG_INCOMPLETE, TAG_COMPLETE])})
+        detection_eval(gold, {("r1", 3): _prediction([TAG_INCOMPLETE, TAG_COMPLETE])})
 
 
 def test_detection_eval_unknown_record_skipped():
-    corpus = Corpus([_detect_record("r1", [0])])
+    gold = completeness_gold([_detect_record("r1", [0])])
     predictions = {
         ("r1", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
         ("ghost", 0): _prediction([TAG_COMPLETE]),
     }
-    report = detection_eval(corpus, predictions)
+    report = detection_eval(gold, predictions)
     assert report.skipped == ["ghost"]
     assert report.n_records == 1
 

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import make_record
-from lfqa_eval.cli import answer_length_histogram, span_granularity_stats
+from lfqa_eval.cli import corpus_stats
 from lfqa_eval.corpus import Corpus, load_corpus, save_corpus
 from lfqa_eval.models import (
     Answer,
@@ -83,8 +83,7 @@ def test_full_size_corpus_under_time_budget(tmp_path):
     start = time.perf_counter()
     corpus = load_corpus(path)
     report = domain_report(corpus)
-    spans = span_granularity_stats(corpus)
-    lengths = answer_length_histogram(corpus)
+    spans, lengths = corpus_stats(corpus)
     elapsed = time.perf_counter() - start
 
     assert {row.domain: row.n_records for row in report.rows} == {
