@@ -50,7 +50,6 @@ from .evalmetrics import (
     detection_eval,
     error_report,
     flag_map,
-    load_error_scores,
     normalize_verdict,
     selfcheck_aggregate,
 )
@@ -131,15 +130,21 @@ def _coerce(key: str, raw: str, kind: type):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """{key: value} of a config file; a key set on two lines is a ConfigError."""
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"config line {ln}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in set_on:
+            message = f"duplicate key '{key}' (first seen on line {set_on[key]})"
+            raise ConfigError(f"config line {ln}: {message}")
+        set_on[key] = ln
+        values[key] = value
     return values
 
 
@@ -256,13 +261,12 @@ def _errors_name(source: str) -> Iterator[None]:
 
 
 def _keyed_lines(source: str, lines: Iterable[str], parse: Callable[[dict, int], tuple]) -> dict:
-    """{key: value} over a file keyed by record, parse(obj, line) giving each pair.
+    """{key: (line, value)} over a file keyed by record, parse(obj, line) giving each pair.
 
     Every line needs a non-empty string record_id, checked before parse, and a key
     no earlier line has; each error names source, e.g. '--judgments PATH', and the line.
     """
-    values: dict = {}
-    first_seen: dict = {}
+    table: dict = {}
     with _errors_name(source):
         for ln, obj in _parse_jsonl(lines):
             record_id = obj.get("record_id")
@@ -274,38 +278,36 @@ def _keyed_lines(source: str, lines: Iterable[str], parse: Callable[[dict, int],
                 key, value = parse(obj, ln)
             except CorpusError as exc:  # read_field's errors name no line
                 raise exc if exc.line else CorpusError(str(exc), line=ln) from None
-            if key in first_seen:
-                message = f"duplicate key {key!r} (first seen on line {first_seen[key]})"
+            if key in table:
+                message = f"duplicate key {key!r} (first seen on line {table[key][0]})"
                 raise CorpusError(message, line=ln)
-            first_seen[key] = ln
-            values[key] = value
-    return values
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+            table[key] = ln, value
+    return table
 
 
 @contextmanager
-def _partial_lines(out: str | None) -> Iterator[Callable[[Iterable[str]], None]]:
-    """write(lines) appends to OUT.partial, which replaces OUT when the block ends.
+def _writing(path: str | None) -> Iterator[Callable[[Iterable[str]], None]]:
+    """write(lines) streams to PATH.tmp, which replaces PATH when the block ends.
 
-    If the block raises, OUT.partial is removed and OUT keeps its bytes.
-    Without OUT, write discards its lines.
+    If the block raises, PATH.tmp is removed and PATH keeps its bytes, so no
+    output is ever left truncated. Without PATH, write discards its lines.
     """
-    if not out:
+    if not path:
         yield lambda lines: None
         return
-    partial = Path(f"{out}.partial")
+    tmp = Path(f"{path}.tmp")
     try:
-        with open(partial, "w", encoding="utf-8") as handle:
+        with open(tmp, "w", encoding="utf-8") as handle:
             yield lambda lines: handle.writelines(line + "\n" for line in lines)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
-    os.replace(partial, out)
+    os.replace(tmp, path)
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    with _writing(path) as write:
+        write(lines)
 
 
 def _dump(obj: dict) -> str:
@@ -426,7 +428,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    with _partial_lines(args.out) as write:
+    with _writing(args.out) as write:
         report = domain_report(
             read_corpus(args.corpus), lambda cards: write(_dump(c.to_dict()) for c in cards)
         )
@@ -489,8 +491,8 @@ def _field(obj: dict, dotted: str):
 
 def _kept_lines(
     path: str, expected: dict[str, object], targets: set[tuple[str, int]]
-) -> dict[tuple[str, int], str]:
-    """One file's lines by (record_id, answer_index), each checked against this run."""
+) -> dict[tuple[str, int], tuple[int, str]]:
+    """One file's (line number, line) by (record_id, answer_index), checked against this run."""
     if not Path(path).exists():
         return {}
     with open(path, encoding="utf-8") as handle:
@@ -507,7 +509,7 @@ def _kept_lines(
     def parse(obj: dict, ln: int) -> tuple[tuple[str, int], str]:
         record_id = obj["record_id"]
         key = (record_id, read_field(obj, "answer_index", int, f"record '{record_id}'", 0))
-        where = f"{path}: line {ln}: record '{key[0]}' answer {key[1]}"
+        where = f"{path}: line {ln}: record {key[0]!r} answer {key[1]}"  # repr: one error line
         if key not in targets:
             raise UsageError(
                 f"{where} is not a target of this run; --resume keeps only lines of the same run"
@@ -534,10 +536,11 @@ def _existing_lines(
     a kept line that differs, or whose key is not in ``targets``, comes from
     another run and is a UsageError.
     """
-    return {
+    kept = {
         **_kept_lines(out, expected, targets),
         **_kept_lines(f"{out}.partial", expected, targets),
     }
+    return {key: line for key, (_, line) in kept.items()}
 
 
 def _run_batch(
@@ -563,7 +566,7 @@ def _run_batch(
         for record in corpus
         for idx in _select_answers(record, selector)
     ]
-    if not targets and len(corpus):
+    if not targets and corpus:
         if isinstance(selector, int):
             largest = max(len(record.answers) for record in corpus) - 1
             hint = f"the largest answer index is {largest}"
@@ -577,9 +580,7 @@ def _run_batch(
     todo = [(record, idx) for record, idx in targets if (record.id, idx) not in existing]
     partial = f"{args.out}.partial"
     if existing and Path(partial).exists():
-        folded = f"{args.out}.tmp"
-        _write_lines(folded, [existing[r.id, i] for r, i in targets if (r.id, i) in existing])
-        os.replace(folded, args.out)
+        _write_lines(args.out, (existing[r.id, i] for r, i in targets if (r.id, i) in existing))
 
     def attempt(target: tuple[QARecord, int]) -> str | Exception:
         record, idx = target
@@ -682,9 +683,8 @@ def _cmd_refine(args) -> int:
 
 def _cmd_eval_detect(args) -> int:
     gold = completeness_gold(read_corpus(args.corpus))
-    lines: dict[tuple[str, int], int] = {}
 
-    def prediction(obj: dict, ln: int) -> tuple[tuple[str, int], list[bool]]:
+    def prediction(obj: dict, ln: int) -> tuple[tuple[str, int], tuple[int, tuple[int, ...]]]:
         record_id = obj["record_id"]
         idx = read_field(obj, "answer_index", int, f"record '{record_id}'", 0)
         answers = gold.get(record_id)
@@ -699,17 +699,17 @@ def _cmd_eval_detect(args) -> int:
             if tag not in (TAG_COMPLETE, TAG_INCOMPLETE):
                 message = f"record '{record_id}': tag {tag!r} is neither Complete nor Incomplete"
                 raise CorpusError(message)
-        lines[record_id, idx] = ln
-        return (record_id, idx), [tag == TAG_INCOMPLETE for tag in tags]
+        incomplete = tuple(i for i, tag in enumerate(tags) if tag == TAG_INCOMPLETE)
+        return (record_id, idx), (len(tags), incomplete)
 
     source = f"--predictions {args.predictions}"
     with open(args.predictions, encoding="utf-8") as handle:
         predictions = _keyed_lines(source, handle, prediction)
     with _errors_name(source):
         try:
-            report = detection_eval(gold, predictions)
+            report = detection_eval(gold, ((key, p) for key, (_, p) in predictions.items()))
         except PredictionError as exc:
-            raise CorpusError(str(exc), line=lines[exc.key]) from None
+            raise CorpusError(str(exc), line=predictions[exc.key][0]) from None
     totals, accuracy = report.counts, report.weighted_accuracy
     total = max(totals.total_predicted, 1)
     print(
@@ -735,12 +735,25 @@ _CORRECTION_DEFINITIONS = {
 
 
 def _read_scores(flag: str, path: str) -> dict[str, tuple[int, ErrorScoreRecord]]:
-    """One score file by record_id, each score with its line; each of its
-    errors names the flag, the path and the line."""
+    """One score file's (line number, score) by record_id; each error names the flag,
+    the path and the line. A score is a finite number >= 0 or a numeric string, not a bool."""
 
-    def score(obj: dict, ln: int) -> tuple[str, tuple[int, ErrorScoreRecord]]:
-        (record,) = load_error_scores([(ln, obj)])
-        return record.record_id, (ln, record)
+    def score(obj: dict, ln: int) -> tuple[str, ErrorScoreRecord]:
+        record_id = obj["record_id"]
+        where = f"record '{record_id}'"
+        if "error_score" not in obj:
+            raise CorpusError(f"{where}: score line needs record_id and error_score")
+        value = obj["error_score"]
+        try:
+            if isinstance(value, bool):
+                raise ValueError(value)
+            error_score = float(value)
+        except (TypeError, ValueError):
+            raise CorpusError(f"{where}: error_score {value!r} is not a number") from None
+        try:
+            return record_id, ErrorScoreRecord(record_id, error_score)
+        except ValueError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
 
     with open(path, encoding="utf-8") as handle:
         scores = _keyed_lines(f"{flag} {path}", handle, score)

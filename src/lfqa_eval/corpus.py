@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -224,18 +223,7 @@ def validate_record(record: QARecord) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Corpus container + I/O
-
-
-@dataclass
-class Corpus:
-    records: list[QARecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[QARecord]:
-        return iter(self.records)
+# Corpus I/O
 
 
 def iter_corpus_records(
@@ -283,13 +271,12 @@ def read_corpus(path: str | Path) -> Iterator[QARecord]:
         yield record
 
 
-def load_corpus(path: str | Path) -> Corpus:
+def load_corpus(path: str | Path) -> list[QARecord]:
     """Load and validate a corpus file; any violation aborts the load."""
-    return Corpus(list(read_corpus(path)))
+    return list(read_corpus(path))
 
 
-def save_corpus(corpus: Corpus | Iterable[QARecord], path: str | Path) -> None:
-    records = corpus.records if isinstance(corpus, Corpus) else list(corpus)
+def save_corpus(records: Iterable[QARecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")

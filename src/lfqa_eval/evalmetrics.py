@@ -249,22 +249,23 @@ def completeness_gold(records: Iterable[QARecord]) -> dict[str, list[tuple[int, 
 
 def detection_eval(
     gold: Mapping[str, Sequence[tuple[int, Sequence[int]]]],
-    predictions: Mapping[tuple[str, int], Sequence[bool]],
+    predictions: Iterable[tuple[tuple[str, int], tuple[int, Sequence[int]]]],
 ) -> DetectionEvalReport:
     """Evaluate predicted Incomplete sentences against annotated gold labels.
 
-    ``gold`` is ``completeness_gold`` of the corpus. ``predictions`` maps
-    ``(record_id, answer_index)`` to one Incomplete flag per sentence of
-    that answer. Records with gold errors but an empty prediction count as
-    misses and stay out of the accuracy denominator. Ids absent from the
-    corpus are listed in ``skipped`` in prediction order. A tag count that
-    is not the answer's sentence count is a PredictionError.
+    ``gold`` is ``completeness_gold`` of the corpus. ``predictions`` yields
+    ``((record_id, answer_index), (tag count, Incomplete sentence indices))``
+    pairs, the prediction shaped like a gold entry. Records with gold errors
+    but an empty prediction count as misses and stay out of the accuracy
+    denominator. Ids absent from the corpus are listed in ``skipped`` in
+    prediction order. A tag count that is not the answer's sentence count is
+    a PredictionError.
     """
     totals = DetectionCounts()
     misses = 0
     evaluated = 0
     skipped: list[str] = []
-    for (record_id, idx), flags in predictions.items():
+    for (record_id, idx), (n_tags, predicted) in predictions:
         answers = gold.get(record_id)
         if answers is None:
             skipped.append(record_id)
@@ -272,12 +273,11 @@ def detection_eval(
         if not 0 <= idx < len(answers):
             raise CorpusError(f"record '{record_id}': answer index {idx} out of range")
         n_sentences, errors = answers[idx]
-        if len(flags) != n_sentences:
+        if n_tags != n_sentences:
             raise PredictionError(
                 (record_id, idx),
-                f"prediction has {len(flags)} tags but the answer has {n_sentences} sentences",
+                f"prediction has {n_tags} tags but the answer has {n_sentences} sentences",
             )
-        predicted = {i for i, flagged in enumerate(flags) if flagged}
         evaluated += 1
         if errors and not predicted:
             misses += 1
@@ -291,36 +291,6 @@ def detection_eval(
         misses=misses,
         skipped=skipped,
     )
-
-
-# ---------------------------------------------------------------------------
-# Error-score files
-
-
-def load_error_scores(lines: Iterable[tuple[int, dict]]) -> list[ErrorScoreRecord]:
-    """Build score records from (line number, parsed JSONL object) pairs.
-
-    Each object is ``{record_id, error_score}``, the score a finite number
-    >= 0 or a numeric string (a bool is not a number); a line that is not
-    raises a CorpusError naming the line and, when it has one, the record.
-    """
-    scores = []
-    for ln, obj in lines:
-        where = f"record '{obj['record_id']}': " if "record_id" in obj else ""
-        if "record_id" not in obj or "error_score" not in obj:
-            raise CorpusError(f"{where}score line needs record_id and error_score", line=ln)
-        value = obj["error_score"]
-        try:
-            if isinstance(value, bool):
-                raise ValueError(value)
-            error_score = float(value)
-        except (TypeError, ValueError):
-            raise CorpusError(f"{where}error_score {value!r} is not a number", line=ln) from None
-        try:
-            scores.append(ErrorScoreRecord(str(obj["record_id"]), error_score))
-        except ValueError as exc:
-            raise CorpusError(f"{where}{exc}", line=ln) from None
-    return scores
 
 
 def flag_map(scores: Sequence[ErrorScoreRecord]) -> dict[str, bool]:

@@ -113,6 +113,24 @@ def test_config_backend_section(tmp_path):
     assert config.n_samples == 4
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("n_samples = 5\n# comment\nn_samples = 6\n",
+         "config line 3: duplicate key 'n_samples' (first seen on line 1)"),
+        ("feedback.kind=scripted\n\n  feedback.kind = http\n",
+         "config line 3: duplicate key 'feedback.kind' (first seen on line 1)"),
+    ],
+    ids=["same-value-line", "spacing-differs"],
+)
+def test_config_key_set_twice_is_refused(text, message, tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as refused:
+        load_config(str(path), {})
+    assert str(refused.value) == message
+
+
 def test_config_http_backend_needs_fields(tmp_path):
     path = tmp_path / "cfg"
     path.write_text("refine.kind = http\n", encoding="utf-8")
@@ -1095,14 +1113,19 @@ def test_resume_refuses_lines_of_another_run(
     assert [p.name for p in tmp_path.glob("out.jsonl*")] == [kept.name]
 
 
-def _renamed_record(golden_env, out: Path) -> tuple[list[str], str]:
+def _renamed_record(golden_env, out: Path, record_id: str = "zz") -> tuple[list[str], str]:
     """A feedback --out whose first line is renamed to a record the corpus lacks."""
     assert _run_feedback_cli(golden_env, out) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
-    lines[0] = json.dumps({**json.loads(lines[0]), "record_id": "zz"})
+    lines[0] = json.dumps({**json.loads(lines[0]), "record_id": record_id})
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     backend = ["--backend", f"scripted:{golden_env['fixtures']}"]
-    return ["feedback", str(golden_env["corpus"]), *backend], "record 'zz' answer 0"
+    return ["feedback", str(golden_env["corpus"]), *backend], f"record {record_id!r} answer 0"
+
+
+def _renamed_to_a_newline(golden_env, out: Path) -> tuple[list[str], str]:
+    """A renamed record whose id is a newline, shown as its repr so the error is one line."""
+    return _renamed_record(golden_env, out, "\n")
 
 
 def _unselected_answer(golden_env, out: Path) -> tuple[list[str], str]:
@@ -1119,8 +1142,8 @@ def _unselected_answer(golden_env, out: Path) -> tuple[list[str], str]:
     return [*argv, "--answer", "model"], "record 'g00' answer 0"
 
 
-@pytest.mark.parametrize("make_out", [_renamed_record, _unselected_answer],
-                         ids=["renamed-record", "unselected-answer"])
+@pytest.mark.parametrize("make_out", [_renamed_record, _renamed_to_a_newline, _unselected_answer],
+                         ids=["renamed-record", "renamed-to-a-newline", "unselected-answer"])
 @pytest.mark.parametrize("kept_in", ["out", "partial"])
 def test_resume_refuses_lines_that_are_not_targets(
     make_out, kept_in, golden_env, tmp_path, capsys
@@ -1134,6 +1157,7 @@ def test_resume_refuses_lines_that_are_not_targets(
     assert main([*again, "--resume", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{kept}: line 1: {key} is not a target of this run" in err
+    assert err.count("\n") == 1
     assert kept.read_bytes() == before
     assert sorted(p.name for p in tmp_path.glob("out.jsonl*")) == [kept.name]
 
@@ -1453,7 +1477,10 @@ def test_eval_detect_out_is_one_detection_eval_report(tmp_path):
     assert code == 0
     report = detection_eval(
         completeness_gold(load_corpus(corpus_path)),
-        {(r, i): [tag == "Incomplete" for tag in tags] for r, i, tags in rows},
+        [
+            ((r, i), (len(tags), tuple(k for k, tag in enumerate(tags) if tag == "Incomplete")))
+            for r, i, tags in rows
+        ],
     )
     assert out.read_text(encoding="utf-8") == cli_module._dump(report.to_dict()) + "\n"
     # skipped ids keep prediction-file order, whatever their answer index
@@ -1590,7 +1617,8 @@ def test_eval_correct_cli(tmp_path, capsys):
     baseline.write_text(
         "\n".join(
             json.dumps({"record_id": rid, "error_score": score})
-            for rid, score in [("a", 1.2), ("b", 0.5), ("c", 0.0), ("d", 0.0)]
+            # a numeric string is a score: "0.5" flags b, so b is a miss (fn), not a tn
+            for rid, score in [("a", 1.2), ("b", "0.5"), ("c", 0.0), ("d", 0.0)]
         ),
         encoding="utf-8",
     )
@@ -1612,8 +1640,10 @@ def test_eval_correct_cli(tmp_path, capsys):
     assert correction["precision"] == 0.5
     assert correction["recall"] == 0.5
     assert "definitions" in correction
+    assert (correction["tp"], correction["fp"], correction["fn"]) == (1, 1, 1)
     base_row = next(r for r in rows if r.get("which") == "baseline")
     assert base_row["pct_error_samples"] == 50.0
+    assert base_row["mean_error_score"] == pytest.approx(0.425)
 
 
 _SCORES = '{"record_id": "a", "error_score": 1.0}\n{"record_id": "b", "error_score": 0.0}\n'
@@ -1827,6 +1857,76 @@ def test_side_file_malformed_line_exits_1(command, second_line, message, tmp_pat
         argv = ["eval-correct", "--baseline", str(path), "--refined", str(path)]
     assert main(argv) == 1
     assert message.format(path=path) in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+class _FullDisk:
+    """A file opened for writing whose every write fails as on a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    writelines = write
+
+
+def _one_shot_runs(corpus: Path, tmp_path: Path, out: Path) -> dict[str, list[str]]:
+    scores, judgments = tmp_path / "scores.jsonl", tmp_path / "judgments.jsonl"
+    scores.write_text(_SCORES, encoding="utf-8")
+    judgments.write_text('{"record_id": "r1", "verdicts": ["yes"]}\n', encoding="utf-8")
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    return {
+        "stats": ["stats", str(corpus), "--out", str(out)],
+        "agreement": ["agreement", str(corpus), "--out", str(out)],
+        "score-report": ["score", str(corpus), "--report", str(out)],
+        "eval-detect": ["eval-detect", str(corpus), "--predictions", str(predictions),
+                        "--out", str(out)],
+        "eval-correct": ["eval-correct", "--baseline", str(scores), "--refined", str(scores),
+                         "--out", str(out)],
+        "selfcheck": ["selfcheck", "--judgments", str(judgments), "--out", str(out)],
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["stats", "agreement", "score-report", "eval-detect", "eval-correct", "selfcheck"]
+)
+def test_one_shot_output_lands_whole_or_not_at_all(
+    command, small_corpus, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "out.jsonl"
+    argv = _one_shot_runs(small_corpus, tmp_path, out)[command]
+    assert main(argv) == 0
+    written = out.read_bytes()
+    assert written
+    out.write_bytes(b"previous\n")
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        handle = open(path, mode, *args, **kwargs)
+        return _FullDisk(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(cli_module, "open", full_disk_open, raising=False)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(out.name)) == [out.name]
+
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert out.read_bytes() == written
+    assert not Path(f"{out}.tmp").exists()
 
 
 # ---------------------------------------------------------------------------

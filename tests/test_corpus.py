@@ -121,7 +121,7 @@ def test_round_trip(tmp_path):
     path = tmp_path / "c.jsonl"
     save_corpus(records, path)
     loaded = load_corpus(path)
-    assert loaded.records == records
+    assert loaded == records
 
 
 def test_round_trip_random_records(tmp_path):
@@ -164,7 +164,7 @@ def test_round_trip_random_records(tmp_path):
         )
     path = tmp_path / "c.jsonl"
     save_corpus(records, path)
-    assert load_corpus(path).records == records
+    assert load_corpus(path) == records
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +394,7 @@ def test_unicode_offsets_count_codepoints(tmp_path):
     )
     path = tmp_path / "u.jsonl"
     save_corpus([record], path)
-    assert load_corpus(path).records == [record]
+    assert load_corpus(path) == [record]
 
 
 def test_bad_target_schema_names_field():
@@ -551,4 +551,4 @@ def test_one_changed_node_is_read_or_named_by_line(data, record, fuzz_dir):
         with pytest.raises(CorpusError, match="^line 2: "):
             load_corpus(path)
     else:
-        assert load_corpus(path).records[1] == read
+        assert load_corpus(path)[1] == read

@@ -13,7 +13,6 @@ from lfqa_eval.evalmetrics import (
     detection_eval,
     error_report,
     flag_map,
-    load_error_scores,
     selfcheck_aggregate,
     weighted_accuracy,
 )
@@ -202,14 +201,11 @@ def test_flagged_iff_positive_score():
             ErrorScoreRecord("r", score)
 
 
-def test_load_error_scores_and_flag_map():
-    scores = load_error_scores(
-        enumerate([{"record_id": "a", "error_score": 0}, {"record_id": "b", "error_score": 2.5},
-                   {"record_id": "c", "error_score": "0.5"}], 1)
-    )
+def test_flag_map_flags_positive_scores_and_refuses_duplicates():
+    scores = [ErrorScoreRecord("a", 0.0), ErrorScoreRecord("b", 2.5), ErrorScoreRecord("c", 0.5)]
     assert flag_map(scores) == {"a": False, "b": True, "c": True}
-    with pytest.raises(ValueError, match="duplicate"):
-        flag_map(load_error_scores(enumerate([{"record_id": "a", "error_score": 0}] * 2, 1)))
+    with pytest.raises(ValueError, match="duplicate record_id 'a'"):
+        flag_map([ErrorScoreRecord("a", 0.0)] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +284,8 @@ def _detect_record(record_id, gold_indices):
 
 
 def _prediction(tags):
-    return [tag == TAG_INCOMPLETE for tag in tags]
+    """(tag count, Incomplete indices), the shape of a completeness_gold entry."""
+    return len(tags), tuple(i for i, tag in enumerate(tags) if tag == TAG_INCOMPLETE)
 
 
 def test_completeness_gold_is_sentence_count_and_gold_indices_per_answer():
@@ -308,10 +305,10 @@ def test_completeness_gold_is_sentence_count_and_gold_indices_per_answer():
 
 def test_detection_eval_perfect_predictions():
     gold = completeness_gold([_detect_record("r1", [0]), _detect_record("r2", [1])])
-    predictions = {
-        ("r1", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
-        ("r2", 0): _prediction([TAG_COMPLETE, TAG_INCOMPLETE]),
-    }
+    predictions = [
+        (("r1", 0), _prediction([TAG_INCOMPLETE, TAG_COMPLETE])),
+        (("r2", 0), _prediction([TAG_COMPLETE, TAG_INCOMPLETE])),
+    ]
     report = detection_eval(gold, predictions)
     assert report.weighted_accuracy == 1.0
     assert report.misses == 0
@@ -320,7 +317,7 @@ def test_detection_eval_perfect_predictions():
 
 def test_detection_eval_adjacent_case():
     gold = completeness_gold([_detect_record("r1", [1])])
-    predictions = {("r1", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE])}
+    predictions = [(("r1", 0), _prediction([TAG_INCOMPLETE, TAG_COMPLETE]))]
     report = detection_eval(gold, predictions)
     assert report.counts.adjacent == 1
     assert report.weighted_accuracy == pytest.approx(0.5)
@@ -328,10 +325,10 @@ def test_detection_eval_adjacent_case():
 
 def test_detection_eval_missed_record_excluded_from_denominator():
     gold = completeness_gold([_detect_record("r1", [1]), _detect_record("r2", [0])])
-    predictions = {
-        ("r1", 0): _prediction([TAG_COMPLETE, TAG_COMPLETE]),  # miss: gold but no predictions
-        ("r2", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
-    }
+    predictions = [
+        (("r1", 0), _prediction([TAG_COMPLETE, TAG_COMPLETE])),  # miss: gold but no predictions
+        (("r2", 0), _prediction([TAG_INCOMPLETE, TAG_COMPLETE])),
+    ]
     report = detection_eval(gold, predictions)
     assert report.misses == 1
     assert report.counts.total_predicted == 1
@@ -341,21 +338,21 @@ def test_detection_eval_missed_record_excluded_from_denominator():
 def test_detection_eval_tag_length_mismatch():
     gold = completeness_gold([_detect_record("r1", [0])])
     with pytest.raises(ValueError, match="2 sentences"):
-        detection_eval(gold, {("r1", 0): _prediction([TAG_COMPLETE])})
+        detection_eval(gold, [(("r1", 0), _prediction([TAG_COMPLETE]))])
 
 
 def test_detection_eval_bad_answer_index():
     gold = completeness_gold([_detect_record("r1", [0])])
     with pytest.raises(ValueError, match="answer index 3"):
-        detection_eval(gold, {("r1", 3): _prediction([TAG_INCOMPLETE, TAG_COMPLETE])})
+        detection_eval(gold, [(("r1", 3), _prediction([TAG_INCOMPLETE, TAG_COMPLETE]))])
 
 
 def test_detection_eval_unknown_record_skipped():
     gold = completeness_gold([_detect_record("r1", [0])])
-    predictions = {
-        ("r1", 0): _prediction([TAG_INCOMPLETE, TAG_COMPLETE]),
-        ("ghost", 0): _prediction([TAG_COMPLETE]),
-    }
+    predictions = [
+        (("r1", 0), _prediction([TAG_INCOMPLETE, TAG_COMPLETE])),
+        (("ghost", 0), _prediction([TAG_COMPLETE])),
+    ]
     report = detection_eval(gold, predictions)
     assert report.skipped == ["ghost"]
     assert report.n_records == 1

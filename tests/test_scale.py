@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_record
 from lfqa_eval.cli import corpus_stats
-from lfqa_eval.corpus import Corpus, load_corpus, save_corpus
+from lfqa_eval.corpus import load_corpus, save_corpus
 from lfqa_eval.models import (
     Answer,
     Aspect,

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from conftest import make_record
-from lfqa_eval.corpus import Corpus
 from lfqa_eval.models import (
     Answer,
     Aspect,
@@ -233,9 +232,7 @@ def test_preference_shares_majority_and_tie():
 
 
 def test_domain_report_all_model_preferred():
-    corpus = Corpus(
-        [_pref_record(f"r{i}", Domain.PHYSICS, [1, 1, 1]) for i in range(4)]
-    )
+    corpus = [_pref_record(f"r{i}", Domain.PHYSICS, [1, 1, 1]) for i in range(4)]
     report = domain_report(corpus)
     row = report.rows[0]
     assert row.domain == "physics"
@@ -251,7 +248,7 @@ def test_domain_report_percentages_sum_to_100():
         domain = rng.choice(list(Domain))
         choices = [rng.randint(0, 1) for _ in range(rng.choice([1, 2, 3]))]
         records.append(_pref_record(f"r{i}", domain, choices))
-    report = domain_report(Corpus(records))
+    report = domain_report(records)
     for row in report.rows + [report.average]:
         if row.human_pref_pct is not None:
             assert row.human_pref_pct + row.model_pref_pct == pytest.approx(100.0)
@@ -262,7 +259,7 @@ def test_domain_report_average_is_mean_of_domain_rows():
         _pref_record("r1", Domain.LAW, [0, 0]),        # law: human 100%
         _pref_record("r2", Domain.PHYSICS, [1, 1]),     # physics: model 100%
     ]
-    report = domain_report(Corpus(records))
+    report = domain_report(records)
     assert report.average.human_pref_pct == pytest.approx(50.0)
     assert report.average.model_pref_pct == pytest.approx(50.0)
     assert report.average.n_records == 2
@@ -274,7 +271,7 @@ def test_domain_report_alpha_uses_multi_annotator_records():
         _pref_record("r2", Domain.LAW, [1, 1]),
         _pref_record("r3", Domain.LAW, [0]),  # single label: excluded from alpha
     ]
-    report = domain_report(Corpus(records))
+    report = domain_report(records)
     assert report.rows[0].alpha == pytest.approx(1.0)
 
 
@@ -300,6 +297,6 @@ def test_score_record_aspect_and_overall():
 
 
 def test_format_domain_table_contains_rows():
-    corpus = Corpus([_pref_record("r1", Domain.LAW, [0, 1, 1])])
+    corpus = [_pref_record("r1", Domain.LAW, [0, 1, 1])]
     table = format_domain_table(domain_report(corpus))
     assert "law" in table and "average" in table
