@@ -14,10 +14,10 @@ Subcommands:
 
 Exit codes: 0 ok, 1 data/config error, 2 usage error, 3 some records failed.
 
-Configuration is a plain-text ``key = value`` file ('#' comments allowed);
-command-line flags override file values, which override the defaults.
-Credentials are only ever read from the environment variable a backend's
-``auth_env`` key names.
+Configuration is a plain-text ``key = value`` file; a '#' that starts a line
+or follows whitespace starts a comment. Command-line flags override file
+values, which override the defaults. Credentials are only ever read from the
+environment variable a backend's ``auth_env`` key names.
 """
 from __future__ import annotations
 
@@ -25,11 +25,12 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -98,18 +99,22 @@ _BACKEND_KEYS = {
 _ROLES = ("feedback", "refine")
 
 
+@dataclass(frozen=True)
+class RoleConfig:
+    """One role's settings as set; None where the config leaves one unset."""
+
+    backend: BackendConfig | None = None
+    temperature: float | None = None
+    max_tokens: int | None = None
+
+
 @dataclass
 class CliConfig:
     n_samples: int = DEFAULT_N_SAMPLES
     workers: int | None = None  # cap on the runner's threads, None = none; kept for the benchmark
-    backends: dict | None = None          # role -> BackendConfig
-    temperatures: dict | None = None      # role -> float
-    max_tokens: dict | None = None        # role -> int
+    roles: dict[str, RoleConfig] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.backends = self.backends or {}
-        self.temperatures = self.temperatures or {}
-        self.max_tokens = self.max_tokens or {}
         for key in ("n_samples", "workers"):
             value = getattr(self, key)
             if value is not None and value < 1:
@@ -129,13 +134,16 @@ def _coerce(key: str, raw: str, kind: type):
         raise ConfigError(f"config key '{key}' expects {kind.__name__}, got '{raw}'") from None
 
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")  # a '#' after whitespace: 'http://h/p#frag' keeps its '#'
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """{key: value} of a config file; a key set on two lines is a ConfigError."""
     values: dict[str, str] = {}
     set_on: dict[str, int] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = _COMMENT.sub("", line).strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"config line {ln}: expected 'key = value'")
@@ -169,29 +177,26 @@ def load_config(path: str | None, overrides: dict | None = None) -> CliConfig:
             continue
         raise ConfigError(f"unknown config key '{key}'")
 
-    backends: dict[str, BackendConfig] = {}
-    temperatures: dict[str, float] = {}
-    max_tokens: dict[str, int] = {}
+    roles: dict[str, RoleConfig] = {}
     for role, settings in role_settings.items():
-        if "temperature" in settings:
-            value = temperatures[role] = settings.pop("temperature")
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(f"{role}.temperature must be a finite number >= 0, got {value}")
-        if "max_tokens" in settings:
-            value = max_tokens[role] = settings.pop("max_tokens")
-            if value < 1:
-                raise ConfigError(f"{role}.max_tokens must be at least 1, got {value}")
-        if settings and "kind" not in settings:
-            raise ConfigError(f"backend '{role}' is configured but has no '{role}.kind'")
+        temperature = settings.pop("temperature", None)
+        if temperature is not None and not 0.0 <= temperature < math.inf:
+            raise ConfigError(f"{role}.temperature must be a finite number >= 0, got {temperature}")
+        max_tokens = settings.pop("max_tokens", None)
+        if max_tokens is not None and max_tokens < 1:
+            raise ConfigError(f"{role}.max_tokens must be at least 1, got {max_tokens}")
+        backend = None
         if settings:
+            if "kind" not in settings:
+                raise ConfigError(f"backend '{role}' is configured but has no '{role}.kind'")
             backend = BackendConfig(**settings)
             try:
                 backend.validate()
             except ValueError as exc:
                 raise ConfigError(f"backend '{role}': {exc}") from None
-            backends[role] = backend
+        roles[role] = RoleConfig(backend, temperature, max_tokens)
 
-    return CliConfig(backends=backends, temperatures=temperatures, max_tokens=max_tokens, **scalars)
+    return CliConfig(roles=roles, **scalars)
 
 
 def _apply_backend_flag(config: CliConfig, flag: str | None) -> CliConfig:
@@ -206,12 +211,14 @@ def _apply_backend_flag(config: CliConfig, flag: str | None) -> CliConfig:
     if not fixture_dir:
         raise ConfigError("--backend scripted: needs a directory")
     scripted = BackendConfig(kind="scripted", fixture_dir=fixture_dir)
-    config.backends = {role: scripted for role in _ROLES}
+    config.roles = {
+        role: replace(config.roles.get(role, RoleConfig()), backend=scripted) for role in _ROLES
+    }
     return config
 
 
 def _client_for(config: CliConfig, role: str) -> GenerationClient:
-    backend = config.backends.get(role)
+    backend = config.roles.get(role, RoleConfig()).backend
     if backend is None:
         raise ConfigError(
             f"no '{role}' backend configured; set {role}.kind in the config "
@@ -220,17 +227,25 @@ def _client_for(config: CliConfig, role: str) -> GenerationClient:
     return GenerationClient(backend)
 
 
-def _temperature_for(config: CliConfig, role: str) -> float:
-    backend = config.backends.get(role)
-    if role in config.temperatures:
-        return config.temperatures[role]
-    if backend is not None and backend.kind == "scripted":
-        return 0.0  # fixtures are keyed by prompt only
-    if role == "refine":
-        return REFINE_TEMPERATURE
-    raise ConfigError(
-        f"{role}.temperature is required for http backends (no default)"
-    )
+def _open_role(
+    stack: ExitStack, config: CliConfig, role: str
+) -> tuple[GenerationClient, dict[str, float | int | None]]:
+    """role's client, entered on stack, and the temperature and max_tokens its requests take.
+
+    An unset temperature is 0.0 for a scripted backend, whose fixtures are keyed
+    by prompt only, and REFINE_TEMPERATURE for refine; an http feedback role needs one.
+    """
+    client = stack.enter_context(_client_for(config, role))
+    settings = config.roles[role]
+    temperature = settings.temperature
+    if temperature is None:
+        if client.config.kind == "scripted":
+            temperature = 0.0
+        elif role == "refine":
+            temperature = REFINE_TEMPERATURE
+        else:
+            raise ConfigError(f"{role}.temperature is required for http backends (no default)")
+    return client, {"temperature": temperature, "max_tokens": settings.max_tokens}
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +523,8 @@ def _kept_lines(
 
     def parse(obj: dict, ln: int) -> tuple[tuple[str, int], str]:
         record_id = obj["record_id"]
-        key = (record_id, read_field(obj, "answer_index", int, f"record '{record_id}'", 0))
-        where = f"{path}: line {ln}: record {key[0]!r} answer {key[1]}"  # repr: one error line
+        key = (record_id, read_field(obj, "answer_index", int, f"record {record_id!r}", 0))
+        where = f"{path}: line {ln}: record {key[0]!r} answer {key[1]}"
         if key not in targets:
             raise UsageError(
                 f"{where} is not a target of this run; --resume keeps only lines of the same run"
@@ -544,9 +559,13 @@ def _existing_lines(
 
 
 def _run_batch(
-    args, config: CliConfig, clients: list[GenerationClient], expected: dict[str, object], work
+    args, config: CliConfig, roles: tuple[str, ...], expected: dict[str, object], work
 ) -> int:
-    """Run work(record, answer_index) -> a line's fields over the corpus.
+    """Run work(record, answer_index, opened) -> a line's fields over the corpus.
+
+    ``opened`` maps each of ``roles`` to its client and request settings,
+    from ``_open_role``; the roles open before --answer is parsed or the
+    corpus is read, and close when the run ends.
 
     Each line leads with the record_id and answer_index that --resume keys by.
     Lines stream in corpus order to OUT.partial, each flushed once written,
@@ -559,40 +578,42 @@ def _run_batch(
     and one thread or fewer runs the records inline. Failures are reported
     per record and turn the exit code to 3.
     """
-    selector = _parse_answer_selector(args.answer)
-    corpus = load_corpus(args.corpus)
-    targets = [
-        (record, idx)
-        for record in corpus
-        for idx in _select_answers(record, selector)
-    ]
-    if not targets and corpus:
-        if isinstance(selector, int):
-            largest = max(len(record.answers) for record in corpus) - 1
-            hint = f"the largest answer index is {largest}"
-        else:
-            hint = f"no record has a {selector} answer"
-        raise UsageError(f"--answer {args.answer} selects no answer in {args.corpus}; {hint}")
-    existing = {}
-    if args.resume:
-        keys = {(record.id, idx) for record, idx in targets}
-        existing = _existing_lines(args.out, {**expected, "audit": args.audit}, keys)
-    todo = [(record, idx) for record, idx in targets if (record.id, idx) not in existing]
-    partial = f"{args.out}.partial"
-    if existing and Path(partial).exists():
-        _write_lines(args.out, (existing[r.id, i] for r, i in targets if (r.id, i) in existing))
-
-    def attempt(target: tuple[QARecord, int]) -> str | Exception:
-        record, idx = target
-        try:
-            return _dump({"record_id": record.id, "answer_index": idx, **work(record, idx)})
-        except Exception as exc:  # per-record isolation
-            return exc
-
     failures: list[str] = []
     with ExitStack() as stack:
+        opened = {role: _open_role(stack, config, role) for role in roles}
+        selector = _parse_answer_selector(args.answer)
+        corpus = load_corpus(args.corpus)
+        targets = [
+            (record, idx)
+            for record in corpus
+            for idx in _select_answers(record, selector)
+        ]
+        if not targets and corpus:
+            if isinstance(selector, int):
+                largest = max(len(record.answers) for record in corpus) - 1
+                hint = f"the largest answer index is {largest}"
+            else:
+                hint = f"no record has a {selector} answer"
+            raise UsageError(f"--answer {args.answer} selects no answer in {args.corpus}; {hint}")
+        existing = {}
+        if args.resume:
+            keys = {(record.id, idx) for record, idx in targets}
+            existing = _existing_lines(args.out, {**expected, "audit": args.audit}, keys)
+        todo = [(record, idx) for record, idx in targets if (record.id, idx) not in existing]
+        partial = f"{args.out}.partial"
+        if existing and Path(partial).exists():
+            _write_lines(args.out, (existing[r.id, i] for r, i in targets if (r.id, i) in existing))
+
+        def attempt(target: tuple[QARecord, int]) -> str | Exception:
+            record, idx = target
+            try:
+                fields = work(record, idx, opened)
+                return _dump({"record_id": record.id, "answer_index": idx, **fields})
+            except Exception as exc:  # per-record isolation
+                return exc
+
         handle = stack.enter_context(open(partial, "w", encoding="utf-8"))
-        threads = sum(c.config.max_in_flight for c in clients if c.config.kind == "http")
+        threads = sum(c.config.max_in_flight for c, _ in opened.values() if c.config.kind == "http")
         threads = min(threads, config.workers or threads)
         if threads > 1:
             results = stack.enter_context(ThreadPoolExecutor(threads)).map(attempt, todo)
@@ -617,64 +638,43 @@ def _run_batch(
     return 3 if failures else 0
 
 
-def _feedback_step(
-    config: CliConfig, client: GenerationClient
-) -> Callable[[QARecord, int], FeedbackResult]:
-    """feedback_for(record, answer_index) -> FeedbackResult under this run's settings."""
-    temperature = _temperature_for(config, "feedback")
-
-    def feedback_for(record: QARecord, idx: int) -> FeedbackResult:
-        return run_feedback(
-            record.question,
-            record.answers[idx].text,
-            client,
-            config.n_samples,
-            temperature=temperature,
-            max_tokens=config.max_tokens.get("feedback"),
-        )
-
-    return feedback_for
+def _feedback(config: CliConfig, opened: dict, record: QARecord, idx: int) -> FeedbackResult:
+    """run_feedback on one answer through the opened feedback role."""
+    client, settings = opened["feedback"]
+    return run_feedback(
+        record.question, record.answers[idx].text, client, config.n_samples, **settings
+    )
 
 
 def _cmd_feedback(args) -> int:
     config = _config_from_args(args)
-    with _client_for(config, "feedback") as client:
-        feedback_for = _feedback_step(config, client)
 
-        def work(record: QARecord, idx: int) -> dict:
-            return feedback_for(record, idx).to_dict(args.audit)
+    def work(record: QARecord, idx: int, opened: dict) -> dict:
+        return _feedback(config, opened, record, idx).to_dict(args.audit)
 
-        return _run_batch(args, config, [client], {"n_sampled": config.n_samples}, work)
+    return _run_batch(args, config, ("feedback",), {"n_sampled": config.n_samples}, work)
 
 
 def _cmd_refine(args) -> int:
     config = _config_from_args(args)
     mode = {"improve": RefineMode.IMPROVE, "generic": RefineMode.GENERIC, "eir": RefineMode.ERROR_INFORMED}[args.mode]
     expected: dict[str, object] = {"mode": mode.value}
-    with ExitStack() as stack:
-        client = stack.enter_context(_client_for(config, "refine"))
-        settings = {
-            "temperature": _temperature_for(config, "refine"),
-            "max_tokens": config.max_tokens.get("refine"),
-        }
-        clients = [client]
+    roles: tuple[str, ...] = ("refine",)
+    if mode is RefineMode.ERROR_INFORMED:
+        roles += ("feedback",)
+        expected["feedback.n_sampled"] = config.n_samples
+
+    def work(record: QARecord, idx: int, opened: dict) -> dict:
+        client, settings = opened["refine"]
+        answer = record.answers[idx].text
         if mode is RefineMode.ERROR_INFORMED:
-            feedback_client = stack.enter_context(_client_for(config, "feedback"))
-            feedback_for = _feedback_step(config, feedback_client)
-            clients.append(feedback_client)
-            expected["feedback.n_sampled"] = config.n_samples
+            feedback = _feedback(config, opened, record, idx)
+            result = run_eir(record.question, answer, feedback, client, **settings)
+        else:
+            result = refine_answer(record.question, answer, mode, None, client, **settings)
+        return result.to_dict(audit=args.audit)
 
-        def work(record: QARecord, idx: int) -> dict:
-            answer = record.answers[idx].text
-            if mode is RefineMode.ERROR_INFORMED:
-                result = run_eir(
-                    record.question, answer, feedback_for(record, idx), client, **settings
-                )
-            else:
-                result = refine_answer(record.question, answer, mode, None, client, **settings)
-            return result.to_dict(audit=args.audit)
-
-        return _run_batch(args, config, clients, expected, work)
+    return _run_batch(args, config, roles, expected, work)
 
 
 # ---------------------------------------------------------------------------
@@ -686,18 +686,18 @@ def _cmd_eval_detect(args) -> int:
 
     def prediction(obj: dict, ln: int) -> tuple[tuple[str, int], tuple[int, tuple[int, ...]]]:
         record_id = obj["record_id"]
-        idx = read_field(obj, "answer_index", int, f"record '{record_id}'", 0)
+        idx = read_field(obj, "answer_index", int, f"record {record_id!r}", 0)
         answers = gold.get(record_id)
         if answers is not None and idx >= len(answers):
             message = f"answer_index {idx} out of range 0..{len(answers) - 1}"
-            raise CorpusError(f"record '{record_id}': {message}")
+            raise CorpusError(f"record {record_id!r}: {message}")
         selected = obj.get("selected") if "selected" in obj else obj
         tags = selected.get("tags") if isinstance(selected, dict) else None
         if not isinstance(tags, list):
-            raise CorpusError(f"prediction for '{record_id}' has no tags")
+            raise CorpusError(f"prediction for {record_id!r} has no tags")
         for tag in tags:
             if tag not in (TAG_COMPLETE, TAG_INCOMPLETE):
-                message = f"record '{record_id}': tag {tag!r} is neither Complete nor Incomplete"
+                message = f"record {record_id!r}: tag {tag!r} is neither Complete nor Incomplete"
                 raise CorpusError(message)
         incomplete = tuple(i for i, tag in enumerate(tags) if tag == TAG_INCOMPLETE)
         return (record_id, idx), (len(tags), incomplete)
@@ -740,7 +740,7 @@ def _read_scores(flag: str, path: str) -> dict[str, tuple[int, ErrorScoreRecord]
 
     def score(obj: dict, ln: int) -> tuple[str, ErrorScoreRecord]:
         record_id = obj["record_id"]
-        where = f"record '{record_id}'"
+        where = f"record {record_id!r}"
         if "error_score" not in obj:
             raise CorpusError(f"{where}: score line needs record_id and error_score")
         value = obj["error_score"]
@@ -773,7 +773,7 @@ def _cmd_eval_correct(args) -> int:
         missing = next((rid for rid in scores if rid not in other_scores), None)
         if missing is not None:
             line = scores[missing][0]
-            raise CorpusError(f"{source}: line {line}: record '{missing}' has no line in {other}")
+            raise CorpusError(f"{source}: line {line}: record {missing!r} has no line in {other}")
     baseline, refined = ([record for _, record in scores.values()] for _, scores in files)
     base_pct, base_mean = error_report(baseline)
     ref_pct, ref_mean = error_report(refined)
@@ -809,7 +809,7 @@ def _cmd_selfcheck(args) -> int:
     def judgment(obj: dict, ln: int) -> tuple[tuple[str, int], None]:
         """Adds the line's judgment to grouped, in first-seen record order."""
         record_id = obj["record_id"]
-        where = f"record '{record_id}'"
+        where = f"record {record_id!r}"
         verdicts = read_field(obj, "verdicts", list, where)
         if not verdicts:
             raise CorpusError(f"{where}: verdicts [] is empty")

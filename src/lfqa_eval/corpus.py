@@ -119,7 +119,7 @@ def record_from_dict(obj: dict) -> QARecord:
     if not isinstance(obj, dict):
         raise CorpusError("record must be a JSON object")
     rid = read_field(obj, "id", str, "record")
-    where = f"record '{rid}'" if rid else "record"
+    where = f"record {rid!r}" if rid else "record"
     domain = read_field(obj, "domain", Domain, where)
     question = read_field(obj, "question", str, where)
 
@@ -251,11 +251,11 @@ def iter_corpus_records(
             problems = []
             if record.id in seen:
                 problems.append(
-                    f"duplicate id '{record.id}' (first seen on line {seen[record.id]})"
+                    f"duplicate id {record.id!r} (first seen on line {seen[record.id]})"
                 )
             else:
                 seen[record.id] = ln
-            problems.extend(f"record '{record.id}': {v}" for v in validate_record(record))
+            problems.extend(f"record {record.id!r}: {v}" for v in validate_record(record))
             yield ln, record, problems
 
 

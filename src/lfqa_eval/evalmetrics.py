@@ -205,7 +205,7 @@ class PredictionError(CorpusError):
     """A prediction that does not fit its answer, ``key`` = (record_id, answer_index)."""
 
     def __init__(self, key: tuple[str, int], message: str):
-        super().__init__(f"record '{key[0]}' answer {key[1]}: {message}")
+        super().__init__(f"record {key[0]!r} answer {key[1]}: {message}")
         self.key = key
 
 
@@ -271,7 +271,7 @@ def detection_eval(
             skipped.append(record_id)
             continue
         if not 0 <= idx < len(answers):
-            raise CorpusError(f"record '{record_id}': answer index {idx} out of range")
+            raise CorpusError(f"record {record_id!r}: answer index {idx} out of range")
         n_sentences, errors = answers[idx]
         if n_tags != n_sentences:
             raise PredictionError(
@@ -297,7 +297,7 @@ def flag_map(scores: Sequence[ErrorScoreRecord]) -> dict[str, bool]:
     flags: dict[str, bool] = {}
     for score in scores:
         if score.record_id in flags:
-            raise ValueError(f"duplicate record_id '{score.record_id}' in scores")
+            raise ValueError(f"duplicate record_id {score.record_id!r} in scores")
         flags[score.record_id] = score.flagged
     return flags
 

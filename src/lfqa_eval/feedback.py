@@ -104,37 +104,28 @@ def parse_feedback_output(text: str, expected_n: int) -> FeedbackSample:
     diagnostics: list[str] = []
     numbers: list[int] = []
     tags: list[str] = []
-    reason_lines: list[str] | None = None
-    per_entry_reasons: list[list[str] | None] = []
+    reason_lines: dict[int, list[str]] = {}  # sentence index -> its reason's lines
+    extending: list[str] | None = None  # the reason a continuation line joins
 
     for ln, line in enumerate(text.splitlines(), start=1):
         if _TAG_START.match(line):
             match = _TAG_LINE.match(line)
+            extending = None
             if not match:
                 diagnostics.append(f"line {ln}: unknown tag")
-                reason_lines = None
                 continue
             number, tag, rest = int(match.group(1)), match.group(2), match.group(3)
             numbers.append(number)
             tags.append(tag)
-            if tag == TAG_INCOMPLETE:
-                prefix = _REASONS_PREFIX.match(rest)
-                if not prefix:
-                    diagnostics.append(
-                        f"line {ln}: [Incomplete] tag without 'Reasons:'"
-                    )
-                    per_entry_reasons.append(None)
-                    reason_lines = None
-                else:
-                    reason_lines = [rest[prefix.end() :]]
-                    per_entry_reasons.append(reason_lines)
-            else:
+            if tag == TAG_COMPLETE:
                 if rest.strip():
                     diagnostics.append(f"line {ln}: text after [Complete] tag")
-                per_entry_reasons.append(None)
-                reason_lines = None
-        elif reason_lines is not None:
-            reason_lines.append(line)
+            elif prefix := _REASONS_PREFIX.match(rest):
+                extending = reason_lines[len(tags) - 1] = [rest[prefix.end() :]]
+            else:
+                diagnostics.append(f"line {ln}: [Incomplete] tag without 'Reasons:'")
+        elif extending is not None:
+            extending.append(line)
         elif not line.strip():
             continue
         elif not tags:
@@ -147,11 +138,7 @@ def parse_feedback_output(text: str, expected_n: int) -> FeedbackSample:
     elif numbers != list(range(1, expected_n + 1)):
         diagnostics.append(f"non-contiguous numbering: {numbers}")
 
-    reasons: dict[int, str] = {}
-    for idx, (tag, lines) in enumerate(zip(tags, per_entry_reasons)):
-        if tag == TAG_INCOMPLETE and lines is not None:
-            reasons[idx] = "\n".join(lines).rstrip()
-
+    reasons = {idx: "\n".join(lines).rstrip() for idx, lines in reason_lines.items()}
     return FeedbackSample(
         tags=tags,
         reasons=reasons,
@@ -293,24 +280,15 @@ def select_feedback(samples: list[FeedbackSample]) -> FeedbackResult:
     highest tag-consistency score; stage 2 picks the highest reason
     consistency among them, ties going to the earliest sample.
     """
-    parseable = [(i, s) for i, s in enumerate(samples) if s.parse_ok]
+    parseable = [s for s in samples if s.parse_ok]
     if not parseable:
         raise ValueError("zero parseable samples")
-    stage1 = [s for _, s in parseable]
-    tag_scores = tag_consistency(stage1)
+    tag_scores = tag_consistency(parseable)
     best_tag = max(tag_scores)
-    survivors = [
-        (orig, s)
-        for (orig, s), score in zip(parseable, tag_scores)
-        if score == best_tag
-    ]
-    reason_scores = reason_consistency([s for _, s in survivors])
-    winner = 0
-    for j in range(1, len(survivors)):
-        if reason_scores[j] > reason_scores[winner]:
-            winner = j
-    selected = survivors[winner][1]
-    reason_score = reason_scores[winner]
+    survivors = [s for s, score in zip(parseable, tag_scores) if score == best_tag]
+    reason_scores = reason_consistency(survivors)
+    reason_score = max(reason_scores)
+    selected = survivors[reason_scores.index(reason_score)]
     return FeedbackResult(
         selected=selected,
         tag_score=best_tag,

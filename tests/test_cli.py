@@ -18,7 +18,7 @@ from lfqa_eval import cli as cli_module
 from lfqa_eval import corpus as corpus_module
 from lfqa_eval import genclient as genclient_module
 from lfqa_eval import scoring as scoring_module
-from lfqa_eval.cli import ConfigError, load_config, main
+from lfqa_eval.cli import ConfigError, RoleConfig, load_config, main
 from lfqa_eval.corpus import classify_granularity, load_corpus, save_corpus
 from lfqa_eval.evalmetrics import completeness_gold, detection_eval
 from lfqa_eval.feedback import build_feedback_prompt
@@ -72,7 +72,7 @@ def test_config_defaults():
     config = load_config(None, {})
     assert config.n_samples == 20
     assert config.workers is None
-    assert config.backends == {}
+    assert config.roles == {}
 
 
 def test_config_flag_overrides_file(tmp_path):
@@ -108,8 +108,8 @@ def test_config_backend_section(tmp_path):
         encoding="utf-8",
     )
     config = load_config(str(path), {})
-    assert config.backends["feedback"].kind == "http"
-    assert config.temperatures["feedback"] == 0.7
+    assert config.roles["feedback"].backend.kind == "http"
+    assert config.roles["feedback"].temperature == 0.7
     assert config.n_samples == 4
 
 
@@ -175,8 +175,9 @@ def test_config_detection_weights_out_of_range_are_refused(key, value, shown):
 
 def test_config_role_sampling_settings_in_range_load():
     config = load_config(None, {"feedback.temperature": "0", "refine.max_tokens": "1"})
-    assert config.temperatures == {"feedback": 0.0}
-    assert config.max_tokens == {"refine": 1}
+    assert config.roles == {
+        "feedback": RoleConfig(temperature=0.0), "refine": RoleConfig(max_tokens=1)
+    }
 
 
 @pytest.mark.parametrize(("flag", "key"), [("--n-samples", "n_samples"), ("--workers", "workers")])
@@ -245,6 +246,33 @@ def test_readme_config_block_matches_load_config():
     accepted = {*cli_module._SCALAR_KEYS, *(f"feedback.{key}" for key in cli_module._BACKEND_KEYS)}
     assert documented - accepted == set(), "README documents keys load_config refuses"
     assert accepted - documented == set(), "README omits keys load_config accepts"
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Configuration\n", 1)[1].split("```", 2)[1]
+    path = tmp_path / "cfg"
+    path.write_text(block, encoding="utf-8")
+    config = load_config(str(path), {})
+    assert config.n_samples == 20  # the line ends "20   # feedback samples per answer"
+    assert config.roles["feedback"].backend.auth_env == "FEEDBACK_API_KEY"
+    assert config.roles["refine"].temperature == 0.1
+
+
+@pytest.mark.parametrize(
+    ("line", "value"),
+    [
+        ("auth_env = KEY   # trailing comment", "KEY"),
+        ("auth_env = KEY\t# tab before the '#'", "KEY"),
+        ("url = http://host/path#frag", "http://host/path#frag"),
+        ("url = http://host/path#frag # note", "http://host/path#frag"),
+        ("  # indented comment line", None),
+    ],
+    ids=["spaces", "tab", "fragment", "fragment-then-comment", "comment-line"],
+)
+def test_config_comment_starts_at_a_hash_after_whitespace(line, value):
+    parsed = cli_module.parse_config_text(line + "\n")
+    assert parsed == ({} if value is None else {line.split(" = ")[0]: value})
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +839,7 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
             return
         with server.lock:
             server.posts += 1
+            server.bodies.append(body)
             fault = server.faults.pop(prompt, {})
         if "status" in fault:
             self.send_response(fault["status"])
@@ -842,6 +871,7 @@ def _fixture_stub(fixtures, tmp_path, hold=None, reject=None, faults=None):
     server.store = FixtureStore(fixtures)
     server.lock = threading.Lock()
     server.posts = 0
+    server.bodies = []  # of the requests counted in posts
     server.hold = hold
     server.reject = reject
     server.faults = dict(faults or {})
@@ -903,6 +933,66 @@ def test_http_batch_writes_the_scripted_bytes_at_any_workers(
     # inline. Each client keeps max_in_flight = 4, and eir opens two.
     slots = {"feedback": 4, "refine": 4 + 4}[command[0]]
     assert pools == [4, slots]
+
+
+def test_eir_requests_carry_each_roles_settings(golden_env, tmp_path):
+    with _fixture_stub(golden_env["fixtures"], tmp_path) as (server, _):
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        config = tmp_path / "roles.cfg"
+        config.write_text(
+            f"feedback.kind = http\nfeedback.endpoint_url = {url}\nfeedback.model_name = fb\n"
+            "feedback.temperature = 0.7\nfeedback.max_tokens = 99\n"
+            f"refine.kind = http\nrefine.endpoint_url = {url}\nrefine.model_name = rf\n"
+            "refine.max_tokens = 7\n",  # no refine.temperature: REFINE_TEMPERATURE
+            encoding="utf-8",
+        )
+        code = main(
+            ["refine", str(golden_env["corpus"]), "--mode", "eir", "--config", str(config),
+             "--n-samples", "8", "--out", str(tmp_path / "out.jsonl")]
+        )
+    assert code == 0
+    settings = Counter(
+        (body["model"], body["temperature"], body["max_tokens"], body.get("n"))
+        for body in server.bodies
+    )
+    # every record gets feedback; the three clean ones pass through unrefined
+    assert settings == {("fb", 0.7, 99, 8): 10, ("rf", 0.1, 7, None): 7}
+
+
+def test_eir_refuses_an_unset_feedback_temperature_before_reading_the_corpus(
+    golden_env, tmp_path, monkeypatch, capsys
+):
+    made, closed = [], []
+    real_client_for = cli_module._client_for
+    real_close = GenerationClient.close
+
+    def recording_client_for(config, role):
+        made.append(real_client_for(config, role))
+        return made[-1]
+
+    def recording_close(self):
+        closed.append(self)
+        real_close(self)
+
+    monkeypatch.setattr(cli_module, "_client_for", recording_client_for)
+    monkeypatch.setattr(GenerationClient, "close", recording_close)
+    config = tmp_path / "cfg"
+    config.write_text(
+        f"refine.kind = scripted\nrefine.fixture_dir = {golden_env['fixtures']}\n"
+        "feedback.kind = http\nfeedback.endpoint_url = http://127.0.0.1:9/v1\n"
+        "feedback.model_name = stub\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    code = main(
+        ["refine", str(tmp_path / "missing.jsonl"), "--mode", "eir", "--config", str(config),
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert "feedback.temperature is required" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.partial").exists()
+    assert [client.config.kind for client in made] == ["scripted", "http"]
+    assert sorted(map(id, closed)) == sorted(map(id, made))
 
 
 def _feedback_prompts(golden_env) -> dict[str, str]:
@@ -1857,6 +1947,31 @@ def test_side_file_malformed_line_exits_1(command, second_line, message, tmp_pat
         argv = ["eval-correct", "--baseline", str(path), "--refined", str(path)]
     assert main(argv) == 1
     assert message.format(path=path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "eval-correct", "eval-detect", "selfcheck"])
+def test_record_id_with_a_newline_keeps_the_error_on_one_line(
+    command, small_corpus, tmp_path, capsys
+):
+    record_id = "a\nb"
+    path = tmp_path / "input.jsonl"
+    if command == "validate":
+        obj = json.loads(small_corpus.read_text(encoding="utf-8").splitlines()[0])
+        obj.update(id=record_id, annotations=[5])
+        argv = ["validate", str(path)]
+    elif command == "eval-correct":
+        obj = {"record_id": record_id, "error_score": "high"}
+        argv = ["eval-correct", "--baseline", str(path), "--refined", str(path)]
+    elif command == "eval-detect":
+        obj = {"record_id": record_id, "selected": {}}
+        argv = ["eval-detect", str(small_corpus), "--predictions", str(path)]
+    else:
+        obj = {"record_id": record_id, "verdicts": []}
+        argv = ["selfcheck", "--judgments", str(path)]
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert repr(record_id) in line
 
 
 # ---------------------------------------------------------------------------
