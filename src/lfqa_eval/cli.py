@@ -624,7 +624,7 @@ def _run_batch(
             if line is None:
                 line = next(results)
                 if isinstance(line, Exception):
-                    failures.append(f"{record.id}#{idx}: {line}")
+                    failures.append(f"{record.id!r}#{idx}: {line}")
                     continue
             handle.write(line + "\n")
             handle.flush()

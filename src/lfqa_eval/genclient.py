@@ -4,9 +4,11 @@ Two kinds: ``http`` speaks the common chat-completion JSON protocol
 (bearer-token auth, ``model``/``messages``/``temperature``/``n``/
 ``max_tokens`` body, ``choices[i].message.content`` responses); ``scripted``
 replays fixtures from a directory keyed by the SHA-256 digest of the exact
-prompt text, for deterministic tests and offline runs. ``hashlib``, and with
-it OpenSSL's ``_hashlib``, is imported at the first prompt digest, so the
-analysis subcommands never load it.
+prompt text, for deterministic tests and offline runs. The digest is
+CPython's built-in SHA-256 (``_sha2`` on 3.12+, ``_sha256`` before; ``hashlib``
+only where neither exists), found at the first digest: the analysis
+subcommands and scripted runs map no OpenSSL. An ``http`` client still does,
+through ``ssl`` and ``urllib.request``.
 
 Transient transport failures (``OSError``, such as a refused or reset
 connection, a timeout or a TLS error, and ``http.client.HTTPException``, such
@@ -134,17 +136,37 @@ class BackendConfig:
 # Fixture store
 
 
+_sha256 = None  # the SHA-256 constructor, found at the first digest
+
+
+def _find_sha256():
+    """CPython's built-in SHA-256, which maps no OpenSSL; hashlib's where it is missing.
+
+    Found once per process: a failed import is not cached, so trying
+    ``_sha2`` on every digest would search ``sys.path`` every time on 3.11.
+    """
+    global _sha256
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
+    _sha256 = sha256
+    return sha256
+
+
 class FixtureStore:
     """Directory of digest-named JSON files mapping a prompt to its replies."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._prefix = os.path.join(root, "")  # a str join costs lookup less than a Path
 
     @staticmethod
     def digest(prompt: str) -> str:
-        import hashlib  # loads OpenSSL, which only the scripted backend needs
-
-        return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        return (_sha256 or _find_sha256())(prompt.encode("utf-8")).hexdigest()
 
     def path_for(self, prompt: str) -> Path:
         return self.root / f"{self.digest(prompt)}.json"
@@ -158,15 +180,12 @@ class FixtureStore:
         temporary file; a hard kill such as SIGKILL can leave a stray
         ``<digest>.json.<pid>-<tid>.tmp``, which lookups never read.
         """
-        if not texts:
-            raise ValueError("fixture texts must be non-empty")
+        if not texts or not all(isinstance(t, str) for t in texts):
+            raise ValueError("fixture texts must be a non-empty list of strings")
         path = self.path_for(prompt)
-        try:
-            existing = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            pass
-        else:
-            if json.loads(existing).get("texts") != list(texts):
+        existing = self._read(path.name)
+        if existing is not None:
+            if existing != list(texts):
                 raise FixtureConflictError(
                     f"fixture {path.name} already recorded with a different payload"
                 )
@@ -184,16 +203,28 @@ class FixtureStore:
             raise
 
     def lookup(self, prompt: str) -> list[str]:
-        path = self.path_for(prompt)
+        digest = self.digest(prompt)
+        texts = self._read(f"{digest}.json")
+        if texts is None:
+            raise FixtureError(f"no fixture for prompt digest {digest}")
+        return texts
+
+    def _read(self, name: str) -> list[str] | None:
+        """The texts of the fixture file called name, None if there is none;
+        a malformed fixture raises FixtureError naming the file."""
         try:
-            raw = path.read_text(encoding="utf-8")
+            with open(self._prefix + name, encoding="utf-8") as file:
+                payload = json.loads(file.read())
         except FileNotFoundError:
-            raise FixtureError(f"no fixture for prompt digest {path.stem}") from None
-        payload = json.loads(raw)
+            return None
+        except ValueError:  # not UTF-8, or not JSON
+            raise FixtureError(f"fixture {name} is not JSON") from None
+        if not isinstance(payload, dict):
+            raise FixtureError(f"fixture {name} is not a JSON object")
         texts = payload.get("texts")
-        if not isinstance(texts, list) or not texts:
-            raise FixtureError(f"fixture {path.name} has no texts")
-        return [str(t) for t in texts]
+        if not (isinstance(texts, list) and texts and all(isinstance(t, str) for t in texts)):
+            raise FixtureError(f"fixture {name}: texts is not a non-empty list of strings")
+        return texts
 
 
 # ---------------------------------------------------------------------------

@@ -781,7 +781,7 @@ def test_feedback_cli_partial_failure_exit_3(golden_env, tmp_path, capsys, monke
          "--out", str(out)]
     )
     assert code == 3
-    assert "failed: missing#0: no fixture" in capsys.readouterr().err
+    assert "failed: 'missing'#0: no fixture" in capsys.readouterr().err
     # the good records still landed, in corpus order
     assert out.read_bytes() == clean.read_bytes()
     assert not Path(f"{out}.partial").exists()
@@ -1465,7 +1465,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_analysis_runs_load_no_openssl_and_a_scripted_run_does(golden_env, tmp_path):
+def test_analysis_and_scripted_runs_load_no_openssl(golden_env, tmp_path):
     corpus, backend = str(golden_env["corpus"]), f"scripted:{golden_env['fixtures']}"
     predictions = tmp_path / "predictions.jsonl"
     assert _run_feedback_cli(golden_env, predictions) == 0
@@ -1477,10 +1477,15 @@ def test_analysis_runs_load_no_openssl_and_a_scripted_run_does(golden_env, tmp_p
         ["eval-detect", corpus, "--predictions", str(predictions),
          "--out", str(tmp_path / "detect.jsonl")],
     ]
-    scripted = [["feedback", corpus, "--backend", backend, "--out", str(tmp_path / "fb.jsonl")]]
+    # every prompt is digested to name its fixture, with CPython's built-in SHA-256
+    scripted = [
+        ["feedback", corpus, "--backend", backend, "--out", str(tmp_path / "fb.jsonl")],
+        ["refine", corpus, "--mode", "eir", "--backend", backend,
+         "--out", str(tmp_path / "eir.jsonl")],
+    ]
     done = run_python(_HASHLIB_IN_CHILD, json.dumps([analysis, scripted]))
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], ["hashlib", "_hashlib"]]
+    assert json.loads(done.stdout) == [[], []]
 
 
 @pytest.mark.parametrize(
@@ -1972,6 +1977,23 @@ def test_record_id_with_a_newline_keeps_the_error_on_one_line(
     assert main(argv) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert repr(record_id) in line
+
+
+def test_failed_record_id_with_a_newline_keeps_its_line_whole(small_corpus, tmp_path, capsys):
+    obj = json.loads(small_corpus.read_text(encoding="utf-8").splitlines()[0])
+    obj["id"] = "a\nb"
+    corpus = tmp_path / "input.jsonl"
+    corpus.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    (tmp_path / "fixtures").mkdir()
+    out = tmp_path / "fb.jsonl"
+    code = main(
+        ["feedback", str(corpus), "--backend", f"scripted:{tmp_path / 'fixtures'}",
+         "--answer", "0", "--out", str(out)]
+    )
+    assert code == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("failed: 'a\\nb'#0: no fixture for prompt digest ")
+    assert out.read_bytes() == b""
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,22 @@
+import hashlib
+import importlib
+import importlib.util
 import json
+import re
 import select
 import shutil
 import socket
 import ssl
 import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import run_python
 import lfqa_eval.genclient as genclient
@@ -278,6 +285,77 @@ def test_fixture_digest_is_exact_prompt_hash(tmp_path):
     store.record("p", ["a"])
     with pytest.raises(FixtureError):
         store.lookup("p ")  # trailing whitespace is a different prompt
+
+
+@pytest.mark.parametrize(
+    "blocked", [(), ("_sha2",), ("_sha2", "_sha256")], ids=["builtin", "no-_sha2", "hashlib"]
+)
+def test_fixture_digest_is_sha256_on_every_constructor_path(blocked, monkeypatch):
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)  # the import raises ImportError
+    monkeypatch.setattr(genclient, "_sha256", None)  # found again at the next digest
+    found = next((m for m in ("_sha2", "_sha256") if importlib.util.find_spec(m)), "hashlib")
+
+    @given(st.text())
+    def digest_is_sha256(prompt):
+        expected = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        assert FixtureStore.digest(prompt) == expected
+
+    digest_is_sha256()
+    assert genclient._sha256 is importlib.import_module(found).sha256
+
+
+@pytest.mark.parametrize("texts", [[], [1], ["a", None]], ids=["empty", "number", "str-and-none"])
+def test_fixture_record_refuses_texts_its_lookup_would(texts, tmp_path):
+    with pytest.raises(ValueError, match="^fixture texts must be a non-empty list of strings$"):
+        FixtureStore(tmp_path).record("p", texts)
+    assert list(tmp_path.iterdir()) == []
+
+
+_FIXTURE_CALLS = {
+    "lookup": lambda store: store.lookup("p"),
+    "record": lambda store: store.record("p", ["a"]),
+}
+
+
+def _malformed_fixture(tmp_path, content: bytes, call: str, match: str) -> None:
+    """A fixture holding content makes call raise FixtureError matching match
+    (formatted with the file name) and leaves the file as it was."""
+    store = FixtureStore(tmp_path)
+    path = store.path_for("p")
+    path.write_bytes(content)
+    with pytest.raises(FixtureError, match=match.format(name=re.escape(path.name))) as err:
+        _FIXTURE_CALLS[call](store)
+    assert type(err.value) is FixtureError
+    assert path.read_bytes() == content
+
+
+@pytest.mark.parametrize("call", _FIXTURE_CALLS)
+@pytest.mark.parametrize(
+    "content", [b'{"prompt": "p", "te', b'{"texts": ["\xff"]}'], ids=["cut-short", "not-utf-8"]
+)
+def test_fixture_that_is_not_json_names_the_file(content, call, tmp_path):
+    _malformed_fixture(tmp_path, content, call, r"^fixture {name} is not JSON$")
+
+
+@pytest.mark.parametrize("call", _FIXTURE_CALLS)
+@pytest.mark.parametrize("content", [b'["a"]', b'"a"', b"null"], ids=["list", "string", "null"])
+def test_fixture_that_is_not_an_object_names_the_file(content, call, tmp_path):
+    _malformed_fixture(tmp_path, content, call, r"^fixture {name} is not a JSON object$")
+
+
+@pytest.mark.parametrize("call", _FIXTURE_CALLS)
+@pytest.mark.parametrize(
+    "texts",
+    ["[1, null]", '["a", 2]', "[]", '"a"', "null", None],
+    ids=["number-and-null", "string-and-number", "empty", "string", "null", "missing"],
+)
+def test_fixture_texts_not_a_non_empty_list_of_strings_names_the_file(texts, call, tmp_path):
+    content = '{"prompt": "p"' + ("" if texts is None else f', "texts": {texts}') + "}"
+    _malformed_fixture(
+        tmp_path, content.encode(), call,
+        r"^fixture {name}: texts is not a non-empty list of strings$",
+    )
 
 
 # ---------------------------------------------------------------------------
