@@ -28,7 +28,6 @@ import os
 import re
 import sys
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -558,6 +557,15 @@ def _existing_lines(
     return {key: line for key, (_, line) in kept.items()}
 
 
+def ThreadPoolExecutor(max_workers: int):
+    """The batch runner's pool of max_workers threads, named like the class it makes
+    so that a subclass can take its place. Only an http run makes one, so only it
+    imports concurrent.futures, and logging with it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers)
+
+
 def _run_batch(
     args, config: CliConfig, roles: tuple[str, ...], expected: dict[str, object], work
 ) -> int:
@@ -931,10 +939,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_INPUTS = {
+    "corpus": "corpus",
+    "predictions": "--predictions",
+    "baseline": "--baseline",
+    "refined": "--refined",
+    "judgments": "--judgments",
+    "config": "--config",
+}
+_OUTPUTS = {"out": "--out", "report": "--report"}
+
+
+def _refuse_overwrites(args) -> None:
+    """A UsageError when an output is the same file as an input or as an earlier output."""
+    seen = [(flag, getattr(args, dest)) for dest, flag in _INPUTS.items() if getattr(args, dest, None)]
+    for dest, flag in _OUTPUTS.items():
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        for other, other_path in seen:
+            try:
+                same = os.path.samefile(path, other_path)
+            except OSError:  # one of them does not exist yet
+                same = os.path.realpath(path) == os.path.realpath(other_path)
+            if same:
+                raise UsageError(
+                    f"{flag} {path} is the same file as {other} {other_path}; "
+                    "an output never overwrites an input or another output"
+                )
+        seen.append((flag, path))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_overwrites(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

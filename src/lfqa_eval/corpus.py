@@ -21,7 +21,6 @@ one at a time, so a caller that needs no random access holds one record.
 from __future__ import annotations
 
 import json
-import unicodedata
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -321,9 +320,11 @@ def project_spans(
 
 _SNAP_SLACK = 2  # max codepoints an annotator boundary may miss a sentence edge by
 
+_category = None  # unicodedata.category, imported when the first span is classified
+
 
 def _snappable(ch: str) -> bool:
-    return ch.isspace() or unicodedata.category(ch)[0] in ("P", "S")
+    return ch.isspace() or _category(ch)[0] in ("P", "S")
 
 
 def _snap(pos: int, targets: Iterable[int], text: str) -> int:
@@ -349,8 +350,11 @@ def classify_granularity(
     whitespace/punctuation) snap to that edge first, so selections that
     drag a trailing space or quote still count as full sentences.
     """
+    global _category
     if not (0 <= start < end <= len(text)):
         raise ValueError(f"span [{start}, {end}) out of bounds for length {len(text)}")
+    if _category is None:
+        from unicodedata import category as _category
     start = _snap(start, (s.start for s in sentences), text)
     end = _snap(end, (s.end for s in sentences), text)
     touched = [s for s in sentences if s.intersects(start, end)]

@@ -8,7 +8,9 @@ prompt text, for deterministic tests and offline runs. The digest is
 CPython's built-in SHA-256 (``_sha2`` on 3.12+, ``_sha256`` before; ``hashlib``
 only where neither exists), found at the first digest: the analysis
 subcommands and scripted runs map no OpenSSL. An ``http`` client still does,
-through ``ssl`` and ``urllib.request``.
+through ``ssl``; it imports ``urllib.request``, and ``hashlib`` with it, only
+where a proxy can apply: a ``*_proxy`` variable is set, or the platform is
+macOS or Windows, whose system settings can name one.
 
 Transient transport failures (``OSError``, such as a refused or reset
 connection, a timeout or a TLS error, and ``http.client.HTTPException``, such
@@ -18,33 +20,35 @@ lengthens the wait to the server's value, capped at the client's ``timeout``
 (an HTTP-date or malformed value keeps the backoff). Authentication errors,
 3xx replies (never followed) and response-schema errors are never retried.
 Credential values are read from a named environment variable when the
-client is made, so a missing one fails before any request, and they never
-appear in error messages.
+client is made, so a missing one fails before any request, as does one
+holding a CR, LF, NUL or non-Latin-1 character, which no HTTP header may
+carry; they never appear in error messages.
 
 The HTTP transport is the standard library's ``http.client``, imported when
 the first ``kind = http`` client is made; importing this module, or making a
-scripted client, loads no HTTP stack. Each HTTP client makes its
-``max_in_flight`` connections when it is made (opening no socket) and sends
-every request on one of them, so they are both its kept-alive pool and the
-bound on its live requests: a request waits while all of them are out. A
-connection the server has closed connects again on its next request, without
-costing an attempt. What the environment says about the endpoint
-(the proxy from ``*_proxy``/``NO_PROXY``, the ``REQUESTS_CA_BUNDLE``/
+scripted client, loads no HTTP stack, no ``queue`` and no thread pool. Each
+HTTP client makes its ``max_in_flight`` connections when it is made (opening
+no socket) and sends every request on one of them, so they are both its
+kept-alive pool and the bound on its live requests: a request waits while all
+of them are out. A connection the server has closed, which ``poll`` (``select``
+where there is no ``poll``) finds before the next request, connects again on
+that request without costing an attempt. What the environment says about the
+endpoint (the proxy from ``*_proxy``/``NO_PROXY``, the ``REQUESTS_CA_BUNDLE``/
 ``CURL_CA_BUNDLE`` CA file and ``.netrc`` auth) is resolved once when the
 client is made; a change to it afterwards reaches only clients made after it.
 With ``native_n`` off, the n single-sample calls of every request share one
-client-wide executor of ``max_in_flight`` threads. ``close()`` (or leaving a
-``with`` block) shuts the executor down and closes every connection's socket.
+client-wide executor of ``max_in_flight`` threads, the only reason this module
+imports ``concurrent.futures``. ``close()`` (or leaving a ``with`` block)
+shuts the executor down and closes every connection's socket.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-import queue
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -247,11 +251,13 @@ class GenerationClient:
             FixtureStore(config.fixture_dir) if config.kind == "scripted" else None
         )
         self._connections: list = []
-        self._fan_out: ThreadPoolExecutor | None = None
+        self._fan_out = None
         if config.kind == "http":
             self._headers = self._auth_headers(config)  # raises before anything is resolved
             self._resolve_transport(config)
             if not config.native_n:
+                from concurrent.futures import ThreadPoolExecutor
+
                 # starts its threads on first use, up to max_in_flight
                 self._fan_out = ThreadPoolExecutor(max_workers=config.max_in_flight)
 
@@ -294,6 +300,13 @@ class GenerationClient:
                 raise CredentialError(
                     f"credential environment variable '{config.auth_env}' is not set"
                 )
+            # http.client fails every request on CR, LF or non-Latin-1 in a header,
+            # quoting the value; servers refuse NUL
+            if any(ch in "\r\n\0" or ch > "\xff" for ch in credential):
+                raise CredentialError(
+                    f"credential environment variable '{config.auth_env}' holds a CR, LF, "
+                    "NUL or non-Latin-1 character, which no HTTP header may carry"
+                )
             headers["Authorization"] = f"Bearer {credential}"
         return headers
 
@@ -305,11 +318,11 @@ class GenerationClient:
         import functools
         import http.client
         import netrc
+        import queue
         import select
         import socket
         import ssl
         import urllib.parse
-        import urllib.request
 
         def basic(user: str, password: str) -> str:
             return "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
@@ -335,10 +348,19 @@ class GenerationClient:
                 login, account, password = entry
                 self._headers["Authorization"] = basic(login or account or "", password or "")
 
-        proxies = urllib.request.getproxies()
-        proxy = proxies.get(scheme) or proxies.get("all")
-        if proxy and urllib.request.proxy_bypass(host):
-            proxy = None
+        proxy = None
+        # outside macOS and Windows, whose system settings can name a proxy,
+        # urllib.request finds one only in a non-empty *_proxy variable; without
+        # one it is not imported, nor the hashlib it loads
+        if sys.platform == "darwin" or os.name == "nt" or any(
+            value and name.lower().endswith("_proxy") for name, value in os.environ.items()
+        ):
+            import urllib.request
+
+            proxies = urllib.request.getproxies()
+            proxy = proxies.get(scheme) or proxies.get("all")
+            if proxy and urllib.request.proxy_bypass(host):
+                proxy = None
         address, tunnel = (host, port), None
         if proxy:
             parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
@@ -378,7 +400,15 @@ class GenerationClient:
                 conn.set_tunnel(*tunnel)
             self._connections.append(conn)
             self._pool.put(conn)
-        self._dropped = lambda sock: bool(select.select([sock], [], [], 0)[0])
+        if hasattr(select, "poll"):
+            def dropped(sock) -> bool:  # bytes, an EOF or an error to read now
+                poller = select.poll()
+                poller.register(sock, select.POLLIN)
+                return bool(poller.poll(0))
+        else:  # select takes only fds below FD_SETSIZE, 1024 on Linux
+            def dropped(sock) -> bool:
+                return bool(select.select([sock], [], [], 0)[0])
+        self._dropped = dropped
         self._transient = (OSError, http.client.HTTPException)
 
     def _post(self, payload: bytes):

@@ -1407,6 +1407,23 @@ def test_missing_credential_fails_the_run_before_any_record(
     assert not Path(f"{out}.partial").exists()
 
 
+@pytest.mark.parametrize("command", [["feedback"], ["refine", "--mode", "eir"]])
+def test_credential_no_header_may_carry_fails_the_run_unquoted(
+    command, golden_env, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("LFQA_EVAL_BAD_KEY", "abc123secret\n")
+    config_path = _unreachable_http_config(tmp_path, "feedback.auth_env = LFQA_EVAL_BAD_KEY\n")
+    out = tmp_path / "out.jsonl"
+    code = main(
+        [*command, str(golden_env["corpus"]), "--config", str(config_path), "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: credential environment variable 'LFQA_EVAL_BAD_KEY' holds")
+    assert err.count("\n") == 1 and "abc123secret" not in err
+    assert not out.exists() and not Path(f"{out}.partial").exists()
+
+
 _CLI_IN_CHILD = """
 import contextlib, io, json, sys
 if "--no-requests" in sys.argv:
@@ -1417,7 +1434,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
 loaded = [
-    m for m in ("requests", "urllib3", "http.client", "ssl") if sys.modules.get(m) is not None
+    m for m in ("requests", "urllib3", "http.client", "ssl", "concurrent.futures", "logging", "queue")
+    if sys.modules.get(m) is not None
 ]
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
@@ -1425,7 +1443,7 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 
 def _cli_in_child(argvs: list[list[str]], *flags: str) -> tuple[dict, str]:
     """Run each argv through cli.main in one fresh interpreter: (exit codes and the
-    HTTP modules loaded after the last, stderr)."""
+    HTTP and thread-pool modules loaded after the last, stderr)."""
     done = run_python(_CLI_IN_CHILD, json.dumps(argvs), *flags)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout), done.stderr
@@ -1452,40 +1470,45 @@ def test_analysis_and_scripted_runs_load_no_http_stack(flags, golden_env, tmp_pa
         assert Path(argv[-1]).read_bytes() == reference.read_bytes()
 
 
-_HASHLIB_IN_CHILD = """
+_MODULES_IN_CHILD = """
 import contextlib, io, json, sys
 from lfqa_eval import cli
+modules = ("hashlib", "_hashlib", "concurrent.futures", "logging", "queue", "unicodedata")
 loaded = []
 for argvs in json.loads(sys.argv[1]):
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
-    loaded.append([m for m in ("hashlib", "_hashlib") if m in sys.modules])
+    loaded.append([m for m in modules if m in sys.modules])
 print(json.dumps(loaded))
 """
 
 
-def test_analysis_and_scripted_runs_load_no_openssl(golden_env, tmp_path):
+def test_scripted_and_analysis_runs_load_no_openssl_or_thread_pool(
+    golden_env, small_corpus, tmp_path
+):
     corpus, backend = str(golden_env["corpus"]), f"scripted:{golden_env['fixtures']}"
     predictions = tmp_path / "predictions.jsonl"
     assert _run_feedback_cli(golden_env, predictions) == 0
-    analysis = [
-        ["validate", corpus],
-        ["stats", corpus, "--out", str(tmp_path / "stats.jsonl")],
-        ["score", corpus, "--out", str(tmp_path / "cards.jsonl")],
-        ["agreement", corpus, "--out", str(tmp_path / "agreement.jsonl")],
-        ["eval-detect", corpus, "--predictions", str(predictions),
-         "--out", str(tmp_path / "detect.jsonl")],
-    ]
-    # every prompt is digested to name its fixture, with CPython's built-in SHA-256
+    # every prompt is digested to name its fixture, with CPython's built-in SHA-256;
+    # a scripted client has no connection slot, so the runner makes no pool
     scripted = [
         ["feedback", corpus, "--backend", backend, "--out", str(tmp_path / "fb.jsonl")],
         ["refine", corpus, "--mode", "eir", "--backend", backend,
          "--out", str(tmp_path / "eir.jsonl")],
     ]
-    done = run_python(_HASHLIB_IN_CHILD, json.dumps([analysis, scripted]))
+    analysis = [
+        ["validate", corpus],
+        ["score", corpus, "--out", str(tmp_path / "cards.jsonl")],
+        ["agreement", corpus, "--out", str(tmp_path / "agreement.jsonl")],
+        ["eval-detect", corpus, "--predictions", str(predictions),
+         "--out", str(tmp_path / "detect.jsonl")],
+    ]
+    # stats classifies the annotated spans, which reads unicode categories; it runs last
+    stats = [["stats", str(small_corpus), "--out", str(tmp_path / "stats.jsonl")]]
+    done = run_python(_MODULES_IN_CHILD, json.dumps([scripted, analysis, stats]))
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], []]
+    assert json.loads(done.stdout) == [[], [], ["unicodedata"]]
 
 
 @pytest.mark.parametrize(
@@ -1503,7 +1526,9 @@ def test_http_run_without_requests_writes_the_scripted_bytes(command, golden_env
         argv = [*command, str(golden_env["corpus"]), "--config", str(config),
                 "--workers", "2", "--out", str(out)]
         report, err = _cli_in_child([argv], "--no-requests")
-    assert (report, err) == ({"codes": [0], "loaded": ["http.client", "ssl"]}, "")
+    # the http client and the runner's pool of 2 threads load what a scripted run does not
+    loaded = ["http.client", "ssl", "concurrent.futures", "logging", "queue"]
+    assert (report, err) == ({"codes": [0], "loaded": loaded}, "")
     assert out.read_bytes() == scripted.read_bytes()
 
 
@@ -2064,6 +2089,100 @@ def test_one_shot_output_lands_whole_or_not_at_all(
     assert main(argv) == 0
     assert out.read_bytes() == written
     assert not Path(f"{out}.tmp").exists()
+
+
+def _files(root: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def _assert_refused(template: list[str], output: str, other: str, paths: dict, capsys) -> None:
+    """main exits 2 before any work, naming both flags, and no file under tmp changes."""
+    before = _files(paths["tmp"])
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in template]) == 2
+    out, err = capsys.readouterr()
+    pattern = rf"error: {re.escape(output)} \S+ is the same file as {re.escape(other)} \S+; "
+    assert re.match(pattern, err), err
+    assert err.count("\n") == 1 and out == ""
+    assert _files(paths["tmp"]) == before
+
+
+@pytest.mark.parametrize(
+    ("template", "output", "other"),
+    [
+        (["stats", "{corpus}", "--out", "{corpus}"], "--out", "corpus"),
+        (["stats", "{corpus}", "--out", "{tmp}/./corpus.jsonl"], "--out", "corpus"),
+        (["score", "{corpus}", "--out", "{corpus}"], "--out", "corpus"),
+        (["score", "{corpus}", "--out", "{tmp}/x.jsonl", "--report", "{corpus}"], "--report", "corpus"),
+        (["score", "{corpus}", "--out", "{tmp}/x.jsonl", "--report", "{tmp}/x.jsonl"], "--report", "--out"),
+        (["agreement", "{corpus}", "--out", "{link}"], "--out", "corpus"),
+    ],
+    ids=["stats", "stats-dotted", "score-out", "score-report", "score-out-report", "agreement-hard-link"],
+)
+def test_analysis_output_that_names_an_input_exits_2(
+    template, output, other, small_corpus, tmp_path, capsys
+):
+    link = tmp_path / "link.jsonl"
+    link.hardlink_to(small_corpus)
+    paths = {"tmp": tmp_path, "corpus": small_corpus, "link": link}
+    _assert_refused(template, output, other, paths, capsys)
+
+
+@pytest.mark.parametrize(
+    ("template", "output", "other"),
+    [
+        (["feedback", "{corpus}", "--backend", "{backend}", "--out", "{corpus}"], "--out", "corpus"),
+        (["refine", "{corpus}", "--mode", "eir", "--backend", "{backend}", "--out", "{corpus}"],
+         "--out", "corpus"),
+        (["refine", "{corpus}", "--mode", "eir", "--backend", "{backend}", "--resume",
+          "--out", "{corpus}"], "--out", "corpus"),
+        (["feedback", "{corpus}", "--config", "{config}", "--backend", "{backend}",
+          "--out", "{config}"], "--out", "--config"),
+    ],
+    ids=["feedback", "refine-eir", "refine-eir-resume", "feedback-config"],
+)
+def test_batch_output_that_names_an_input_exits_2(
+    template, output, other, golden_env, tmp_path, capsys
+):
+    corpus, config = tmp_path / "corpus.jsonl", tmp_path / "cfg"
+    corpus.write_bytes(Path(golden_env["corpus"]).read_bytes())
+    config.write_text("n_samples = 20\n", encoding="utf-8")
+    paths = {
+        "tmp": tmp_path, "corpus": corpus, "config": config,
+        "backend": f"scripted:{golden_env['fixtures']}",
+    }
+    _assert_refused(template, output, other, paths, capsys)
+
+
+@pytest.mark.parametrize(
+    ("template", "output", "other"),
+    [
+        (["eval-detect", "{corpus}", "--predictions", "{predictions}", "--out", "{predictions}"],
+         "--out", "--predictions"),
+        (["eval-detect", "{corpus}", "--predictions", "{predictions}", "--out", "{corpus}"],
+         "--out", "corpus"),
+        (["eval-correct", "--baseline", "{baseline}", "--refined", "{refined}", "--out", "{baseline}"],
+         "--out", "--baseline"),
+        (["eval-correct", "--baseline", "{baseline}", "--refined", "{refined}", "--out", "{refined}"],
+         "--out", "--refined"),
+        (["selfcheck", "--judgments", "{judgments}", "--out", "{judgments}"], "--out", "--judgments"),
+    ],
+    ids=["eval-detect-predictions", "eval-detect-corpus", "eval-correct-baseline",
+         "eval-correct-refined", "selfcheck"],
+)
+def test_evaluation_output_that_names_an_input_exits_2(
+    template, output, other, small_corpus, tmp_path, capsys
+):
+    paths = {"tmp": tmp_path, "corpus": small_corpus}
+    for name, text in [
+        ("predictions", ""),
+        ("baseline", _SCORES),
+        ("refined", _SCORES),
+        ("judgments", '{"record_id": "r1", "verdicts": ["yes"]}\n'),
+    ]:
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(text, encoding="utf-8")
+    _assert_refused(template, output, other, paths, capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import re
 import select
 import shutil
@@ -409,6 +410,22 @@ def test_http_auth_error_never_retried(stub_server, monkeypatch):
     assert "secret-token" not in str(err.value)  # credential never leaks
 
 
+@pytest.mark.parametrize(  # no environment variable can hold a NUL
+    "value",
+    ["abc123secret\n", "abc123\rsecret", "abc123secret\u20ac"],
+    ids=["LF", "CR", "not-latin-1"],
+)
+def test_http_credential_no_header_may_carry_is_refused_unquoted(value, stub_server, monkeypatch):
+    monkeypatch.setenv("STUB_KEY", value)
+    with pytest.raises(CredentialError) as err:
+        GenerationClient(_http_config(stub_server, auth_env="STUB_KEY"))
+    assert str(err.value) == (
+        "credential environment variable 'STUB_KEY' holds a CR, LF, NUL or non-Latin-1 "
+        "character, which no HTTP header may carry"
+    )
+    assert stub_server.requests == []
+
+
 def test_http_schema_violation_not_retried(stub_server):
     stub_server.script = [{"raw": json.dumps({"unexpected": []})}]
     config = _http_config(stub_server)
@@ -531,6 +548,38 @@ def test_http_stack_loads_when_an_http_client_is_made(stub_server):
     assert len(stub_server.requests) == 1
 
 
+_PROXY_MODULES_IN_CHILD = """
+import json, os, sys
+for name in [name for name in os.environ if name.lower().endswith("_proxy")]:
+    del os.environ[name]
+if sys.argv[1]:
+    os.environ["http_proxy"] = sys.argv[1]
+from lfqa_eval.genclient import BackendConfig, GenerationClient
+config = BackendConfig(kind="http", endpoint_url="http://127.0.0.1:9/v1", model_name="m")
+with GenerationClient(config) as client:
+    conn = client._connections[0]
+loaded = [m for m in ("urllib.request", "hashlib") if m in sys.modules]
+print(json.dumps({"loaded": loaded, "address": [conn.host, conn.port]}))
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform == "darwin" or os.name == "nt", reason="system settings can name a proxy"
+)
+@pytest.mark.parametrize(
+    ("proxy", "loaded", "address"),
+    [
+        ("", [], ["127.0.0.1", 9]),
+        ("http://127.0.0.1:8", ["urllib.request", "hashlib"], ["127.0.0.1", 8]),
+    ],
+    ids=["no-proxy", "proxy"],
+)
+def test_http_client_imports_urllib_request_only_where_a_proxy_can_apply(proxy, loaded, address):
+    done = run_python(_PROXY_MODULES_IN_CHILD, proxy)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"loaded": loaded, "address": address}
+
+
 # ---------------------------------------------------------------------------
 # connection pool, environment resolution and fan-out executor
 
@@ -594,6 +643,28 @@ def test_http_server_closing_each_connection_costs_no_extra_attempt(stub_server)
             assert len(client.generate(_request()).texts) == 1
     assert len(stub_server.requests) == 5
     assert stub_server.connections == 5
+
+
+def test_http_kept_alive_connection_is_reused_at_a_socket_fd_of_1024_or_more(keepalive_server):
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if hard != resource.RLIM_INFINITY and hard < 2048:
+        pytest.skip(f"RLIMIT_NOFILE hard limit {hard} is below 2048")
+    if soft != resource.RLIM_INFINITY and soft < 2048:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (2048, hard))
+    held = []
+    try:
+        held.extend(os.open(os.devnull, os.O_RDONLY) for _ in range(1100))
+        with GenerationClient(_http_config(keepalive_server, max_in_flight=1)) as client:
+            client.generate(_request())
+            assert client._connections[0].sock.fileno() >= 1024  # beyond select's FD_SETSIZE
+            client.generate(_request())
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert len(keepalive_server.requests) == 2
+    assert keepalive_server.connections == 1
 
 
 @pytest.fixture
