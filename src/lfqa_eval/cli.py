@@ -251,7 +251,7 @@ def _open_role(
 # Small I/O helpers
 
 
-def _parse_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+def _parse_jsonl(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
     """(line number, object) per non-blank line; any other line is a CorpusError."""
     for ln, line in enumerate(lines, start=1):
         if not line.strip():
@@ -260,6 +260,8 @@ def _parse_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"malformed JSON: {exc.msg}", line=ln) from None
+        except UnicodeDecodeError:  # of a line read as bytes
+            raise CorpusError("not UTF-8", line=ln) from None
         if not isinstance(obj, dict):
             raise CorpusError("expected a JSON object", line=ln)
         yield ln, obj
@@ -274,7 +276,7 @@ def _errors_name(source: str) -> Iterator[None]:
         raise CorpusError(f"{source}: {exc}") from None
 
 
-def _keyed_lines(source: str, lines: Iterable[str], parse: Callable[[dict, int], tuple]) -> dict:
+def _keyed_lines(source: str, lines: Iterable[str | bytes], parse: Callable[[dict, int], tuple]) -> dict:
     """{key: (line, value)} over a file keyed by record, parse(obj, line) giving each pair.
 
     Every line needs a non-empty string record_id, checked before parse, and a key
@@ -509,13 +511,14 @@ def _kept_lines(
     """One file's (line number, line) by (record_id, answer_index), checked against this run."""
     if not Path(path).exists():
         return {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         lines = handle.readlines()
-    # A kill mid-write can leave a last line with no newline: drop it if it does not parse.
-    if lines and not lines[-1].endswith("\n"):
+    # A kill mid-write can cut the last line at any byte, even inside a character,
+    # leaving no newline: drop it if it does not parse.
+    if lines and not lines[-1].endswith(b"\n"):
         try:
             json.loads(lines[-1])
-        except json.JSONDecodeError:
+        except ValueError:  # not UTF-8, or not JSON
             warning = f"warning: {path}: line {len(lines)}: torn last line dropped and recomputed"
             print(warning, file=sys.stderr)
             lines.pop()
@@ -624,7 +627,10 @@ def _run_batch(
         threads = sum(c.config.max_in_flight for c, _ in opened.values() if c.config.kind == "http")
         threads = min(threads, config.workers or threads)
         if threads > 1:
-            results = stack.enter_context(ThreadPoolExecutor(threads)).map(attempt, todo)
+            pool = ThreadPoolExecutor(threads)
+            # leaving early, as on a failed write, starts no record still queued
+            stack.push(lambda *exc_info: pool.shutdown(cancel_futures=True))
+            results = pool.map(attempt, todo)
         else:
             results = map(attempt, todo)
         for record, idx in targets:
@@ -951,22 +957,28 @@ _OUTPUTS = {"out": "--out", "report": "--report"}
 
 
 def _refuse_overwrites(args) -> None:
-    """A UsageError when an output is the same file as an input or as an earlier output."""
-    seen = [(flag, getattr(args, dest)) for dest, flag in _INPUTS.items() if getattr(args, dest, None)]
+    """A UsageError when an output is the same file as an input or as an earlier output,
+    or a side file it is written through (PATH.tmp; OUT.partial for a batch run) is
+    the same file as an input."""
+    inputs = [(flag, getattr(args, dest)) for dest, flag in _INPUTS.items() if getattr(args, dest, None)]
+    seen = list(inputs)
+    sides = (".tmp", ".partial") if hasattr(args, "resume") else (".tmp",)
     for dest, flag in _OUTPUTS.items():
         path = getattr(args, dest, None)
         if not path:
             continue
-        for other, other_path in seen:
-            try:
-                same = os.path.samefile(path, other_path)
-            except OSError:  # one of them does not exist yet
-                same = os.path.realpath(path) == os.path.realpath(other_path)
-            if same:
-                raise UsageError(
-                    f"{flag} {path} is the same file as {other} {other_path}; "
-                    "an output never overwrites an input or another output"
-                )
+        for written, others in [(path, seen), *((path + side, inputs) for side in sides)]:
+            for other, other_path in others:
+                try:
+                    same = os.path.samefile(written, other_path)
+                except OSError:  # one of them does not exist yet
+                    same = os.path.realpath(written) == os.path.realpath(other_path)
+                if same:
+                    what = "is" if written == path else f"writes {written},"
+                    raise UsageError(
+                        f"{flag} {path} {what} the same file as {other} {other_path}; "
+                        "an output never overwrites an input or another output"
+                    )
         seen.append((flag, path))
 
 

@@ -36,10 +36,11 @@ that request without costing an attempt. What the environment says about the
 endpoint (the proxy from ``*_proxy``/``NO_PROXY``, the ``REQUESTS_CA_BUNDLE``/
 ``CURL_CA_BUNDLE`` CA file and ``.netrc`` auth) is resolved once when the
 client is made; a change to it afterwards reaches only clients made after it.
-With ``native_n`` off, the n single-sample calls of every request share one
-client-wide executor of ``max_in_flight`` threads, the only reason this module
-imports ``concurrent.futures``. ``close()`` (or leaving a ``with`` block)
-shuts the executor down and closes every connection's socket.
+With ``native_n`` off, a request's n single-sample calls go one after another
+on the caller's thread, each waiting for a connection like any other, so the
+connections are the client's only concurrency bound; a request stops at its
+first failed call. ``close()`` (or leaving a ``with`` block) closes every
+connection's socket.
 """
 from __future__ import annotations
 
@@ -107,7 +108,7 @@ class BackendConfig:
     max_retries: int = 2
     max_in_flight: int = 4
     fixture_dir: str = ""
-    native_n: bool = True  # server honors the n parameter; else fan out n calls
+    native_n: bool = True  # server honors the n parameter; else n single calls
 
     def validate(self) -> None:
         if self.kind == "http":
@@ -251,20 +252,12 @@ class GenerationClient:
             FixtureStore(config.fixture_dir) if config.kind == "scripted" else None
         )
         self._connections: list = []
-        self._fan_out = None
         if config.kind == "http":
             self._headers = self._auth_headers(config)  # raises before anything is resolved
             self._resolve_transport(config)
-            if not config.native_n:
-                from concurrent.futures import ThreadPoolExecutor
-
-                # starts its threads on first use, up to max_in_flight
-                self._fan_out = ThreadPoolExecutor(max_workers=config.max_in_flight)
 
     def close(self) -> None:
-        """Shut down the fan-out threads and close every connection's socket."""
-        if self._fan_out is not None:
-            self._fan_out.shutdown(wait=True)
+        """Close every connection's socket."""
         for conn in self._connections:
             conn.close()
 
@@ -506,26 +499,13 @@ class GenerationClient:
     def _http_generate(self, request: GenerationRequest) -> GenerationResult:
         backend_id = f"http:{self.config.model_name}"
         start = time.monotonic()
-        if self.config.native_n or request.n_samples == 1:
-            data = self._post_with_retries(self._body(request, request.n_samples))
-            texts, truncated = self._extract(data, request.n_samples)
-        else:
-            payload = self._body(request, 1)
-            futures = [
-                self._fan_out.submit(self._post_with_retries, payload)
-                for _ in range(request.n_samples)
-            ]
-            texts, truncated = [], []
-            try:
-                for future in futures:  # submission order, not completion order
-                    t, trunc = self._extract(future.result(), 1)
-                    texts.extend(t)
-                    truncated.extend(trunc)
-            finally:
-                # after a failure, calls still queued in the shared pool are
-                # dropped rather than sent for a request that already failed
-                for future in futures:
-                    future.cancel()
+        calls, n = (1, request.n_samples) if self.config.native_n else (request.n_samples, 1)
+        payload = self._body(request, n)
+        texts, truncated = [], []
+        for _ in range(calls):
+            t, trunc = self._extract(self._post_with_retries(payload), n)
+            texts += t
+            truncated += trunc
         return GenerationResult(
             texts=texts,
             backend_id=backend_id,

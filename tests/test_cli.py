@@ -518,11 +518,27 @@ def test_feedback_cli_resume_recomputes_a_torn_last_line(golden_env, tmp_path, c
     clean = out.read_bytes()
     lines = clean.decode("utf-8").splitlines()
     torn = lines[-1][: len(lines[-1]) // 2]
-    out.write_text("\n".join(lines[:-1]) + "\n" + torn, encoding="utf-8")
+    kept = ("\n".join(lines[:-1]) + "\n").encode("utf-8")
+    # cut between characters, and inside the two bytes of a non-ASCII one
+    for cut in (torn.encode("utf-8"), (torn + "\u00e9").encode("utf-8")[:-1]):
+        out.write_bytes(kept + cut)
+        capsys.readouterr()
+        assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
+        assert out.read_bytes() == clean
+        assert f"line {len(lines)}: torn last line" in capsys.readouterr().err
+
+
+def test_feedback_cli_resume_line_not_utf8_exits_1(golden_env, tmp_path, capsys):
+    out = tmp_path / "fb.jsonl"
+    assert _run_feedback_cli(golden_env, out) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3][:20] + "\u00e9".encode("utf-8")[:1] + b"\n"  # cut inside a character
+    broken = b"".join(lines)
+    out.write_bytes(broken)
     capsys.readouterr()
-    assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
-    assert out.read_bytes() == clean
-    assert f"line {len(lines)}: torn last line" in capsys.readouterr().err
+    assert _run_feedback_cli(golden_env, out, ("--resume",)) == 1
+    assert capsys.readouterr().err == f"error: {out}: line 4: not UTF-8\n"
+    assert out.read_bytes() == broken
 
 
 def _cut(line: str) -> str:
@@ -815,13 +831,17 @@ def test_scripted_batch_runs_start_no_thread(command, runner, golden_env, tmp_pa
 class _FixtureStubHandler(BaseHTTPRequestHandler):
     """Chat completions answered from a fixture directory, as the scripted backend would.
 
-    A request for the ``hold`` prompt is held unanswered until the server's
+    Each good reply hands out a prompt's next n entries, wrapping around, so
+    n single-sample requests get what one request for n gets. A request for
+    the ``hold`` prompt is held unanswered until the server's
     ``release`` event is set; ``held`` is set once it arrives. A request for
     the ``reject`` prompt gets an HTTP 400, which is not retried. Neither is
     counted in ``posts``. The first request for a prompt in
     ``faults`` gets that fault instead of a good reply: a ``status`` with
     optional ``headers`` and an empty body, or a body cut ``truncate`` bytes
     short of its ``Content-Length`` (HTTP/1.0: the connection then closes).
+    Every counted request waits ``delay`` seconds before its reply; ``peak``
+    is the most counted requests seen waiting at once.
     """
 
     def do_POST(self):
@@ -837,10 +857,20 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
+        n = body.get("n", 1)
         with server.lock:
             server.posts += 1
             server.bodies.append(body)
             fault = server.faults.pop(prompt, {})
+            first = server.served[prompt]
+            if not fault:
+                server.served[prompt] += n
+            server.active += 1
+            server.peak = max(server.peak, server.active)
+        if server.delay:  # tests that record time.sleep see only the client's
+            time.sleep(server.delay)
+        with server.lock:
+            server.active -= 1
         if "status" in fault:
             self.send_response(fault["status"])
             for name, value in fault.get("headers", {}).items():
@@ -850,8 +880,8 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
             return
         texts = server.store.lookup(prompt)
         choices = [
-            {"message": {"content": texts[i % len(texts)]}, "finish_reason": "stop"}
-            for i in range(body.get("n", 1))
+            {"message": {"content": texts[(first + i) % len(texts)]}, "finish_reason": "stop"}
+            for i in range(n)
         ]
         payload = json.dumps({"choices": choices}).encode()
         self.send_response(200)
@@ -864,14 +894,18 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def _fixture_stub(fixtures, tmp_path, hold=None, reject=None, faults=None):
-    """Serve the fixtures over HTTP; yields (server, a config file using it for both roles)."""
+def _fixture_stub(fixtures, tmp_path, hold=None, reject=None, faults=None, delay=0.0, settings=""):
+    """Serve the fixtures over HTTP; yields (server, a config file using it for both roles,
+    each role also taking the backend keys in settings, such as "native_n = false")."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureStubHandler)
     server.daemon_threads = False  # server_close() joins every handler thread
     server.store = FixtureStore(fixtures)
     server.lock = threading.Lock()
     server.posts = 0
     server.bodies = []  # of the requests counted in posts
+    server.served = Counter()  # entries handed out, by prompt
+    server.delay = delay
+    server.active = server.peak = 0
     server.hold = hold
     server.reject = reject
     server.faults = dict(faults or {})
@@ -887,6 +921,7 @@ def _fixture_stub(fixtures, tmp_path, hold=None, reject=None, faults=None):
         "".join(
             f"{role}.kind = http\n{role}.endpoint_url = {url}\n"
             f"{role}.model_name = stub\n{role}.temperature = 0.0\n"
+            + "".join(f"{role}.{line.strip()}\n" for line in settings.splitlines())
             for role in ("feedback", "refine")
         ),
         encoding="utf-8",
@@ -933,6 +968,41 @@ def test_http_batch_writes_the_scripted_bytes_at_any_workers(
     # inline. Each client keeps max_in_flight = 4, and eir opens two.
     slots = {"feedback": 4, "refine": 4 + 4}[command[0]]
     assert pools == [4, slots]
+
+
+@pytest.mark.parametrize(
+    "command", [["feedback"], ["refine", "--mode", "eir"]], ids=["feedback", "refine-eir"]
+)
+def test_http_batch_without_native_n_writes_the_scripted_bytes(command, golden_env, tmp_path):
+    scripted = tmp_path / "scripted.jsonl"
+    code = main(
+        [*command, str(golden_env["corpus"]),
+         "--backend", f"scripted:{golden_env['fixtures']}", "--out", str(scripted)]
+    )
+    assert code == 0
+    out = tmp_path / "http.jsonl"
+    stub = _fixture_stub(golden_env["fixtures"], tmp_path, settings="native_n = false")
+    with stub as (server, config):
+        code = main([*command, str(golden_env["corpus"]), "--config", str(config), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == scripted.read_bytes()
+    # 20 single-sample calls per answer; eir refines the 7 answers with an Incomplete sentence
+    assert server.posts == {"feedback": 200, "refine": 207}[command[0]]
+    assert all("n" not in body for body in server.bodies)
+
+
+def test_http_feedback_without_native_n_keeps_max_in_flight_calls_in_flight(golden_env, tmp_path):
+    settings = "native_n = false\nmax_in_flight = 2"
+    stub = _fixture_stub(golden_env["fixtures"], tmp_path, delay=0.01, settings=settings)
+    with stub as (server, config):
+        code = main(
+            ["feedback", str(golden_env["corpus"]), "--config", str(config),
+             "--n-samples", "6", "--out", str(tmp_path / "out.jsonl")]
+        )
+    assert code == 0
+    assert server.posts == 60
+    # two runner threads, one per slot, each sending its record's calls in turn
+    assert server.peak == 2
 
 
 def test_eir_requests_carry_each_roles_settings(golden_env, tmp_path):
@@ -2091,17 +2161,83 @@ def test_one_shot_output_lands_whole_or_not_at_all(
     assert not Path(f"{out}.tmp").exists()
 
 
+@pytest.mark.parametrize("kept", [0, 10], ids=["computed", "resume-kept"])
+def test_batch_run_starts_no_record_after_a_failed_write(kept, tmp_path, monkeypatch, capsys):
+    corpus, config, out = tmp_path / "corpus.jsonl", tmp_path / "cfg", tmp_path / "out.jsonl"
+    save_corpus([make_record(record_id=f"r{i:03}") for i in range(200)], corpus)
+    config.write_text(  # four connection slots: four runner threads; no socket is opened
+        "feedback.kind = http\nfeedback.endpoint_url = http://127.0.0.1:9/v1\n"
+        "feedback.model_name = stub\nfeedback.temperature = 0.7\nfeedback.max_in_flight = 4\n",
+        encoding="utf-8",
+    )
+    # the first targets' lines, which a resumed run writes before any it computes
+    out.write_text(
+        "".join(
+            json.dumps({"record_id": f"r{i // 2:03}", "answer_index": i % 2, "n_sampled": 20}) + "\n"
+            for i in range(kept)
+        ),
+        encoding="utf-8",
+    )
+    calls, writes = [], []
+
+    class Feedback:
+        def to_dict(self, audit):
+            return {"n_sampled": 20}
+
+    def slow_feedback(config, opened, record, idx):
+        calls.append((record.id, idx))
+        time.sleep(0.05)
+        return Feedback()
+
+    class FourthWriteFails:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            writes.append(text)
+            if len(writes) == 4:
+                raise OSError(28, "No space left on device")
+            self.handle.write(text)
+
+        def flush(self):
+            self.handle.flush()
+
+    def partial_open(path, mode="r", *args, **kwargs):
+        handle = open(path, mode, *args, **kwargs)
+        return FourthWriteFails(handle) if mode == "w" and str(path).endswith(".partial") else handle
+
+    monkeypatch.setattr(cli_module, "_feedback", slow_feedback)
+    monkeypatch.setattr(cli_module, "open", partial_open, raising=False)
+    resume = ["--resume"] if kept else []
+    capsys.readouterr()
+    assert main(["feedback", str(corpus), "--config", str(config), *resume, "--out", str(out)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    # the records already running finish; none still queued starts
+    assert len(writes) == 4
+    assert len(calls) <= len(writes) + 4
+
+
 def _files(root: Path) -> dict[Path, bytes]:
     return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
 def _assert_refused(template: list[str], output: str, other: str, paths: dict, capsys) -> None:
-    """main exits 2 before any work, naming both flags, and no file under tmp changes."""
+    """main exits 2 before any work, naming both flags, and no file under tmp changes.
+
+    The output's own path names the file, or one of its side files (PATH.tmp,
+    OUT.partial) does, as "--out PATH writes PATH.tmp, the same file as ..."."""
     before = _files(paths["tmp"])
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in template]) == 2
     out, err = capsys.readouterr()
-    pattern = rf"error: {re.escape(output)} \S+ is the same file as {re.escape(other)} \S+; "
+    same = rf"(?:is|writes \S+,) the same file as {re.escape(other)} \S+; "
+    pattern = rf"error: {re.escape(output)} \S+ {same}"
     assert re.match(pattern, err), err
     assert err.count("\n") == 1 and out == ""
     assert _files(paths["tmp"]) == before
@@ -2116,15 +2252,21 @@ def _assert_refused(template: list[str], output: str, other: str, paths: dict, c
         (["score", "{corpus}", "--out", "{tmp}/x.jsonl", "--report", "{corpus}"], "--report", "corpus"),
         (["score", "{corpus}", "--out", "{tmp}/x.jsonl", "--report", "{tmp}/x.jsonl"], "--report", "--out"),
         (["agreement", "{corpus}", "--out", "{link}"], "--out", "corpus"),
+        (["score", "{side}", "--out", "{tmp}/side.jsonl"], "--out", "corpus"),
+        (["score", "{side}", "--out", "{tmp}/x.jsonl", "--report", "{tmp}/side.jsonl"],
+         "--report", "corpus"),
     ],
-    ids=["stats", "stats-dotted", "score-out", "score-report", "score-out-report", "agreement-hard-link"],
+    ids=["stats", "stats-dotted", "score-out", "score-report", "score-out-report", "agreement-hard-link",
+         "score-out-tmp", "score-report-tmp"],
 )
 def test_analysis_output_that_names_an_input_exits_2(
     template, output, other, small_corpus, tmp_path, capsys
 ):
     link = tmp_path / "link.jsonl"
     link.hardlink_to(small_corpus)
-    paths = {"tmp": tmp_path, "corpus": small_corpus, "link": link}
+    side = tmp_path / "side.jsonl.tmp"  # the file _writing streams --out side.jsonl to
+    side.write_bytes(small_corpus.read_bytes())
+    paths = {"tmp": tmp_path, "corpus": small_corpus, "link": link, "side": side}
     _assert_refused(template, output, other, paths, capsys)
 
 
@@ -2138,8 +2280,17 @@ def test_analysis_output_that_names_an_input_exits_2(
           "--out", "{corpus}"], "--out", "corpus"),
         (["feedback", "{corpus}", "--config", "{config}", "--backend", "{backend}",
           "--out", "{config}"], "--out", "--config"),
+        (["feedback", "{tmp}/c.jsonl.partial", "--backend", "{backend}", "--out", "{tmp}/c.jsonl"],
+         "--out", "corpus"),
+        (["refine", "{tmp}/c.jsonl.partial", "--mode", "eir", "--backend", "{backend}", "--resume",
+          "--out", "{tmp}/c.jsonl"], "--out", "corpus"),
+        (["feedback", "{tmp}/c.jsonl.tmp", "--backend", "{backend}", "--resume",
+          "--out", "{tmp}/c.jsonl"], "--out", "corpus"),
+        (["feedback", "{corpus}", "--config", "{tmp}/cfg.partial", "--backend", "{backend}",
+          "--out", "{tmp}/cfg"], "--out", "--config"),
     ],
-    ids=["feedback", "refine-eir", "refine-eir-resume", "feedback-config"],
+    ids=["feedback", "refine-eir", "refine-eir-resume", "feedback-config", "feedback-partial",
+         "refine-eir-resume-partial", "feedback-resume-tmp", "feedback-config-partial"],
 )
 def test_batch_output_that_names_an_input_exits_2(
     template, output, other, golden_env, tmp_path, capsys
@@ -2147,6 +2298,10 @@ def test_batch_output_that_names_an_input_exits_2(
     corpus, config = tmp_path / "corpus.jsonl", tmp_path / "cfg"
     corpus.write_bytes(Path(golden_env["corpus"]).read_bytes())
     config.write_text("n_samples = 20\n", encoding="utf-8")
+    # inputs named like the side files of --out c.jsonl and --out cfg
+    for side in ("c.jsonl.partial", "c.jsonl.tmp"):
+        (tmp_path / side).write_bytes(corpus.read_bytes())
+    (tmp_path / "cfg.partial").write_bytes(config.read_bytes())
     paths = {
         "tmp": tmp_path, "corpus": corpus, "config": config,
         "backend": f"scripted:{golden_env['fixtures']}",
@@ -2166,9 +2321,11 @@ def test_batch_output_that_names_an_input_exits_2(
         (["eval-correct", "--baseline", "{baseline}", "--refined", "{refined}", "--out", "{refined}"],
          "--out", "--refined"),
         (["selfcheck", "--judgments", "{judgments}", "--out", "{judgments}"], "--out", "--judgments"),
+        (["eval-correct", "--baseline", "{baseline}", "--refined", "{refined}",
+          "--out", "{tmp}/refined"], "--out", "--refined"),
     ],
     ids=["eval-detect-predictions", "eval-detect-corpus", "eval-correct-baseline",
-         "eval-correct-refined", "selfcheck"],
+         "eval-correct-refined", "selfcheck", "eval-correct-refined-tmp"],
 )
 def test_evaluation_output_that_names_an_input_exits_2(
     template, output, other, small_corpus, tmp_path, capsys
@@ -2182,6 +2339,7 @@ def test_evaluation_output_that_names_an_input_exits_2(
     ]:
         paths[name] = tmp_path / f"{name}.jsonl"
         paths[name].write_text(text, encoding="utf-8")
+    paths["refined"] = paths["refined"].rename(tmp_path / "refined.tmp")  # --out refined's side file
     _assert_refused(template, output, other, paths, capsys)
 
 

@@ -548,6 +548,27 @@ def test_http_stack_loads_when_an_http_client_is_made(stub_server):
     assert len(stub_server.requests) == 1
 
 
+_FAN_OUT_IN_CHILD = """
+import json, sys
+from lfqa_eval.genclient import BackendConfig, GenerationClient, GenerationRequest
+config = BackendConfig(kind="http", endpoint_url=sys.argv[1], model_name="m", native_n=False)
+with GenerationClient(config) as client:
+    request = GenerationRequest(prompt="hello", max_tokens=8, temperature=0.0, n_samples=3)
+    texts = client.generate(request).texts
+loaded = [m for m in ("concurrent.futures", "logging") if m in sys.modules]
+print(json.dumps({"loaded": loaded, "texts": texts}))
+"""
+
+
+def test_http_fan_out_loads_no_thread_pool(stub_server):
+    done = run_python(_FAN_OUT_IN_CHILD, _http_config(stub_server).endpoint_url)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "loaded": [], "texts": ["reply 1.0", "reply 2.0", "reply 3.0"]
+    }
+    assert all("n" not in request["body"] for request in stub_server.requests)
+
+
 _PROXY_MODULES_IN_CHILD = """
 import json, os, sys
 for name in [name for name in os.environ if name.lower().endswith("_proxy")]:
@@ -581,7 +602,7 @@ def test_http_client_imports_urllib_request_only_where_a_proxy_can_apply(proxy, 
 
 
 # ---------------------------------------------------------------------------
-# connection pool, environment resolution and fan-out executor
+# connection pool, environment resolution and single-sample calls
 
 
 def test_http_sequential_calls_share_one_connection(keepalive_server):
@@ -893,8 +914,8 @@ def test_http_unusable_proxy_fails_when_the_client_is_made(proxy, clean_proxy_en
         GenerationClient(config)
 
 
-def test_http_fan_out_threads_are_client_wide(stub_server, monkeypatch):
-    stub_server.script = [{"sleep": 0.02}] * 12
+def test_http_fan_out_callers_start_no_thread_and_share_the_slots(keepalive_server, monkeypatch):
+    keepalive_server.script = [{"sleep": 0.02}] * 12
     started = []  # (starting thread, started thread)
     real_start = threading.Thread.start
 
@@ -903,24 +924,23 @@ def test_http_fan_out_threads_are_client_wide(stub_server, monkeypatch):
         real_start(self)
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
-    client = GenerationClient(_http_config(stub_server, native_n=False, max_in_flight=2))
     results = []
-    callers = [
-        threading.Thread(target=lambda: results.append(client.generate(_request(n_samples=4))))
-        for _ in range(3)
-    ]
-    for caller in callers:
-        caller.start()
-    for caller in callers:
-        caller.join(timeout=10)
-    assert not any(caller.is_alive() for caller in callers)
-    client_threads = [thread for starter, thread in started if starter in callers]
-    assert 1 <= len(client_threads) <= 2
-    assert stub_server.peak_active <= 2
+    with GenerationClient(_http_config(keepalive_server, native_n=False, max_in_flight=2)) as client:
+        callers = [
+            threading.Thread(target=lambda: results.append(client.generate(_request(n_samples=4))))
+            for _ in range(3)
+        ]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=10)
+        assert not any(caller.is_alive() for caller in callers)
+    # each caller sends its own calls; all three wait on the same two connections
+    assert [starter for starter, _ in started if starter in callers] == []
+    assert keepalive_server.peak_active == 2
+    assert keepalive_server.connections <= 2
     assert [len(result.texts) for result in results] == [4, 4, 4]
-    assert len(stub_server.requests) == 12
-    client.close()
-    assert not any(thread.is_alive() for thread in client_threads)
+    assert len(keepalive_server.requests) == 12
 
 
 def test_http_fan_out_failure_raises_first_error(stub_server):
@@ -929,7 +949,8 @@ def test_http_fan_out_failure_raises_first_error(stub_server):
     with GenerationClient(config) as client:
         with pytest.raises(GenerationError, match="HTTP 400"):
             client.generate(_request(n_samples=3))
-        # the executor outlives a failed request
+        assert len(stub_server.requests) == 1  # the request stops at its first failed call
+        # the client serves requests after a failed one
         assert len(client.generate(_request(n_samples=2)).texts) == 2
 
 
