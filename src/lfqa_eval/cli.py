@@ -37,7 +37,9 @@ from .corpus import (
     CorpusError,
     classify_granularity,
     iter_corpus_records,
+    json_object,
     load_corpus,
+    open_jsonl,
     read_corpus,
     read_field,
 )
@@ -141,6 +143,10 @@ def parse_config_text(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
     set_on: dict[str, int] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # a byte load_config read as a lone surrogate
+            raise ConfigError(f"config line {ln}: not UTF-8") from None
         stripped = _COMMENT.sub("", line).strip()
         if not stripped:
             continue
@@ -159,7 +165,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> CliConfig:
     """Defaults <- config file <- overrides, rejecting unknown keys."""
     values: dict[str, str] = {}
     if path:
-        values.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
+        values.update(parse_config_text(Path(path).read_text("utf-8", "surrogateescape")))
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = str(value)
@@ -251,53 +257,30 @@ def _open_role(
 # Small I/O helpers
 
 
-def _parse_jsonl(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
-    """(line number, object) per non-blank line; any other line is a CorpusError."""
+def _keyed_lines(source: str, lines: Iterable[str], parse: Callable[[dict, int], tuple]) -> dict:
+    """{key: (line, value)} over the lines of open_jsonl, parse(obj, line) giving each pair.
+
+    Every line needs a non-empty string record_id, checked before parse, and a key
+    no earlier line has; each error reads 'SOURCE: line N: cause', where source is
+    e.g. '--judgments PATH'.
+    """
+    table: dict = {}
     for ln, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"malformed JSON: {exc.msg}", line=ln) from None
-        except UnicodeDecodeError:  # of a line read as bytes
-            raise CorpusError("not UTF-8", line=ln) from None
-        if not isinstance(obj, dict):
-            raise CorpusError("expected a JSON object", line=ln)
-        yield ln, obj
-
-
-@contextmanager
-def _errors_name(source: str) -> Iterator[None]:
-    """Prefix each CorpusError raised inside with source, e.g. '--judgments PATH'."""
-    try:
-        yield
-    except CorpusError as exc:
-        raise CorpusError(f"{source}: {exc}") from None
-
-
-def _keyed_lines(source: str, lines: Iterable[str | bytes], parse: Callable[[dict, int], tuple]) -> dict:
-    """{key: (line, value)} over a file keyed by record, parse(obj, line) giving each pair.
-
-    Every line needs a non-empty string record_id, checked before parse, and a key
-    no earlier line has; each error names source, e.g. '--judgments PATH', and the line.
-    """
-    table: dict = {}
-    with _errors_name(source):
-        for ln, obj in _parse_jsonl(lines):
+            obj = json_object(line)
             record_id = obj.get("record_id")
             if record_id is None:
-                raise CorpusError("line has no record_id", line=ln)
+                raise CorpusError("line has no record_id")
             if type(record_id) is not str or not record_id:
-                raise CorpusError(f"record_id {record_id!r} is not a non-empty string", line=ln)
-            try:
-                key, value = parse(obj, ln)
-            except CorpusError as exc:  # read_field's errors name no line
-                raise exc if exc.line else CorpusError(str(exc), line=ln) from None
+                raise CorpusError(f"record_id {record_id!r} is not a non-empty string")
+            key, value = parse(obj, ln)
             if key in table:
-                message = f"duplicate key {key!r} (first seen on line {table[key][0]})"
-                raise CorpusError(message, line=ln)
-            table[key] = ln, value
+                raise CorpusError(f"duplicate key {key!r} (first seen on line {table[key][0]})")
+        except CorpusError as exc:
+            raise CorpusError(f"{source}: line {ln}: {exc}") from None
+        table[key] = ln, value
     return table
 
 
@@ -511,14 +494,14 @@ def _kept_lines(
     """One file's (line number, line) by (record_id, answer_index), checked against this run."""
     if not Path(path).exists():
         return {}
-    with open(path, "rb") as handle:
+    with open_jsonl(path) as handle:
         lines = handle.readlines()
     # A kill mid-write can cut the last line at any byte, even inside a character,
     # leaving no newline: drop it if it does not parse.
-    if lines and not lines[-1].endswith(b"\n"):
+    if lines and not lines[-1].endswith("\n"):
         try:
-            json.loads(lines[-1])
-        except ValueError:  # not UTF-8, or not JSON
+            json_object(lines[-1])
+        except CorpusError:
             warning = f"warning: {path}: line {len(lines)}: torn last line dropped and recomputed"
             print(warning, file=sys.stderr)
             lines.pop()
@@ -717,13 +700,12 @@ def _cmd_eval_detect(args) -> int:
         return (record_id, idx), (len(tags), incomplete)
 
     source = f"--predictions {args.predictions}"
-    with open(args.predictions, encoding="utf-8") as handle:
+    with open_jsonl(args.predictions) as handle:
         predictions = _keyed_lines(source, handle, prediction)
-    with _errors_name(source):
-        try:
-            report = detection_eval(gold, ((key, p) for key, (_, p) in predictions.items()))
-        except PredictionError as exc:
-            raise CorpusError(str(exc), line=predictions[exc.key][0]) from None
+    try:
+        report = detection_eval(gold, ((key, p) for key, (_, p) in predictions.items()))
+    except PredictionError as exc:
+        raise CorpusError(f"{source}: line {predictions[exc.key][0]}: {exc}") from None
     totals, accuracy = report.counts, report.weighted_accuracy
     total = max(totals.total_predicted, 1)
     print(
@@ -769,7 +751,7 @@ def _read_scores(flag: str, path: str) -> dict[str, tuple[int, ErrorScoreRecord]
         except ValueError as exc:
             raise CorpusError(f"{where}: {exc}") from None
 
-    with open(path, encoding="utf-8") as handle:
+    with open_jsonl(path) as handle:
         scores = _keyed_lines(f"{flag} {path}", handle, score)
     if not scores:
         raise CorpusError(f"{flag} {path}: no score records")
@@ -839,7 +821,7 @@ def _cmd_selfcheck(args) -> int:
         grouped[record_id].append(SupportJudgment(sentence_index, tuple(verdicts)))
         return (record_id, sentence_index), None
 
-    with open(args.judgments, encoding="utf-8") as handle:
+    with open_jsonl(args.judgments) as handle:
         _keyed_lines(f"--judgments {args.judgments}", handle, judgment)
 
     lines = []
@@ -957,18 +939,16 @@ _OUTPUTS = {"out": "--out", "report": "--report"}
 
 
 def _refuse_overwrites(args) -> None:
-    """A UsageError when an output is the same file as an input or as an earlier output,
-    or a side file it is written through (PATH.tmp; OUT.partial for a batch run) is
-    the same file as an input."""
-    inputs = [(flag, getattr(args, dest)) for dest, flag in _INPUTS.items() if getattr(args, dest, None)]
-    seen = list(inputs)
+    """A UsageError when an output, or a side file it is written through (PATH.tmp;
+    OUT.partial for a batch run), is the same file as an input or an earlier output."""
+    seen = [(flag, getattr(args, dest)) for dest, flag in _INPUTS.items() if getattr(args, dest, None)]
     sides = (".tmp", ".partial") if hasattr(args, "resume") else (".tmp",)
     for dest, flag in _OUTPUTS.items():
         path = getattr(args, dest, None)
         if not path:
             continue
-        for written, others in [(path, seen), *((path + side, inputs) for side in sides)]:
-            for other, other_path in others:
+        for written in (path, *(path + side for side in sides)):
+            for other, other_path in seen:
                 try:
                     same = os.path.samefile(written, other_path)
                 except OSError:  # one of them does not exist yet

@@ -14,6 +14,11 @@ Corpus files are UTF-8 JSON lines, one record per line:
                       "annotator": "a1"}],
      "preferences": [{"annotator": "a1", "choice": 1, "justification": "..."}]}
 
+Every JSON-lines input, the corpus and each side file alike, is opened by
+``open_jsonl`` and split at LF, CRLF or a lone CR; ``json_object`` turns each
+non-blank line into its object, or names why it cannot: not UTF-8, malformed
+JSON, or not an object. The caller puts the line number in front.
+
 Loaded corpora are immutable in practice (nothing in the package mutates
 records) and safe to share across threads. ``read_corpus`` yields records
 one at a time, so a caller that needs no random access holds one record.
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .models import (
     Answer,
@@ -40,13 +45,7 @@ from .segment import segment_sentences
 
 
 class CorpusError(ValueError):
-    """Malformed corpus content; ``line`` is 1-based when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """Malformed corpus or side-file content."""
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +224,27 @@ def validate_record(record: QARecord) -> list[str]:
 # Corpus I/O
 
 
+def open_jsonl(path: str | Path) -> TextIO:
+    """A JSON-lines input as UTF-8 text, each byte that is not UTF-8 read as a lone
+    surrogate, so that json_object names its line instead of the codec failing the file."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def json_object(line: str) -> dict:
+    """The object one non-blank line of open_jsonl holds; else a CorpusError naming no line."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:  # a surrogate open_jsonl made of a byte that is not UTF-8
+        raise CorpusError("not UTF-8") from None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"malformed JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise CorpusError("expected a JSON object")
+    return obj
+
+
 def iter_corpus_records(
     path: str | Path,
 ) -> Iterator[tuple[int, QARecord | None, list[str]]]:
@@ -235,15 +255,12 @@ def iter_corpus_records(
     the record's own violations), each without the line prefix.
     """
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_jsonl(path) as handle:
         for ln, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                record = record_from_dict(json.loads(line))
-            except json.JSONDecodeError as exc:
-                yield ln, None, [f"malformed JSON: {exc.msg}"]
-                continue
+                record = record_from_dict(json_object(line))
             except CorpusError as exc:
                 yield ln, None, [str(exc)]
                 continue
@@ -266,7 +283,7 @@ def read_corpus(path: str | Path) -> Iterator[QARecord]:
     """
     for ln, record, problems in iter_corpus_records(path):
         if problems:
-            raise CorpusError(problems[0], line=ln)
+            raise CorpusError(f"line {ln}: {problems[0]}")
         yield record
 
 

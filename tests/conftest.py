@@ -1,15 +1,18 @@
 """Shared corpus builders and the scripted end-to-end environment."""
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 import lfqa_eval
+from lfqa_eval.cli import main
 from lfqa_eval.corpus import save_corpus
 from lfqa_eval.feedback import TAG_COMPLETE, TAG_INCOMPLETE, build_feedback_prompt
 from lfqa_eval.genclient import FixtureStore
@@ -41,8 +44,16 @@ def child_env() -> dict[str, str]:
 def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter (sys.argv[1:] = args); stdout and stderr as text."""
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=child_env(), capture_output=True, text=True
+        [sys.executable, "-c", code, *args], env=child_env(), capture_output=True, encoding="utf-8"
     )
+
+
+def quiet_main(argv: list[str]) -> tuple[int, str]:
+    """main(argv)'s exit code and stderr; stdout is discarded."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 def make_record(

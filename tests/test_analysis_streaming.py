@@ -160,6 +160,8 @@ _GOOD = [
 
 BAD_LINES = {
     "malformed-json": ("not json", "line 4: malformed JSON: Expecting value"),
+    "not-an-object": ("[1, 2]", "line 4: expected a JSON object"),
+    "not-utf8": ('{"id": "caf\udcc3"}', "line 4: not UTF-8"),  # written as the byte 0xc3
     "duplicate-id": (json.dumps(_GOOD[1]), "line 4: duplicate id 'r1' (first seen on line 2)"),
     "invalid-record": (
         json.dumps({**_GOOD[0], "id": "bad", "preferences": [{"choice": 5}]}),
@@ -171,7 +173,7 @@ BAD_LINES = {
 def _bad_corpus(tmp_path: Path, bad: str) -> Path:
     path = tmp_path / "corpus.jsonl"
     lines = [json.dumps(record) for record in _GOOD] + [bad, json.dumps({**_GOOD[0], "id": "r9"})]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     return path
 
 

@@ -131,6 +131,15 @@ def test_config_key_set_twice_is_refused(text, message, tmp_path):
     assert str(refused.value) == message
 
 
+def test_config_line_not_utf8_is_named(small_corpus, tmp_path, capsys):
+    config = tmp_path / "cfg"
+    config.write_bytes(b"n_samples = 5\nfeedback.kind = scripted # caf\xc3\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["feedback", str(small_corpus), "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: config line 2: not UTF-8\n")
+    assert not out.exists()
+
+
 def test_config_http_backend_needs_fields(tmp_path):
     path = tmp_path / "cfg"
     path.write_text("refine.kind = http\n", encoding="utf-8")
@@ -294,12 +303,15 @@ def test_validate_reports_all_violations(tmp_path, capsys):
          "annotations": [], "preferences": []},
     ]
     path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join(json.dumps(o) for o in bad) + "\nnot json\n", encoding="utf-8")
+    text = "\n".join(json.dumps(o) for o in bad) + '\nnot json\n{"id": "caf\udcc3"}\n'
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")  # line 4 holds the byte 0xc3
     assert main(["validate", str(path)]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "choice 7" in err
     assert "duplicate id 'a'" in err
     assert "line 3" in err
+    assert "line 4: not UTF-8\n" in err
+    assert out == "4 records checked, 4 violations\n"
 
 
 def test_stats_outputs_table_and_jsonl(small_corpus, tmp_path, capsys):
@@ -307,7 +319,7 @@ def test_stats_outputs_table_and_jsonl(small_corpus, tmp_path, capsys):
     assert main(["stats", str(small_corpus), "--out", str(out)]) == 0
     table = capsys.readouterr().out
     assert "completeness" in table
-    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     span_rows = [r for r in rows if r["kind"] == "span_granularity"]
     assert {r["aspect"] for r in span_rows} >= {"completeness", "average"}
     comp = next(r for r in span_rows if r["aspect"] == "completeness")
@@ -325,7 +337,7 @@ def test_stats_length_buckets_in_word_order(tmp_path, capsys):
     table = capsys.readouterr().out.split("Answer words")[1].splitlines()[1:]
     expected = [("0-49", 2), ("50-99", 1), ("100-149", 1), ("500+", 1)]
     assert [tuple(line.split()) for line in table] == [(b, str(n)) for b, n in expected]
-    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     lengths = [(r["bucket"], r["count"]) for r in rows if r["kind"] == "answer_length"]
     assert lengths == expected
 
@@ -336,12 +348,12 @@ def test_score_emits_scorecards_and_report(small_corpus, tmp_path, capsys):
     assert main(["score", str(small_corpus), "--out", str(out), "--report", str(report)]) == 0
     stdout = capsys.readouterr().out
     assert "Category" in stdout and "law" in stdout
-    cards = [json.loads(l) for l in out.read_text().splitlines()]
+    cards = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     assert len(cards) == 4  # two records x two answers
     q1_human = next(c for c in cards if c["record_id"] == "q1" and c["source"] == "human")
     assert q1_human["scores"]["completeness"] == 0.5
     assert q1_human["preference_score"] == 0.0
-    rows = [json.loads(l) for l in report.read_text().splitlines()]
+    rows = [json.loads(l) for l in report.read_text(encoding="utf-8").splitlines()]
     assert rows[-1]["domain"] == "average"
     law = next(r for r in rows if r["domain"] == "law")
     assert law["model_pref_pct"] == 100.0
@@ -350,7 +362,7 @@ def test_score_emits_scorecards_and_report(small_corpus, tmp_path, capsys):
 def test_agreement_outputs_alpha(small_corpus, tmp_path, capsys):
     out = tmp_path / "agreement.jsonl"
     assert main(["agreement", str(small_corpus), "--out", str(out)]) == 0
-    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     law = next(r for r in rows if r["domain"] == "law")
     physics = next(r for r in rows if r["domain"] == "physics")
     assert physics["alpha"] == 1.0
@@ -485,7 +497,7 @@ def _run_feedback_cli(golden_env, out: Path, extra=()) -> int:
 def test_feedback_cli_over_golden_corpus(golden_env, tmp_path):
     out = tmp_path / "fb.jsonl"
     assert _run_feedback_cli(golden_env, out) == 0
-    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     assert len(lines) == 10
     by_id = {l["record_id"]: l for l in lines}
     assert by_id["g00"]["selected"]["tags"] == ["Complete", "Complete"]
@@ -505,11 +517,11 @@ def test_feedback_cli_deterministic_output(golden_env, tmp_path):
 def test_feedback_cli_resume_skips_done_records(golden_env, tmp_path):
     out = tmp_path / "fb.jsonl"
     assert _run_feedback_cli(golden_env, out) == 0
-    full = out.read_text()
+    full = out.read_text(encoding="utf-8")
     lines = full.splitlines()
     out.write_text("\n".join(lines[:4]) + "\n", encoding="utf-8")
     assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
-    assert out.read_text() == full
+    assert out.read_text(encoding="utf-8") == full
 
 
 def test_feedback_cli_resume_recomputes_a_torn_last_line(golden_env, tmp_path, capsys):
@@ -696,7 +708,7 @@ def test_refine_eir_cli(golden_env, tmp_path):
         ]
     )
     assert code == 0
-    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     by_id = {l["record_id"]: l for l in lines}
     assert by_id["g00"]["passthrough"] is True
     assert by_id["g03"]["passthrough"] is False
@@ -722,7 +734,7 @@ def test_refine_improve_and_generic_cli(tmp_path):
              "--backend", f"scripted:{fixtures}", "--out", str(out)]
         )
         assert code == 0
-        (line,) = [json.loads(l) for l in out.read_text().splitlines()]
+        (line,) = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert line["refined_answer"] == reply
         assert line["feedback"] is None
 
@@ -1345,7 +1357,7 @@ def test_resume_refuses_a_duplicate_line(kept_in, golden_env, tmp_path, capsys):
 def test_audit_flag_includes_raw(golden_env, tmp_path):
     out = tmp_path / "fb.jsonl"
     assert _run_feedback_cli(golden_env, out, ("--audit",)) == 0
-    line = json.loads(out.read_text().splitlines()[0])
+    line = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
     assert "selected_raw" in line
     assert len(line["samples_raw"]) == 20
 
@@ -1358,7 +1370,7 @@ def test_refine_audit_retains_prompt(golden_env, tmp_path):
          "--out", str(out), "--audit"]
     )
     assert code == 0
-    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     by_id = {l["record_id"]: l for l in lines}
     assert "not complete because" in by_id["g03"]["prompt"]
     assert by_id["g00"]["prompt"] == ""  # passthrough sent no refine prompt
@@ -1409,7 +1421,7 @@ def test_feedback_cli_http_backend(tmp_path):
              "--n-samples", "4", "--out", str(out)]
         )
         assert code == 0
-        (line,) = [json.loads(l) for l in out.read_text().splitlines()]
+        (line,) = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert line["selected"]["tags"] == ["Incomplete", "Complete"]
         assert line["n_sampled"] == 4
     finally:
@@ -1628,7 +1640,7 @@ def test_eval_detect_cli(tmp_path, capsys):
         ["eval-detect", str(corpus_path), "--predictions", str(predictions), "--out", str(out)]
     )
     assert code == 0
-    summary = json.loads(out.read_text())
+    summary = json.loads(out.read_text(encoding="utf-8"))
     assert summary["adjacent"] == 1
     assert summary["weighted_accuracy"] == 0.5
     assert "weighted accuracy" in capsys.readouterr().out
@@ -1795,7 +1807,7 @@ def test_eval_detect_accepts_feedback_output(golden_env, tmp_path):
          "--out", str(out)]
     )
     assert code == 0
-    summary = json.loads(out.read_text())
+    summary = json.loads(out.read_text(encoding="utf-8"))
     # golden corpus has no annotations: every prediction is "different"
     assert summary["exact"] == 0
     assert summary["total_predicted"] == summary["different"]
@@ -1825,7 +1837,7 @@ def test_eval_correct_cli(tmp_path, capsys):
          "--out", str(out)]
     )
     assert code == 0
-    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     correction = next(r for r in rows if r["kind"] == "correction")
     assert correction["precision"] == 0.5
     assert correction["recall"] == 0.5
@@ -1917,7 +1929,7 @@ def test_selfcheck_cli(tmp_path, capsys):
     )
     out = tmp_path / "selfcheck.jsonl"
     assert main(["selfcheck", "--judgments", str(judgments), "--out", str(out)]) == 0
-    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    rows = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
     r1 = next(r for r in rows if r["record_id"] == "r1")
     assert r1["per_sentence"] == [1.0, 0.25]
     assert r1["answer_support"] == 0.625
@@ -2255,9 +2267,12 @@ def _assert_refused(template: list[str], output: str, other: str, paths: dict, c
         (["score", "{side}", "--out", "{tmp}/side.jsonl"], "--out", "corpus"),
         (["score", "{side}", "--out", "{tmp}/x.jsonl", "--report", "{tmp}/side.jsonl"],
          "--report", "corpus"),
+        # --report x.jsonl streams to x.jsonl.tmp, which would truncate the finished scorecards
+        (["score", "{corpus}", "--out", "{tmp}/x.jsonl.tmp", "--report", "{tmp}/x.jsonl"],
+         "--report", "--out"),
     ],
     ids=["stats", "stats-dotted", "score-out", "score-report", "score-out-report", "agreement-hard-link",
-         "score-out-tmp", "score-report-tmp"],
+         "score-out-tmp", "score-report-tmp", "score-report-tmp-is-out"],
 )
 def test_analysis_output_that_names_an_input_exits_2(
     template, output, other, small_corpus, tmp_path, capsys

@@ -811,7 +811,7 @@ def self_signed_cert(tmp_path_factory):
         ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
          "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
          "-keyout", str(key), "-out", str(cert)],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert done.returncode == 0, done.stderr
     return cert, key

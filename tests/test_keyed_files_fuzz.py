@@ -4,17 +4,18 @@ One node changed in one line of a valid ``--predictions``, ``--baseline``,
 ``--judgments`` or resumed ``--out`` file either still reads, or the
 command exits 1 (2 for a kept line of another ``--resume`` run) with one
 error line that names the flag (under ``--resume``, the file), the path and
-the changed line. No traceback and no other exit code.
+the changed line. No traceback and no other exit code. A line cut at a byte,
+or given a byte that is not UTF-8, always exits 1 that way; and a file, the
+corpus included, reads the same with CRLF or lone-CR line ends as with LF.
 """
-import io
 import json
 import re
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import quiet_main
 from json_mutation import one_node_changed
 from lfqa_eval.cli import main
 
@@ -30,24 +31,19 @@ _JUDGMENTS = [
 ]
 
 
-def _quiet_main(argv: list[str]) -> tuple[int, str]:
-    err = io.StringIO()
-    with redirect_stderr(err), redirect_stdout(io.StringIO()):
-        code = main(argv)
-    return code, err.getvalue()
-
-
 @pytest.fixture(scope="module")
 def keyed_files(golden_env, tmp_path_factory) -> dict:
     """flag -> (a valid file's lines, argv for a path to such a file, a path to use)."""
     root = tmp_path_factory.mktemp("keyed-fuzz")
     corpus, backend = str(golden_env["corpus"]), f"scripted:{golden_env['fixtures']}"
     feedback_out = root / "feedback.jsonl"
-    code, err = _quiet_main(["feedback", corpus, "--backend", backend, "--out", str(feedback_out)])
+    code, err = quiet_main(["feedback", corpus, "--backend", backend, "--out", str(feedback_out)])
     assert (code, err) == (0, "")
     feedback = [json.loads(line) for line in feedback_out.read_text(encoding="utf-8").splitlines()]
     predictions = [*feedback[:3], {"record_id": "g05", "tags": ["Complete", "Incomplete"]}]
+    records = [json.loads(line) for line in golden_env["corpus"].read_text(encoding="utf-8").splitlines()]
     return {
+        "corpus": (records, lambda path: ["score", path], root / "corpus.jsonl"),
         "--predictions": (
             predictions,
             lambda path: ["eval-detect", corpus, "--predictions", path],
@@ -81,7 +77,7 @@ def test_one_changed_node_reads_or_is_named_by_flag_path_and_line(flag, data, ke
     changed[k] = data.draw(one_node_changed(lines[k]), label="changed line")
     path.write_text("".join(json.dumps(line) + "\n" for line in changed), encoding="utf-8")
 
-    code, err = _quiet_main(argv(str(path)))
+    code, err = quiet_main(argv(str(path)))
 
     if code == 0:
         assert err == ""
@@ -93,3 +89,39 @@ def test_one_changed_node_reads_or_is_named_by_flag_path_and_line(flag, data, ke
     name = str(path) if flag == "--resume" else f"{flag} {path}"
     assert err.startswith(f"error: {name}: line ") and err.count("\n") == 1, err
     assert re.search(rf"\bline {k + 1}\b", err), err
+
+
+@pytest.mark.parametrize("flag", ["--predictions", "--baseline", "--judgments", "--resume"])
+@given(data=st.data())
+def test_a_line_cut_or_not_utf8_is_named_by_flag_path_and_line(flag, data, keyed_files):
+    lines, argv, path = keyed_files[flag]
+    # ASCII lines, so a cut is never inside a character: the lone lead byte b"\xc3" is that case
+    encoded = [json.dumps(line).encode("ascii") + b"\n" for line in lines]
+    k = data.draw(st.integers(0, len(lines) - 1), label="changed line index")
+    line = encoded[k]
+    if data.draw(st.booleans(), label="cut"):
+        # short of the closing brace, so never a whole object; the newline stays
+        at = data.draw(st.integers(1, len(line) - 2), label="bytes kept")
+        encoded[k], cause = line[:at] + b"\n", "malformed JSON: "
+    else:
+        at = data.draw(st.integers(0, len(line) - 1), label="insertion offset")
+        bad = data.draw(st.sampled_from([b"\x80", b"\xc3", b"\xff", b"\xed\xa0\x80"]), label="bytes")
+        encoded[k], cause = line[:at] + bad + line[at:], "not UTF-8\n"
+    path.write_bytes(b"".join(encoded))
+
+    code, err = quiet_main(argv(str(path)))
+
+    name = str(path) if flag == "--resume" else f"{flag} {path}"
+    assert code == 1 and err.startswith(f"error: {name}: line {k + 1}: {cause}"), err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("flag", ["corpus", "--predictions", "--baseline", "--judgments"])
+def test_line_ends_read_the_same_as_lf(flag, newline, keyed_files, capsys):
+    lines, argv, path = keyed_files[flag]
+    results = []
+    for end in ("\n", newline):
+        path.write_bytes("".join(json.dumps(line) + end for line in lines).encode("utf-8"))
+        results.append((main(argv(str(path))), *capsys.readouterr()))
+    assert results[0][0] == 0 and results[1] == results[0], results
