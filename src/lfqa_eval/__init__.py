@@ -8,6 +8,7 @@ candidate answers, span-level error annotations, and preference judgments:
 - ``corpus``      corpus loading, validation, span projection, granularity
 - ``scoring``     per-aspect answer scores, domain reports, Krippendorff alpha
 - ``genclient``   HTTP chat-completion backend + scripted record/replay backend
+- ``transport``   the HTTP/1.1 connections of genclient's http backend
 - ``feedback``    sentence-completeness feedback prompts, parsing, consistency
                   selection over sampled outputs
 - ``refine``      answer refinement prompts and the feedback-then-refine pipeline

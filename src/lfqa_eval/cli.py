@@ -142,7 +142,9 @@ def parse_config_text(text: str) -> dict[str, str]:
     """{key: value} of a config file; a key set on two lines is a ConfigError."""
     values: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
+    # LF, CRLF and CR end a line, as in every JSON-lines input; str.splitlines
+    # would also split a value at \f, \x85 or U+2028
+    for ln, line in enumerate(re.split(r"\r\n?|\n", text), start=1):
         try:
             line.encode("utf-8")
         except UnicodeEncodeError:  # a byte load_config read as a lone surrogate
@@ -570,9 +572,10 @@ def _run_batch(
     on one thread per connection slot, the sum of max_in_flight over the http
     clients, capped at workers when it is set; a scripted client has no slot,
     and one thread or fewer runs the records inline. Failures are reported
-    per record and turn the exit code to 3.
+    per record, each on stderr when its turn to be written comes, and turn the
+    exit code to 3.
     """
-    failures: list[str] = []
+    failed = 0
     with ExitStack() as stack:
         opened = {role: _open_role(stack, config, role) for role in roles}
         selector = _parse_answer_selector(args.answer)
@@ -621,18 +624,17 @@ def _run_batch(
             if line is None:
                 line = next(results)
                 if isinstance(line, Exception):
-                    failures.append(f"{record.id!r}#{idx}: {line}")
+                    print(f"failed: {record.id!r}#{idx}: {line}", file=sys.stderr)
+                    failed += 1
                     continue
             handle.write(line + "\n")
             handle.flush()
     os.replace(partial, args.out)
-    for failure in failures:
-        print(f"failed: {failure}", file=sys.stderr)
     print(
-        f"{len(targets) - len(failures)} results written to {args.out}"
-        + (f", {len(failures)} failed" if failures else "")
+        f"{len(targets) - failed} results written to {args.out}"
+        + (f", {failed} failed" if failed else "")
     )
-    return 3 if failures else 0
+    return 3 if failed else 0
 
 
 def _feedback(config: CliConfig, opened: dict, record: QARecord, idx: int) -> FeedbackResult:

@@ -7,14 +7,15 @@ replays fixtures from a directory keyed by the SHA-256 digest of the exact
 prompt text, for deterministic tests and offline runs. The digest is
 CPython's built-in SHA-256 (``_sha2`` on 3.12+, ``_sha256`` before; ``hashlib``
 only where neither exists), found at the first digest: the analysis
-subcommands and scripted runs map no OpenSSL. An ``http`` client still does,
-through ``ssl``; it imports ``urllib.request``, and ``hashlib`` with it, only
-where a proxy can apply: a ``*_proxy`` variable is set, or the platform is
-macOS or Windows, whose system settings can name one.
+subcommands and scripted runs map no OpenSSL. Nor does an ``http://`` client;
+an ``https://`` one does, through ``ssl``. A client imports
+``urllib.request``, and ``hashlib`` with it, only where a proxy can apply: a
+``*_proxy`` variable is set, or the platform is macOS or Windows, whose
+system settings can name one.
 
-Transient transport failures (``OSError``, such as a refused or reset
-connection, a timeout or a TLS error, and ``http.client.HTTPException``, such
-as a body cut short of its ``Content-Length``; 429, 5xx) are retried with
+Transient transport failures (any ``OSError``: a refused or reset
+connection, a timeout, a TLS error, or a reply that breaks HTTP/1.1 framing,
+such as a body cut short of its ``Content-Length``; 429, 5xx) are retried with
 exponential backoff; on 429 and 503 a delta-seconds ``Retry-After``
 lengthens the wait to the server's value, capped at the client's ``timeout``
 (an HTTP-date or malformed value keeps the backoff). Authentication errors,
@@ -24,9 +25,11 @@ client is made, so a missing one fails before any request, as does one
 holding a CR, LF, NUL or non-Latin-1 character, which no HTTP header may
 carry; they never appear in error messages.
 
-The HTTP transport is the standard library's ``http.client``, imported when
-the first ``kind = http`` client is made; importing this module, or making a
-scripted client, loads no HTTP stack, no ``queue`` and no thread pool. Each
+The HTTP transport is ``transport.Connection``, an HTTP/1.1 client over
+``socket`` that sends each request in one write. ``transport``, ``select``
+and ``queue`` are imported when the first ``kind = http`` client is made,
+and ``ssl`` only for an ``https://`` endpoint; importing this module, or
+making a scripted client, loads none of them and no thread pool. Each
 HTTP client makes its ``max_in_flight`` connections when it is made (opening
 no socket) and sends every request on one of them, so they are both its
 kept-alive pool and the bound on its live requests: a request waits while all
@@ -123,6 +126,16 @@ class BackendConfig:
             if "@" in authority:
                 raise ValueError(
                     "http backend endpoint_url must not carry credentials; name an auth_env"
+                )
+            # the host and the path go into the request line and the Host header
+            if any(ch <= " " or ch == "\x7f" for ch in self.endpoint_url):
+                raise ValueError(
+                    "http backend endpoint_url must not hold whitespace or control characters"
+                )
+            if not rest[len(authority):].isascii():
+                raise ValueError(
+                    "http backend endpoint_url must be ASCII after the host; "
+                    "percent-encode its path"
                 )
         elif self.kind == "scripted":
             if not self.fixture_dir:
@@ -253,8 +266,8 @@ class GenerationClient:
         )
         self._connections: list = []
         if config.kind == "http":
-            self._headers = self._auth_headers(config)  # raises before anything is resolved
-            self._resolve_transport(config)
+            headers = self._auth_headers(config)  # raises before anything is resolved
+            self._resolve_transport(config, headers)
 
     def close(self) -> None:
         """Close every connection's socket."""
@@ -293,8 +306,8 @@ class GenerationClient:
                 raise CredentialError(
                     f"credential environment variable '{config.auth_env}' is not set"
                 )
-            # http.client fails every request on CR, LF or non-Latin-1 in a header,
-            # quoting the value; servers refuse NUL
+            # a CR or LF would end the header early, a non-Latin-1 character has
+            # no byte in the request head, and servers refuse NUL
             if any(ch in "\r\n\0" or ch > "\xff" for ch in credential):
                 raise CredentialError(
                     f"credential environment variable '{config.auth_env}' holds a CR, LF, "
@@ -303,35 +316,33 @@ class GenerationClient:
             headers["Authorization"] = f"Bearer {credential}"
         return headers
 
-    def _resolve_transport(self, config: BackendConfig) -> None:
+    def _resolve_transport(self, config: BackendConfig, headers: dict[str, str]) -> None:
         """Resolve once what every request to the endpoint would re-read from
         the environment: the proxy (NO_PROXY applied to this endpoint), the CA
-        file and .netrc auth (only when no auth_env names a credential)."""
+        file and .netrc auth (only when no auth_env names a credential). Every
+        request then sends the same head up to its Content-Length value."""
         import base64
-        import functools
-        import http.client
         import netrc
         import queue
         import select
-        import socket
-        import ssl
         import urllib.parse
+
+        from .transport import Connection
 
         def basic(user: str, password: str) -> str:
             return "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
 
-        def nodelay_socket(address, timeout, source_address=None):
-            # headers and body go out in two writes, which Nagle's algorithm
-            # would hold until the server's delayed ACK of the first
-            sock = socket.create_connection(address, timeout, source_address)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return sock
-
         url = urllib.parse.urlsplit(config.endpoint_url)
         scheme, host = url.scheme.lower(), url.hostname
-        port = url.port or (443 if scheme == "https" else 80)
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        if "Authorization" not in self._headers:
+        default_port = 443 if scheme == "https" else 80
+        port = url.port or default_port
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        ascii_host = host if host.isascii() else host.encode("idna").decode("ascii")
+        if ":" in ascii_host:
+            ascii_host = f"[{ascii_host}]"  # an IPv6 literal
+        host_port = f"{ascii_host}:{port}"
+        authority = ascii_host if port == default_port else host_port  # the Host header's value
+        if "Authorization" not in headers:
             path = os.path.expanduser(os.environ.get("NETRC", "~/.netrc"))
             try:
                 entry = netrc.netrc(path).authenticators(host)
@@ -339,7 +350,7 @@ class GenerationClient:
                 entry = None  # no readable netrc: no netrc auth
             if entry:
                 login, account, password = entry
-                self._headers["Authorization"] = basic(login or account or "", password or "")
+                headers["Authorization"] = basic(login or account or "", password or "")
 
         proxy = None
         # outside macOS and Windows, whose system settings can name a proxy,
@@ -354,7 +365,7 @@ class GenerationClient:
             proxy = proxies.get(scheme) or proxies.get("all")
             if proxy and urllib.request.proxy_bypass(host):
                 proxy = None
-        address, tunnel = (host, port), None
+        address, tunnel, proxy_auth = (host, port), b"", ""
         if proxy:
             parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
             if parts.scheme.lower() != "http" or not parts.hostname:
@@ -362,35 +373,33 @@ class GenerationClient:
                     f"the proxy for {scheme} requests must be an http:// URL with a host"
                 )
             address = (parts.hostname, parts.port or 80)
-            proxy_headers = {}
             if parts.username:
-                proxy_headers["Proxy-Authorization"] = basic(
-                    urllib.parse.unquote(parts.username),
-                    urllib.parse.unquote(parts.password or ""),
-                )
-            if scheme == "https":
-                tunnel = (host, port, proxy_headers)  # CONNECT, then TLS to the endpoint
-            else:
-                self._target = url._replace(fragment="").geturl()
-                self._headers.update(proxy_headers)
+                user = urllib.parse.unquote(parts.username)
+                password = urllib.parse.unquote(parts.password or "")
+                proxy_auth = f"Proxy-Authorization: {basic(user, password)}\r\n"
+            if scheme == "https":  # CONNECT, then TLS to the endpoint
+                connect = f"CONNECT {host_port} HTTP/1.1\r\nHost: {host_port}\r\n{proxy_auth}\r\n"
+                tunnel = connect.encode("ascii")
+            else:  # an absolute-URI request to the proxy
+                target = f"http://{authority}{target}"
 
+        tls = None
         if scheme == "https":
+            import ssl
+
             cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-            connection = functools.partial(
-                http.client.HTTPSConnection,
-                context=ssl.create_default_context(cafile=cafile or None),
-            )
-        else:
-            connection = http.client.HTTPConnection
+            tls = (ssl.create_default_context(cafile=cafile or None), host)
+        head = f"POST {target} HTTP/1.1\r\nHost: {authority}\r\nAccept-Encoding: identity\r\n"
+        head += "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        if not tunnel:
+            head += proxy_auth  # for an http endpoint the proxy reads every request's head
+        self._head = (head + "Content-Length: ").encode("latin-1")
 
         # a closed connection connects again on its next request, so these
         # objects live as long as the client; LIFO keeps the fewest sockets warm
         self._pool = queue.LifoQueue()
         for _ in range(config.max_in_flight):
-            conn = connection(*address, timeout=config.timeout)
-            conn._create_connection = nodelay_socket
-            if tunnel:
-                conn.set_tunnel(*tunnel)
+            conn = Connection(*address, config.timeout, tunnel, tls)
             self._connections.append(conn)
             self._pool.put(conn)
         if hasattr(select, "poll"):
@@ -402,19 +411,16 @@ class GenerationClient:
             def dropped(sock) -> bool:
                 return bool(select.select([sock], [], [], 0)[0])
         self._dropped = dropped
-        self._transient = (OSError, http.client.HTTPException)
 
-    def _post(self, payload: bytes):
-        """One POST on a pooled connection: (the response, its whole body)."""
+    def _post(self, payload: bytes) -> tuple[int, dict[str, str], bytes]:
+        """One POST on a pooled connection: (status, headers, the whole body)."""
         conn = self._pool.get()  # waits while all max_in_flight are out
         try:
             # an idle socket that reads as ready holds the server's close
             # (or bytes nobody asked for): it cannot carry a request
             if conn.sock is not None and self._dropped(conn.sock):
                 conn.close()
-            conn.request("POST", self._target, payload, self._headers)
-            response = conn.getresponse()  # closes conn if the reply will close
-            return response, response.read()
+            return conn.post(self._head, payload)  # closes conn if the reply will close
         except BaseException:
             conn.close()
             raise
@@ -438,11 +444,10 @@ class GenerationClient:
             transient: str | None = None
             retry_after = 0.0
             try:
-                response, raw = self._post(payload)
-            except self._transient as exc:
+                status, headers, raw = self._post(payload)
+            except OSError as exc:
                 transient = type(exc).__name__
             else:
-                status = response.status
                 if status in (401, 403):
                     raise CredentialError(
                         f"authentication rejected (HTTP {status}); check the "
@@ -450,13 +455,13 @@ class GenerationClient:
                     )
                 if 300 <= status < 400:
                     raise GenerationError(
-                        f"HTTP {status} redirect to {response.getheader('Location')!r} "
+                        f"HTTP {status} redirect to {headers.get('location')!r} "
                         "is not followed; set endpoint_url to the URL that answers"
                     )
                 if status == 429 or status >= 500:
                     transient = f"HTTP {status}"
                     if status in (429, 503):
-                        retry_after = _retry_after_s(response.getheader("Retry-After"))
+                        retry_after = _retry_after_s(headers.get("retry-after"))
                 elif status >= 400:
                     raise GenerationError(
                         f"HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}"

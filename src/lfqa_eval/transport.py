@@ -1,0 +1,161 @@
+"""The HTTP/1.1 transport of ``genclient``'s http clients, over ``socket``.
+
+``Connection`` sends a request's status line, headers and body in one write
+and reads the reply framed by ``Content-Length``, by chunked transfer coding
+(chunk extensions and trailers are read and dropped) or by the server's
+close, skipping any 1xx reply before it. A reply that breaks the framing is
+an ``HTTPException``, an ``OSError`` like every other transport failure; it
+and its subclasses keep the names of ``http.client``'s exceptions, and the
+line and header limits are ``http.client``'s too. Neither ``http.client``
+nor the ``email`` package it parses headers with is loaded, nor ``ssl``:
+an https endpoint's client hands its ``Connection`` a context to wrap the
+socket with. ``genclient`` imports this module when it makes its first http
+client, so the analysis subcommands and scripted runs never compile it.
+"""
+from __future__ import annotations
+
+import socket
+
+_MAX_LINE = 65536  # bytes in a status, header, chunk-size or trailer line
+_MAX_HEADERS = 100  # header lines in one reply
+
+
+class HTTPException(OSError):
+    """A reply that breaks HTTP/1.1 framing."""
+
+
+class IncompleteRead(HTTPException):
+    pass
+
+
+class BadStatusLine(HTTPException):
+    pass
+
+
+class LineTooLong(HTTPException):
+    pass
+
+
+class RemoteDisconnected(BadStatusLine):
+    pass
+
+
+def _read_line(fp, what: str) -> bytes:
+    line = fp.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise LineTooLong(what)
+    return line
+
+
+def _read_head(fp) -> tuple[bytes, int, dict[str, str]]:
+    """(version, status, {lower-case name: its first value}) of the next reply
+    that is not 1xx; the 1xx replies before it are read and skipped."""
+    while True:
+        line = _read_line(fp, "status line")
+        if not line:
+            raise RemoteDisconnected("Remote end closed connection without response")
+        parts = line.split(None, 2)
+        if not (
+            len(parts) >= 2 and parts[0].startswith(b"HTTP/1.")
+            and len(parts[1]) == 3 and parts[1].isdigit() and parts[1] >= b"100"
+        ):
+            raise BadStatusLine(line)
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = _read_line(fp, "header line")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers.setdefault(name.strip().lower(), value.strip())
+        else:
+            raise HTTPException(f"got more than {_MAX_HEADERS} headers")
+        status = int(parts[1])
+        if status >= 200:
+            return parts[0], status, headers
+
+
+def _read_exactly(fp, size: int) -> bytes:
+    data = fp.read(size)
+    if len(data) < size:
+        raise IncompleteRead(f"{len(data)} bytes read, {size - len(data)} more expected")
+    return data
+
+
+def _read_body(fp, status: int, headers: dict[str, str]) -> tuple[bytes, bool]:
+    """(the body, whether it ended where the connection can carry another reply)."""
+    if status in (204, 304):
+        return b"", True
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        chunks = []
+        while True:
+            line = _read_line(fp, "chunk size")
+            try:
+                size = int(line.split(b";", 1)[0], 16)  # a chunk extension follows ';'
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise IncompleteRead(f"chunk size line {line[:40]!r}")
+            if size == 0:
+                break
+            chunks.append(_read_exactly(fp, size + 2)[:size])  # the data, then CRLF
+        while _read_line(fp, "trailer line") not in (b"\r\n", b"\n", b""):
+            pass
+        return b"".join(chunks), True
+    length = headers.get("content-length", "")
+    if length.isascii() and length.isdigit():
+        return _read_exactly(fp, int(length)), True
+    return fp.read(), False  # delimited by the server's close
+
+
+class Connection:
+    """One HTTP/1.1 connection to (host, port), the endpoint or its proxy. It
+    connects on first use and again after a close; ``tunnel`` is a CONNECT
+    request sent first, and ``tls`` the (context, server name) that then wraps
+    the socket for an https endpoint."""
+
+    def __init__(self, host: str, port: int, timeout: float, tunnel: bytes, tls):
+        self.host, self.port = host, port
+        self.sock = None
+        self._timeout = timeout
+        self._tunnel = tunnel
+        self._tls = tls
+
+    def _connect(self):
+        sock = socket.create_connection((self.host, self.port), self._timeout)
+        try:
+            # a request's last partial segment would otherwise wait for the server to
+            # ACK the ones before it, which it may delay
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel:
+                sock.sendall(self._tunnel)
+                with sock.makefile("rb") as fp:
+                    _, status, _ = _read_head(fp)
+                if status != 200:
+                    raise OSError(f"Tunnel connection failed: {status}")
+            if self._tls:
+                context, server_name = self._tls
+                sock = context.wrap_socket(sock, server_hostname=server_name)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
+    def post(self, head: bytes, payload: bytes) -> tuple[int, dict[str, str], bytes]:
+        """(status, headers, body) of one POST: head ends in "Content-Length: ",
+        and status line, headers and body go out in one write."""
+        if self.sock is None:
+            self.sock = self._connect()
+        self.sock.sendall(b"%s%d\r\n\r\n%s" % (head, len(payload), payload))
+        with self.sock.makefile("rb") as fp:
+            version, status, headers = _read_head(fp)
+            body, framed = _read_body(fp, status, headers)
+        connection = headers.get("connection", "").lower()
+        keep = "keep-alive" in connection if version == b"HTTP/1.0" else "close" not in connection
+        if not (framed and keep):
+            self.close()
+        return status, headers, body
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None

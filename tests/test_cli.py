@@ -18,7 +18,7 @@ from lfqa_eval import cli as cli_module
 from lfqa_eval import corpus as corpus_module
 from lfqa_eval import genclient as genclient_module
 from lfqa_eval import scoring as scoring_module
-from lfqa_eval.cli import ConfigError, RoleConfig, load_config, main
+from lfqa_eval.cli import ConfigError, RoleConfig, load_config, main, parse_config_text
 from lfqa_eval.corpus import classify_granularity, load_corpus, save_corpus
 from lfqa_eval.evalmetrics import completeness_gold, detection_eval
 from lfqa_eval.feedback import build_feedback_prompt
@@ -138,6 +138,19 @@ def test_config_line_not_utf8_is_named(small_corpus, tmp_path, capsys):
     assert main(["feedback", str(small_corpus), "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", "error: config line 2: not UTF-8\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_config_value_holding_a_unicode_line_break_reads_whole(newline, tmp_path):
+    breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines splits at each
+    lines = ["n_samples = 5", f"feedback.model_name = a{breaks}b", "feedback.kind = http"]
+    assert parse_config_text(newline.join(lines)) == {
+        "n_samples": "5", "feedback.model_name": f"a{breaks}b", "feedback.kind": "http",
+    }
+    path = tmp_path / "cfg"
+    path.write_bytes(newline.join([*lines[:2], "not a setting", ""]).encode("utf-8"))
+    with pytest.raises(ConfigError, match="^config line 3: expected 'key = value'$"):
+        load_config(str(path), {})
 
 
 def test_config_http_backend_needs_fields(tmp_path):
@@ -1609,7 +1622,7 @@ def test_http_run_without_requests_writes_the_scripted_bytes(command, golden_env
                 "--workers", "2", "--out", str(out)]
         report, err = _cli_in_child([argv], "--no-requests")
     # the http client and the runner's pool of 2 threads load what a scripted run does not
-    loaded = ["http.client", "ssl", "concurrent.futures", "logging", "queue"]
+    loaded = ["concurrent.futures", "logging", "queue"]
     assert (report, err) == ({"codes": [0], "loaded": loaded}, "")
     assert out.read_bytes() == scripted.read_bytes()
 
@@ -2101,6 +2114,31 @@ def test_failed_record_id_with_a_newline_keeps_its_line_whole(small_corpus, tmp_
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("failed: 'a\\nb'#0: no fixture for prompt digest ")
     assert out.read_bytes() == b""
+
+
+def test_failed_record_is_on_stderr_when_the_runner_reaches_it(
+    golden_env, tmp_path, capsys, monkeypatch
+):
+    records = load_corpus(golden_env["corpus"])
+    first, last = records[0].question, records[-1].question
+    real = cli_module.run_feedback
+    stderr_at_last = []
+
+    def failing_first(question, *args, **kwargs):
+        if question == first:
+            raise RuntimeError("endpoint down")
+        if question == last:
+            stderr_at_last.append(capsys.readouterr().err)
+        return real(question, *args, **kwargs)
+
+    out = tmp_path / "fb.jsonl"
+    argv = ["feedback", str(golden_env["corpus"]), "--backend",
+            f"scripted:{golden_env['fixtures']}", "--answer", "0", "--out", str(out)]
+    monkeypatch.setattr(cli_module, "run_feedback", failing_first)
+    assert main(argv) == 3
+    failed = f"failed: {records[0].id!r}#0: endpoint down\n"
+    assert stderr_at_last == [failed]  # before the last record is computed
+    assert capsys.readouterr().err == ""  # and the run's stderr holds it once
 
 
 # ---------------------------------------------------------------------------

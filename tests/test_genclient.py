@@ -543,7 +543,7 @@ def test_http_stack_loads_when_an_http_client_is_made(stub_server):
     done = run_python(_HTTP_CLIENT_IN_CHILD, _http_config(stub_server).endpoint_url)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
-        "before": [], "made": ["http.client", "ssl"], "texts": ["reply 1.0"]
+        "before": [], "made": [], "texts": ["reply 1.0"]
     }
     assert len(stub_server.requests) == 1
 
@@ -952,6 +952,257 @@ def test_http_fan_out_failure_raises_first_error(stub_server):
         assert len(stub_server.requests) == 1  # the request stops at its first failed call
         # the client serves requests after a failed one
         assert len(client.generate(_request(n_samples=2)).texts) == 2
+
+
+# ---------------------------------------------------------------------------
+# HTTP/1.1 transport: framing, limits, the request head
+
+
+class _RawServer:
+    """A TCP server that answers each request, whatever its connection, with
+    the next scripted reply: (bytes, whether the server then closes). It
+    records every request's head, and serves each connection on a thread."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.heads = []
+        self.connections = 0
+        self.lock = threading.Lock()
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.url = f"http://127.0.0.1:{self.port}/v1/chat/completions"
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:  # the listener closed
+                return
+            with self.lock:
+                self.connections += 1
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        with conn, conn.makefile("rb") as fp:
+            while True:
+                lines = []
+                while (line := fp.readline()) not in (b"\r\n", b""):
+                    lines.append(line)
+                if not line:
+                    return  # the client closed the connection
+                head = b"".join(lines) + line
+                length = re.search(rb"\r\nContent-Length: (\d+)\r\n", head)[1]
+                fp.read(int(length))
+                with self.lock:
+                    self.heads.append(head)
+                    reply, close = self.replies.pop(0)
+                conn.sendall(reply)
+                if close:
+                    return
+
+    def close(self):
+        self.listener.close()
+
+
+def _reply(status_line: bytes, text: str = "ok", headers: bytes = b"", length: bool = True) -> bytes:
+    body = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+    framing = b"Content-Length: %d\r\n" % len(body) if length else b""
+    return status_line + b"\r\n" + headers + framing + b"\r\n" + body
+
+
+def _chunked(status_line: bytes, text: str) -> bytes:
+    """text's reply in two chunks, the first with a chunk extension, and a trailer."""
+    body = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+    return (
+        status_line + b"\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"5;name=value\r\n" + body[:5] + b"\r\n"
+        + b"%x\r\n" % (len(body) - 5) + body[5:] + b"\r\n"
+        + b"0\r\nX-Trailer: done\r\n\r\n"
+    )
+
+
+@pytest.fixture
+def raw_server():
+    servers = []
+
+    def start(*replies):
+        servers.append(_RawServer(replies))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+@pytest.mark.parametrize(
+    ("replies", "connections"),
+    [
+        ([(_chunked(b"HTTP/1.1 200 OK", "one"), False), (_chunked(b"HTTP/1.1 200 OK", "two"), False)], 1),
+        ([(_reply(b"HTTP/1.0 200 OK", "one", length=False), True),
+          (_reply(b"HTTP/1.0 200 OK", "two", length=False), True)], 2),
+        ([(b"HTTP/1.1 100 Continue\r\n\r\n" + _reply(b"HTTP/1.1 200 OK", "one"), False),
+          (b"HTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n" + _reply(b"HTTP/1.1 200 OK", "two"), False)], 1),
+        # the server keeps the connection open: the client closes it as the reply asked
+        ([(_reply(b"HTTP/1.1 200 OK", "one", b"Connection: close\r\n"), False),
+          (_reply(b"HTTP/1.1 200 OK", "two", b"Connection: close\r\n"), False)], 2),
+        # 100 header lines, Content-Length among them; a 65,536-byte line, CRLF included
+        ([(_reply(b"HTTP/1.1 200 OK", "one", b"X-H: v\r\n" * 99), False),
+          (_reply(b"HTTP/1.1 200 OK", "two", b"X-H: " + b"v" * 65529 + b"\r\n"), False)], 1),
+    ],
+    ids=["chunked-extension-trailer", "http-1.0-close-delimited", "1xx-skipped",
+         "connection-close", "at-the-header-limits"],
+)
+def test_http_reply_framings_are_read(replies, connections, raw_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(genclient.time, "sleep", sleeps.append)
+    server = raw_server(*replies)
+    config = BackendConfig(kind="http", endpoint_url=server.url, model_name="m", max_in_flight=1)
+    with GenerationClient(config) as client:
+        assert client.generate(_request()).texts == ["one"]
+        assert client.generate(_request()).texts == ["two"]
+    assert len(server.heads) == 2  # a reconnect costs no attempt
+    assert server.connections == connections
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    ("reply", "name"),
+    [
+        (_reply(b"HTTP/1.1 200 OK", headers=b"X-Long: " + b"v" * 65536 + b"\r\n"), "LineTooLong"),
+        (_reply(b"HTTP/1.1 200 OK", headers=b"X-H: v\r\n" * 100), "HTTPException"),
+        (_reply(b"HTTP/1.1 OK 200"), "BadStatusLine"),
+        (_reply(b"ICY 200 OK"), "BadStatusLine"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n40\r\n{\"choices\"", "IncompleteRead"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "IncompleteRead"),
+        (b"", "RemoteDisconnected"),
+    ],
+    ids=["header-line-over-64-KiB", "over-100-headers", "status-line-order",
+         "not-http", "chunked-cut-short", "bad-chunk-size", "closed-without-reply"],
+)
+def test_http_reply_that_breaks_framing_is_a_transient_failure(reply, name, raw_server):
+    server = raw_server((reply, True), (_reply(b"HTTP/1.1 200 OK", "after"), False))
+    config = BackendConfig(
+        kind="http", endpoint_url=server.url, model_name="m", max_in_flight=1, max_retries=0
+    )
+    with GenerationClient(config) as client:
+        with pytest.raises(GenerationError) as err:
+            client.generate(_request())
+        assert str(err.value) == f"transport failure after 1 attempts ({name})"
+        assert client.generate(_request()).texts == ["after"]  # on a new connection
+    assert server.connections == 2
+
+
+def test_http_post_is_one_write_with_the_documented_headers(raw_server, monkeypatch):
+    monkeypatch.setenv("STUB_KEY", "secret-token")
+    server = raw_server(*[(_reply(b"HTTP/1.1 200 OK"), False)] * 3)
+    writes = []
+    real_sendall = socket.socket.sendall
+
+    def recording_sendall(sock, data, *args):
+        if sock.getpeername()[1] == server.port:  # the client's side, not the server's
+            writes.append(bytes(data))
+        return real_sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+    config = BackendConfig(
+        kind="http", endpoint_url=server.url + "?x=1", model_name="m", auth_env="STUB_KEY"
+    )
+    with GenerationClient(config) as client:
+        for _ in range(3):
+            client.generate(_request())
+    assert writes and len(writes) == len(server.heads) == 3
+    head, body = writes[0].split(b"\r\n\r\n")
+    request_line, *lines = head.decode("latin-1").split("\r\n")
+    assert request_line == "POST /v1/chat/completions?x=1 HTTP/1.1"
+    assert dict(line.split(": ", 1) for line in lines) == {
+        "Host": f"127.0.0.1:{server.port}",
+        "Accept-Encoding": "identity",
+        "Content-Type": "application/json",
+        "User-Agent": f"lfqa-eval/{genclient.__version__}",
+        "Authorization": "Bearer secret-token",
+        "Content-Length": str(len(body)),
+    }
+    assert json.loads(body)["model"] == "m"
+
+
+@pytest.mark.parametrize(
+    ("endpoint", "request_line", "host"),
+    [
+        ("http://[::1]/v1", "POST http://[::1]/v1 HTTP/1.1", "[::1]"),
+        ("http://[::1]:8000/v1?q=1", "POST http://[::1]:8000/v1?q=1 HTTP/1.1", "[::1]:8000"),
+        ("http://Example.TEST:80/v1", "POST http://example.test/v1 HTTP/1.1", "example.test"),
+        ("http://example.test:443", "POST http://example.test:443/ HTTP/1.1", "example.test:443"),
+    ],
+    ids=["ipv6-default-port", "ipv6-port", "default-port", "other-port"],
+)
+def test_http_host_header_brackets_ipv6_and_omits_the_default_port(
+    endpoint, request_line, host, raw_server, clean_proxy_env, monkeypatch
+):
+    # through a proxy, which records what the client would send the endpoint
+    proxy = raw_server((_reply(b"HTTP/1.1 200 OK"), False))
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.port}")
+    with GenerationClient(BackendConfig(kind="http", endpoint_url=endpoint, model_name="m")) as client:
+        client.generate(_request())
+    lines = proxy.heads[0].decode("latin-1").split("\r\n")
+    assert lines[0] == request_line
+    assert lines[1] == f"Host: {host}"
+
+
+@pytest.mark.parametrize(
+    ("url", "match"),
+    [
+        ("http://127.0.0.1/v1 x", "whitespace or control"),
+        ("http://127.0.0.1/v1\tx", "whitespace or control"),
+        ("http://127.0.0.1/v1\r\nX-Injected: 1", "whitespace or control"),
+        ("http://127.0.0.1/v1\n", "whitespace or control"),
+        ("http://127.0.0.1/v1\x00", "whitespace or control"),
+        ("http://127.0.0.1/v1\x7f", "whitespace or control"),
+        ("http://127.0.0.1 /v1", "whitespace or control"),
+        ("http://127.0.0.1\r\nX-Injected: 1/v1", "whitespace or control"),
+        ("http://127.0.0.1/vé", "ASCII after the host"),
+    ],
+    ids=["space", "tab", "crlf-header", "lf", "nul", "del", "host-space", "host-crlf",
+         "non-ascii-path"],
+)
+def test_http_endpoint_that_no_request_line_may_carry_is_refused_when_the_client_is_made(url, match):
+    with pytest.raises(ValueError, match=match):
+        GenerationClient(BackendConfig(kind="http", endpoint_url=url, model_name="m"))
+
+
+_TRANSPORT_IN_CHILD = """
+import json, os, sys
+for name in [name for name in os.environ if name.lower().endswith("_proxy")]:
+    del os.environ[name]
+from lfqa_eval.genclient import BackendConfig, GenerationClient, GenerationRequest
+with GenerationClient(BackendConfig(kind="http", endpoint_url=sys.argv[1], model_name="m")) as client:
+    texts = client.generate(GenerationRequest(prompt="hello", max_tokens=8, temperature=0.0)).texts
+loaded = sorted(
+    m for m in sys.modules if m in ("http.client", "ssl", "_ssl") or m.partition(".")[0] == "email"
+)
+mapped = []
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        mapped = sorted({line.split()[-1] for line in maps if "libssl" in line or "libcrypto" in line})
+print(json.dumps({"texts": texts, "loaded": loaded, "mapped": mapped}))
+"""
+
+
+def test_http_round_trip_loads_no_tls_or_email_and_maps_no_openssl(stub_server):
+    done = run_python(_TRANSPORT_IN_CHILD, _http_config(stub_server).endpoint_url)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"texts": ["reply 1.0"], "loaded": [], "mapped": []}
+
+
+def test_https_round_trip_loads_ssl_but_no_http_client_or_email(
+    https_server, self_signed_cert, monkeypatch
+):
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(self_signed_cert[0]))
+    url = f"https://127.0.0.1:{https_server.server_address[1]}/v1/chat/completions"
+    done = run_python(_TRANSPORT_IN_CHILD, url)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["texts"], report["loaded"]) == (["reply 1.0"], ["_ssl", "ssl"])
 
 
 # ---------------------------------------------------------------------------
