@@ -51,8 +51,6 @@ from .evalmetrics import (
     correction_prf,
     detection_eval,
     error_report,
-    flag_map,
-    normalize_verdict,
     selfcheck_aggregate,
 )
 from .feedback import (
@@ -259,14 +257,18 @@ def _open_role(
 # Small I/O helpers
 
 
-def _keyed_lines(source: str, lines: Iterable[str], parse: Callable[[dict, int], tuple]) -> dict:
-    """{key: (line, value)} over the lines of open_jsonl, parse(obj, line) giving each pair.
+def _keyed_lines(
+    source: str, lines: Iterable[str], parse: Callable[[dict], tuple]
+) -> Iterator[tuple[int, object, object]]:
+    """(line number, key, value) per non-blank line of open_jsonl, parse(obj) giving the pair.
 
-    Every line needs a non-empty string record_id, checked before parse, and a key
-    no earlier line has; each error reads 'SOURCE: line N: cause', where source is
-    e.g. '--judgments PATH'.
+    The one reader of every keyed side file. Each line needs a non-empty string
+    record_id, checked before parse, and a key no earlier line has. It keeps only
+    {key: line number}, and yields each line before it reads the next. A
+    CorpusError or UsageError for a line, parse's own included, reads
+    'SOURCE: line N: cause', where source is e.g. '--judgments PATH'.
     """
-    table: dict = {}
+    seen: dict = {}
     for ln, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -277,13 +279,13 @@ def _keyed_lines(source: str, lines: Iterable[str], parse: Callable[[dict, int],
                 raise CorpusError("line has no record_id")
             if type(record_id) is not str or not record_id:
                 raise CorpusError(f"record_id {record_id!r} is not a non-empty string")
-            key, value = parse(obj, ln)
-            if key in table:
-                raise CorpusError(f"duplicate key {key!r} (first seen on line {table[key][0]})")
-        except CorpusError as exc:
-            raise CorpusError(f"{source}: line {ln}: {exc}") from None
-        table[key] = ln, value
-    return table
+            key, value = parse(obj)
+            if key in seen:
+                raise CorpusError(f"duplicate key {key!r} (first seen on line {seen[key]})")
+        except (CorpusError, UsageError) as exc:
+            raise type(exc)(f"{source}: line {ln}: {exc}") from None
+        seen[key] = ln
+        yield ln, key, value
 
 
 @contextmanager
@@ -490,28 +492,24 @@ def _field(obj: dict, dotted: str):
     return obj
 
 
-def _kept_lines(
-    path: str, expected: dict[str, object], targets: set[tuple[str, int]]
-) -> dict[tuple[str, int], tuple[int, str]]:
-    """One file's (line number, line) by (record_id, answer_index), checked against this run."""
-    if not Path(path).exists():
-        return {}
-    with open_jsonl(path) as handle:
-        lines = handle.readlines()
-    # A kill mid-write can cut the last line at any byte, even inside a character,
-    # leaving no newline: drop it if it does not parse.
-    if lines and not lines[-1].endswith("\n"):
-        try:
-            json_object(lines[-1])
-        except CorpusError:
-            warning = f"warning: {path}: line {len(lines)}: torn last line dropped and recomputed"
-            print(warning, file=sys.stderr)
-            lines.pop()
+def _existing_lines(
+    out: str, expected: dict[str, object], targets: set[tuple[str, int]]
+) -> dict[tuple[str, int], str]:
+    """The lines --resume keeps by (record_id, answer_index): OUT's, then
+    OUT.partial's, which win; a file that does not exist keeps none.
 
-    def parse(obj: dict, ln: int) -> tuple[tuple[str, int], str]:
+    Each file is read through _keyed_lines, so a key twice in one file is a
+    CorpusError. ``expected`` maps dotted keys of a line, and "audit", to this
+    run's values; a kept line that differs, or whose key is not in ``targets``,
+    comes from another run and is a UsageError. A kill mid-write can cut a
+    file's last line at any byte, even inside a character, leaving no newline:
+    that line is dropped, with a warning, if it does not parse.
+    """
+
+    def parse(obj: dict) -> tuple[tuple[str, int], str]:
         record_id = obj["record_id"]
         key = (record_id, read_field(obj, "answer_index", int, f"record {record_id!r}", 0))
-        where = f"{path}: line {ln}: record {key[0]!r} answer {key[1]}"
+        where = f"record {key[0]!r} answer {key[1]}"
         if key not in targets:
             raise UsageError(
                 f"{where} is not a target of this run; --resume keeps only lines of the same run"
@@ -526,23 +524,21 @@ def _kept_lines(
                 )
         return key, _dump(obj)
 
-    return _keyed_lines(path, lines, parse)
-
-
-def _existing_lines(
-    out: str, expected: dict[str, object], targets: set[tuple[str, int]]
-) -> dict[tuple[str, int], str]:
-    """The lines --resume keeps: OUT's, then OUT.partial's, which win.
-
-    ``expected`` maps dotted keys of a line, and "audit", to this run's values;
-    a kept line that differs, or whose key is not in ``targets``, comes from
-    another run and is a UsageError.
-    """
-    kept = {
-        **_kept_lines(out, expected, targets),
-        **_kept_lines(f"{out}.partial", expected, targets),
-    }
-    return {key: line for key, (_, line) in kept.items()}
+    kept: dict[tuple[str, int], str] = {}
+    for path in (out, f"{out}.partial"):
+        if not Path(path).exists():
+            continue
+        with open_jsonl(path) as handle:
+            lines = handle.readlines()
+        if lines and not lines[-1].endswith("\n"):
+            try:
+                json_object(lines[-1])
+            except CorpusError:
+                warning = f"{path}: line {len(lines)}: torn last line dropped and recomputed"
+                print(f"warning: {warning}", file=sys.stderr)
+                lines.pop()
+        kept.update((key, line) for _, key, line in _keyed_lines(path, lines, parse))
+    return kept
 
 
 def ThreadPoolExecutor(max_workers: int):
@@ -624,7 +620,8 @@ def _run_batch(
             if line is None:
                 line = next(results)
                 if isinstance(line, Exception):
-                    print(f"failed: {record.id!r}#{idx}: {line}", file=sys.stderr)
+                    cause = str(line) or type(line).__name__  # MemoryError() says nothing
+                    print(f"failed: {record.id!r}#{idx}: {cause}", file=sys.stderr)
                     failed += 1
                     continue
             handle.write(line + "\n")
@@ -683,7 +680,7 @@ def _cmd_refine(args) -> int:
 def _cmd_eval_detect(args) -> int:
     gold = completeness_gold(read_corpus(args.corpus))
 
-    def prediction(obj: dict, ln: int) -> tuple[tuple[str, int], tuple[int, tuple[int, ...]]]:
+    def prediction(obj: dict) -> tuple[tuple[str, int], tuple[int, tuple[int, ...]]]:
         record_id = obj["record_id"]
         idx = read_field(obj, "answer_index", int, f"record {record_id!r}", 0)
         answers = gold.get(record_id)
@@ -703,7 +700,7 @@ def _cmd_eval_detect(args) -> int:
 
     source = f"--predictions {args.predictions}"
     with open_jsonl(args.predictions) as handle:
-        predictions = _keyed_lines(source, handle, prediction)
+        predictions = {key: (ln, p) for ln, key, p in _keyed_lines(source, handle, prediction)}
     try:
         report = detection_eval(gold, ((key, p) for key, (_, p) in predictions.items()))
     except PredictionError as exc:
@@ -736,7 +733,7 @@ def _read_scores(flag: str, path: str) -> dict[str, tuple[int, ErrorScoreRecord]
     """One score file's (line number, score) by record_id; each error names the flag,
     the path and the line. A score is a finite number >= 0 or a numeric string, not a bool."""
 
-    def score(obj: dict, ln: int) -> tuple[str, ErrorScoreRecord]:
+    def score(obj: dict) -> tuple[str, ErrorScoreRecord]:
         record_id = obj["record_id"]
         where = f"record {record_id!r}"
         if "error_score" not in obj:
@@ -754,7 +751,7 @@ def _read_scores(flag: str, path: str) -> dict[str, tuple[int, ErrorScoreRecord]
             raise CorpusError(f"{where}: {exc}") from None
 
     with open_jsonl(path) as handle:
-        scores = _keyed_lines(f"{flag} {path}", handle, score)
+        scores = {rid: (ln, s) for ln, rid, s in _keyed_lines(f"{flag} {path}", handle, score)}
     if not scores:
         raise CorpusError(f"{flag} {path}: no score records")
     return scores
@@ -775,7 +772,9 @@ def _cmd_eval_correct(args) -> int:
     baseline, refined = ([record for _, record in scores.values()] for _, scores in files)
     base_pct, base_mean = error_report(baseline)
     ref_pct, ref_mean = error_report(refined)
-    correction = correction_prf(flag_map(baseline), flag_map(refined))
+    correction = correction_prf(
+        *({rid: record.flagged for rid, (_, record) in scores.items()} for _, scores in files)
+    )
 
     print(f"{'':<10}{'% error samples':>17}{'mean error score':>18}")
     print(f"{'baseline':<10}{base_pct:>16.2f}%{base_mean:>18.4f}")
@@ -802,29 +801,26 @@ def _cmd_eval_correct(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    grouped: dict[str, list[SupportJudgment]] = defaultdict(list)
+    grouped: dict[str, list[SupportJudgment]] = defaultdict(list)  # in first-seen record order
 
-    def judgment(obj: dict, ln: int) -> tuple[tuple[str, int], None]:
-        """Adds the line's judgment to grouped, in first-seen record order."""
+    def judgment(obj: dict) -> tuple[tuple[str, int], SupportJudgment]:
+        """A line's judgment; its sentence_index defaults to the record's count so far."""
         record_id = obj["record_id"]
         where = f"record {record_id!r}"
         verdicts = read_field(obj, "verdicts", list, where)
         if not verdicts:
             raise CorpusError(f"{where}: verdicts [] is empty")
-        sentence_index = read_field(obj, "sentence_index", int, where, len(grouped[record_id]))
-        where = f"{where}, sentence {sentence_index}"
-        for i, verdict in enumerate(verdicts):
-            if not isinstance(verdict, str):
-                raise CorpusError(f"{where}: verdicts[{i}] {verdict!r} is not a string")
-            try:
-                normalize_verdict(verdict)
-            except ValueError as exc:
-                raise CorpusError(f"{where}: {exc}") from None
-        grouped[record_id].append(SupportJudgment(sentence_index, tuple(verdicts)))
-        return (record_id, sentence_index), None
+        so_far = len(grouped.get(record_id, ()))
+        sentence_index = read_field(obj, "sentence_index", int, where, so_far)
+        try:
+            return (record_id, sentence_index), SupportJudgment(sentence_index, tuple(verdicts))
+        except ValueError as exc:
+            raise CorpusError(f"{where}, sentence {sentence_index}: {exc}") from None
 
+    source = f"--judgments {args.judgments}"
     with open_jsonl(args.judgments) as handle:
-        _keyed_lines(f"--judgments {args.judgments}", handle, judgment)
+        for _, (record_id, _), judged in _keyed_lines(source, handle, judgment):
+            grouped[record_id].append(judged)
 
     lines = []
     supports = []

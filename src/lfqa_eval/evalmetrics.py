@@ -157,7 +157,12 @@ def normalize_verdict(raw: str) -> str:
 
 @dataclass(frozen=True)
 class SupportJudgment:
-    """Per-sample yes/no/not_applicable verdicts for one sentence."""
+    """Per-sample yes/no/not_applicable verdicts for one sentence.
+
+    Each verdict is checked and normalised when the judgment is made, so
+    ``verdicts`` holds only keys of VERDICT_MAPPING; a verdict that is not a
+    string, or none of them, is a ValueError naming the first such one.
+    """
 
     sentence_index: int
     verdicts: tuple[str, ...]
@@ -165,6 +170,12 @@ class SupportJudgment:
     def __post_init__(self):
         if not self.verdicts:
             raise ValueError("at least one verdict is required")
+        normalized = []
+        for i, verdict in enumerate(self.verdicts):
+            if not isinstance(verdict, str):
+                raise ValueError(f"verdicts[{i}] {verdict!r} is not a string")
+            normalized.append(normalize_verdict(verdict))
+        object.__setattr__(self, "verdicts", tuple(normalized))
 
 
 @dataclass
@@ -187,7 +198,7 @@ def selfcheck_aggregate(judgments: Sequence[SupportJudgment]) -> SelfCheckReport
         raise ValueError("no judgments")
     per_sentence = []
     for judgment in judgments:
-        mapped = [VERDICT_MAPPING[normalize_verdict(v)] for v in judgment.verdicts]
+        mapped = [VERDICT_MAPPING[v] for v in judgment.verdicts]
         per_sentence.append(sum(mapped) / len(mapped))
     support = sum(per_sentence) / len(per_sentence)
     return SelfCheckReport(
@@ -291,13 +302,3 @@ def detection_eval(
         misses=misses,
         skipped=skipped,
     )
-
-
-def flag_map(scores: Sequence[ErrorScoreRecord]) -> dict[str, bool]:
-    flags: dict[str, bool] = {}
-    for score in scores:
-        if score.record_id in flags:
-            raise ValueError(f"duplicate record_id {score.record_id!r} in scores")
-        flags[score.record_id] = score.flagged
-    return flags
-

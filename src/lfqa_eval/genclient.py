@@ -96,9 +96,7 @@ class GenerationRequest:
 @dataclass
 class GenerationResult:
     texts: list[str]
-    backend_id: str
-    latency: float
-    truncated: list[bool]
+    truncated: list[bool]  # per text: the reply's finish_reason was "length"
 
 
 @dataclass(frozen=True)
@@ -285,12 +283,7 @@ class GenerationClient:
     def _scripted_generate(self, request: GenerationRequest) -> GenerationResult:
         entries = self._store.lookup(request.prompt)
         texts = [entries[i % len(entries)] for i in range(request.n_samples)]
-        return GenerationResult(
-            texts=texts,
-            backend_id="scripted",
-            latency=0.0,
-            truncated=[False] * request.n_samples,
-        )
+        return GenerationResult(texts=texts, truncated=[False] * request.n_samples)
 
     # -- http ----------------------------------------------------------------
 
@@ -502,8 +495,6 @@ class GenerationClient:
         return texts, truncated
 
     def _http_generate(self, request: GenerationRequest) -> GenerationResult:
-        backend_id = f"http:{self.config.model_name}"
-        start = time.monotonic()
         calls, n = (1, request.n_samples) if self.config.native_n else (request.n_samples, 1)
         payload = self._body(request, n)
         texts, truncated = [], []
@@ -511,12 +502,7 @@ class GenerationClient:
             t, trunc = self._extract(self._post_with_retries(payload), n)
             texts += t
             truncated += trunc
-        return GenerationResult(
-            texts=texts,
-            backend_id=backend_id,
-            latency=time.monotonic() - start,
-            truncated=truncated,
-        )
+        return GenerationResult(texts=texts, truncated=truncated)
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         if self.config.kind == "scripted":

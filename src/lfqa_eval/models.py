@@ -77,14 +77,6 @@ class ErrorAnnotation:
     justification: str = ""
     annotator: str = ""
 
-    @property
-    def whole_answer(self) -> bool:
-        return self.span is None
-
-    @property
-    def targets_question(self) -> bool:
-        return self.answer_index is None
-
 
 @dataclass(frozen=True, slots=True)
 class PreferenceJudgment:

@@ -97,7 +97,10 @@ def _read_body(fp, status: int, headers: dict[str, str]) -> tuple[bytes, bool]:
                 raise IncompleteRead(f"chunk size line {line[:40]!r}")
             if size == 0:
                 break
-            chunks.append(_read_exactly(fp, size + 2)[:size])  # the data, then CRLF
+            data = _read_exactly(fp, size + 2)  # the data, then CRLF
+            if data[size:] != b"\r\n":
+                raise HTTPException(f"chunk data not followed by CRLF: {data[size:]!r}")
+            chunks.append(data[:size])
         while _read_line(fp, "trailer line") not in (b"\r\n", b"\n", b""):
             pass
         return b"".join(chunks), True

@@ -160,6 +160,29 @@ def test_config_http_backend_needs_fields(tmp_path):
         load_config(str(path), {})
 
 
+@pytest.mark.parametrize(
+    ("config_text", "backend", "message"),
+    [
+        ("feedback.model_name = m\n", None,
+         "backend 'feedback' is configured but has no 'feedback.kind'"),
+        ("", "scripted:", "--backend scripted: needs a directory"),
+        ("feedback.kind = scripted\nfeedback.native_n = maybe\n", None,
+         "config key 'feedback.native_n' expects bool, got 'maybe'"),
+    ],
+    ids=["role-without-kind", "scripted-without-directory", "native-n-not-a-bool"],
+)
+def test_config_mistake_exits_1_before_any_work(
+    config_text, backend, message, small_corpus, tmp_path, capsys
+):
+    config = tmp_path / "cfg"
+    config.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "fb.jsonl"
+    argv = ["feedback", str(small_corpus), "--config", str(config), "--out", str(out)]
+    assert main(argv + (["--backend", backend] if backend else [])) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["n_samples", "workers"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_counts_below_one_are_refused(key, value):
@@ -327,6 +350,31 @@ def test_validate_reports_all_violations(tmp_path, capsys):
     assert out == "4 records checked, 4 violations\n"
 
 
+def test_validate_names_an_empty_id_and_an_annotation_that_misses_its_target(tmp_path, capsys):
+    def record(record_id, *annotations):
+        return {"id": record_id, "domain": "law", "question": "Why?",
+                "answers": [{"source": "human", "text": "One. Two."}],
+                "annotations": list(annotations), "preferences": []}
+
+    path = tmp_path / "bad.jsonl"
+    lines = [
+        record(""),
+        record("b", {"aspect": "completeness", "target": {"answer": 3},
+                     "span": {"start": 0, "end": 2}}),
+        record("c", {"aspect": "question_misconception", "target": "question",
+                     "span": {"whole_answer": True}}),
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "3 records checked, 3 violations\n",
+        "line 1: record '': id is empty\n"
+        "line 2: record 'b': annotations[0] (completeness): answer index 3 out of range\n"
+        "line 3: record 'c': annotations[0] (question_misconception): "
+        "whole_answer cannot target the question\n",
+    )
+
+
 def test_stats_outputs_table_and_jsonl(small_corpus, tmp_path, capsys):
     out = tmp_path / "stats.jsonl"
     assert main(["stats", str(small_corpus), "--out", str(out)]) == 0
@@ -419,7 +467,7 @@ def test_stats_segments_each_annotated_text_once(name, request, tmp_path, monkey
     records = load_corpus(path)
     targets = {
         (record.id, ann.answer_index): (
-            record.question if ann.targets_question else record.answers[ann.answer_index].text
+            record.question if ann.answer_index is None else record.answers[ann.answer_index].text
         )
         for record in records
         for ann in record.annotations
@@ -1861,6 +1909,24 @@ def test_eval_correct_cli(tmp_path, capsys):
     assert base_row["mean_error_score"] == pytest.approx(0.425)
 
 
+def test_eval_correct_warns_when_no_baseline_record_was_flagged(tmp_path, capsys):
+    baseline, refined = tmp_path / "base.jsonl", tmp_path / "ref.jsonl"
+    baseline.write_text(
+        '{"record_id": "a", "error_score": 0}\n{"record_id": "b", "error_score": 0.0}\n',
+        encoding="utf-8",
+    )
+    refined.write_text(
+        '{"record_id": "a", "error_score": 0.5}\n{"record_id": "b", "error_score": 0}\n',
+        encoding="utf-8",
+    )
+    assert main(["eval-correct", "--baseline", str(baseline), "--refined", str(refined)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:5] == [
+        "correction: precision 0.0000  recall 0.0000  f1 0.0000  (tp 0, fp 1, fn 0)",
+        "warning: no baseline record was flagged; correction scores are degenerate",
+    ]
+
+
 _SCORES = '{"record_id": "a", "error_score": 1.0}\n{"record_id": "b", "error_score": 0.0}\n'
 
 
@@ -2139,6 +2205,25 @@ def test_failed_record_is_on_stderr_when_the_runner_reaches_it(
     failed = f"failed: {records[0].id!r}#0: endpoint down\n"
     assert stderr_at_last == [failed]  # before the last record is computed
     assert capsys.readouterr().err == ""  # and the run's stderr holds it once
+
+
+@pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+def test_failed_record_whose_error_has_no_message_names_its_class(
+    error, small_corpus, tmp_path, capsys, monkeypatch
+):
+    def failing(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli_module, "run_feedback", failing)
+    out = tmp_path / "fb.jsonl"
+    argv = ["feedback", str(small_corpus), "--backend", f"scripted:{tmp_path}",
+            "--answer", "0", "--out", str(out)]
+    assert main(argv) == 3
+    name = error.__name__
+    assert capsys.readouterr() == (
+        f"0 results written to {out}, 2 failed\n",
+        f"failed: 'q1'#0: {name}\nfailed: 'q2'#0: {name}\n",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -368,7 +368,7 @@ def test_target_and_span_schema():
         "preferences": [],
     }
     record = record_from_dict(obj)
-    assert record.annotations[0].whole_answer
+    assert record.annotations[0].span is None
     assert record_to_dict(record)["annotations"][0]["span"] == {"whole_answer": True}
 
 

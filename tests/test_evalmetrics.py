@@ -12,7 +12,6 @@ from lfqa_eval.evalmetrics import (
     correction_prf,
     detection_eval,
     error_report,
-    flag_map,
     selfcheck_aggregate,
     weighted_accuracy,
 )
@@ -199,13 +198,6 @@ def test_flagged_iff_positive_score():
     for score in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ErrorScoreRecord("r", score)
-
-
-def test_flag_map_flags_positive_scores_and_refuses_duplicates():
-    scores = [ErrorScoreRecord("a", 0.0), ErrorScoreRecord("b", 2.5), ErrorScoreRecord("c", 0.5)]
-    assert flag_map(scores) == {"a": False, "b": True, "c": True}
-    with pytest.raises(ValueError, match="duplicate record_id 'a'"):
-        flag_map([ErrorScoreRecord("a", 0.0)] * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -368,7 +368,6 @@ def test_http_single_call_body_and_result(stub_server, monkeypatch):
     config = _http_config(stub_server, auth_env="STUB_KEY")
     result = GenerationClient(config).generate(_request(n_samples=2))
     assert result.texts == ["reply 1.0", "reply 1.1"]
-    assert result.backend_id == "http:stub-model"
     sent = stub_server.requests[0]
     assert sent["auth"] == "Bearer secret-token"
     assert sent["body"]["model"] == "stub-model"
@@ -426,11 +425,21 @@ def test_http_credential_no_header_may_carry_is_refused_unquoted(value, stub_ser
     assert stub_server.requests == []
 
 
-def test_http_schema_violation_not_retried(stub_server):
-    stub_server.script = [{"raw": json.dumps({"unexpected": []})}]
+@pytest.mark.parametrize(
+    ("raw", "message"),
+    [
+        (json.dumps({"unexpected": []}), "expected 1 choices, found none"),
+        ("not json", "body is not JSON"),
+        (json.dumps({"choices": [{"message": {}}]}), "choice without message.content"),
+    ],
+    ids=["no-choices", "body-not-json", "choice-without-content"],
+)
+def test_http_schema_violation_not_retried(raw, message, stub_server):
+    stub_server.script = [{"raw": raw}]
     config = _http_config(stub_server)
-    with pytest.raises(GenerationError, match="schema violation"):
+    with pytest.raises(GenerationError) as err:
         GenerationClient(config).generate(_request())
+    assert str(err.value) == f"response schema violation: {message}"
     assert len(stub_server.requests) == 1
 
 
@@ -906,6 +915,41 @@ def test_https_through_a_connect_proxy(https_server, self_signed_cert, clean_pro
     assert [r["auth"] for r in https_server.requests] == [None, None]
 
 
+class _RefusingProxyHandler(BaseHTTPRequestHandler):
+    """A CONNECT proxy that asks for credentials on every tunnel and opens none."""
+
+    def do_CONNECT(self):
+        with self.server.lock:
+            self.server.requests.append(self.path)
+        self.send_response(407)
+        self.send_header("Proxy-Authenticate", 'Basic realm="proxy"')
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+def test_https_connect_proxy_that_answers_407_is_a_transient_failure(clean_proxy_env, monkeypatch):
+    proxy = _serve(_RefusingProxyHandler)
+    try:
+        for name in ("https_proxy", "HTTPS_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.server_address[1]}")
+        config = BackendConfig(
+            kind="http", endpoint_url="https://127.0.0.1:9/v1", model_name="m", max_retries=2
+        )
+        with GenerationClient(config) as client:
+            with pytest.raises(GenerationError) as err:
+                client.generate(_request())
+    finally:
+        proxy.shutdown()
+        proxy.server_close()
+    # "Tunnel connection failed: 407" is an OSError, retried like any refused connection
+    assert str(err.value) == "transport failure after 3 attempts (OSError)"
+    assert proxy.requests == ["127.0.0.1:9"] * 3
+
+
 @pytest.mark.parametrize("proxy", ["socks5://127.0.0.1:1080", "http://:8080"])
 def test_http_unusable_proxy_fails_when_the_client_is_made(proxy, clean_proxy_env, monkeypatch):
     monkeypatch.setenv("HTTP_PROXY", proxy)
@@ -1075,10 +1119,13 @@ def test_http_reply_framings_are_read(replies, connections, raw_server, monkeypa
         (_reply(b"ICY 200 OK"), "BadStatusLine"),
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n40\r\n{\"choices\"", "IncompleteRead"),
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "IncompleteRead"),
+        # a whole reply's body, but its chunk's data ends in "XX", not CRLF
+        (_chunked(b"HTTP/1.1 200 OK", "ok").replace(b"\r\n0\r\n", b"XX0\r\n"), "HTTPException"),
         (b"", "RemoteDisconnected"),
     ],
     ids=["header-line-over-64-KiB", "over-100-headers", "status-line-order",
-         "not-http", "chunked-cut-short", "bad-chunk-size", "closed-without-reply"],
+         "not-http", "chunked-cut-short", "bad-chunk-size", "chunk-data-not-ending-in-crlf",
+         "closed-without-reply"],
 )
 def test_http_reply_that_breaks_framing_is_a_transient_failure(reply, name, raw_server):
     server = raw_server((reply, True), (_reply(b"HTTP/1.1 200 OK", "after"), False))
