@@ -542,12 +542,14 @@ def _existing_lines(
 
 
 def ThreadPoolExecutor(max_workers: int):
-    """The batch runner's pool of max_workers threads, named like the class it makes
-    so that a subclass can take its place. Only an http run makes one, so only it
-    imports concurrent.futures, and logging with it."""
-    from concurrent.futures import ThreadPoolExecutor
+    """The batch runner's pool of max_workers slots: max_workers - 1 helper
+    threads, and the calling thread, which runs records while it waits for the
+    next in order. It is named like the stdlib class whose map and shutdown it
+    keeps, so that a subclass of that class can take its place. Only an http
+    run makes one."""
+    from .pool import ThreadPool
 
-    return ThreadPoolExecutor(max_workers)
+    return ThreadPool(max_workers)
 
 
 def _run_batch(
@@ -565,11 +567,13 @@ def _run_batch(
     as it was and OUT.partial holding whole lines for --resume. A resumed
     run that finds OUT.partial first folds every kept line into --out, so
     truncating OUT.partial loses none of them if it is killed too. Records run
-    on one thread per connection slot, the sum of max_in_flight over the http
-    clients, capped at workers when it is set; a scripted client has no slot,
-    and one thread or fewer runs the records inline. Failures are reported
-    per record, each on stderr when its turn to be written comes, and turn the
-    exit code to 3.
+    at once in as many slots as the http clients have connections, the sum of
+    max_in_flight, capped at workers when it is set: the calling thread is one
+    slot and each other slot a helper thread. A scripted client has no slot,
+    and one slot or fewer runs the records inline. A line is written by the
+    thread whose record completes the lines before it, so a slow record holds
+    back no line before it. Failures are reported per record, each on stderr
+    when its turn to be written comes, and turn the exit code to 3.
     """
     failed = 0
     with ExitStack() as stack:
@@ -597,15 +601,34 @@ def _run_batch(
         if existing and Path(partial).exists():
             _write_lines(args.out, (existing[r.id, i] for r, i in targets if (r.id, i) in existing))
 
-        def attempt(target: tuple[QARecord, int]) -> str | Exception:
+        from .pool import OrderedLines
+
+        handle = stack.enter_context(open(partial, "w", encoding="utf-8"))
+
+        def emit(key: tuple[str, int], line: str | Exception) -> None:
+            nonlocal failed
+            if isinstance(line, Exception):
+                cause = str(line) or type(line).__name__  # MemoryError() says nothing
+                print(f"failed: {key[0]!r}#{key[1]}: {cause}", file=sys.stderr)
+                failed += 1
+            else:
+                handle.write(line + "\n")
+                handle.flush()
+
+        lines = OrderedLines([(r.id, i) for r, i in targets], existing, emit)
+        lines.flush()  # the kept lines before the first target to compute
+
+        def attempt(target: tuple[QARecord, int]) -> None:
+            if lines.stopped:  # by a failed write: start no record
+                return
             record, idx = target
             try:
                 fields = work(record, idx, opened)
-                return _dump({"record_id": record.id, "answer_index": idx, **fields})
+                line = _dump({"record_id": record.id, "answer_index": idx, **fields})
             except Exception as exc:  # per-record isolation
-                return exc
+                line = exc
+            lines.put((record.id, idx), line)
 
-        handle = stack.enter_context(open(partial, "w", encoding="utf-8"))
         threads = sum(c.config.max_in_flight for c, _ in opened.values() if c.config.kind == "http")
         threads = min(threads, config.workers or threads)
         if threads > 1:
@@ -615,17 +638,8 @@ def _run_batch(
             results = pool.map(attempt, todo)
         else:
             results = map(attempt, todo)
-        for record, idx in targets:
-            line = existing.get((record.id, idx))
-            if line is None:
-                line = next(results)
-                if isinstance(line, Exception):
-                    cause = str(line) or type(line).__name__  # MemoryError() says nothing
-                    print(f"failed: {record.id!r}#{idx}: {cause}", file=sys.stderr)
-                    failed += 1
-                    continue
-            handle.write(line + "\n")
-            handle.flush()
+        for _ in results:  # raises a failed write in its turn
+            pass
     os.replace(partial, args.out)
     print(
         f"{len(targets) - failed} results written to {args.out}"

@@ -27,9 +27,11 @@ carry; they never appear in error messages.
 
 The HTTP transport is ``transport.Connection``, an HTTP/1.1 client over
 ``socket`` that sends each request in one write. ``transport``, ``select``
-and ``queue`` are imported when the first ``kind = http`` client is made,
-and ``ssl`` only for an ``https://`` endpoint; importing this module, or
-making a scripted client, loads none of them and no thread pool. Each
+and ``urllib.parse`` are imported when the first ``kind = http`` client is
+made, ``netrc`` only when the ``.netrc`` file exists, ``base64`` only to
+build a Basic ``Authorization`` header, and ``ssl`` only for an ``https://``
+endpoint; importing this module, or making a scripted client, loads none of
+them and no thread pool. Each
 HTTP client makes its ``max_in_flight`` connections when it is made (opening
 no socket) and sends every request on one of them, so they are both its
 kept-alive pool and the bound on its live requests: a request waits while all
@@ -314,15 +316,14 @@ class GenerationClient:
         the environment: the proxy (NO_PROXY applied to this endpoint), the CA
         file and .netrc auth (only when no auth_env names a credential). Every
         request then sends the same head up to its Content-Length value."""
-        import base64
-        import netrc
-        import queue
         import select
         import urllib.parse
 
         from .transport import Connection
 
         def basic(user: str, password: str) -> str:
+            import base64
+
             return "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
 
         url = urllib.parse.urlsplit(config.endpoint_url)
@@ -337,10 +338,14 @@ class GenerationClient:
         authority = ascii_host if port == default_port else host_port  # the Host header's value
         if "Authorization" not in headers:
             path = os.path.expanduser(os.environ.get("NETRC", "~/.netrc"))
-            try:
-                entry = netrc.netrc(path).authenticators(host)
-            except (OSError, netrc.NetrcParseError):
-                entry = None  # no readable netrc: no netrc auth
+            entry = None
+            if os.path.exists(path):  # netrc, and the shlex it loads, only for a file that is there
+                import netrc
+
+                try:
+                    entry = netrc.netrc(path).authenticators(host)
+                except (OSError, ValueError, netrc.NetrcParseError):
+                    pass  # an unreadable, non-UTF-8 or malformed netrc: no netrc auth
             if entry:
                 login, account, password = entry
                 headers["Authorization"] = basic(login or account or "", password or "")
@@ -390,11 +395,11 @@ class GenerationClient:
 
         # a closed connection connects again on its next request, so these
         # objects live as long as the client; LIFO keeps the fewest sockets warm
-        self._pool = queue.LifoQueue()
-        for _ in range(config.max_in_flight):
-            conn = Connection(*address, config.timeout, tunnel, tls)
-            self._connections.append(conn)
-            self._pool.put(conn)
+        self._connections += [
+            Connection(*address, config.timeout, tunnel, tls) for _ in range(config.max_in_flight)
+        ]
+        self._idle = list(self._connections)
+        self._returned = threading.Condition()
         if hasattr(select, "poll"):
             def dropped(sock) -> bool:  # bytes, an EOF or an error to read now
                 poller = select.poll()
@@ -407,7 +412,10 @@ class GenerationClient:
 
     def _post(self, payload: bytes) -> tuple[int, dict[str, str], bytes]:
         """One POST on a pooled connection: (status, headers, the whole body)."""
-        conn = self._pool.get()  # waits while all max_in_flight are out
+        with self._returned:
+            while not self._idle:  # all max_in_flight are out
+                self._returned.wait()
+            conn = self._idle.pop()
         try:
             # an idle socket that reads as ready holds the server's close
             # (or bytes nobody asked for): it cannot carry a request
@@ -418,7 +426,9 @@ class GenerationClient:
             conn.close()
             raise
         finally:
-            self._pool.put(conn)
+            with self._returned:
+                self._idle.append(conn)
+                self._returned.notify()
 
     def _body(self, request: GenerationRequest, n: int) -> bytes:
         body = {

@@ -6,7 +6,12 @@ and reads the reply framed by ``Content-Length``, by chunked transfer coding
 close, skipping any 1xx reply before it. A reply that breaks the framing is
 an ``HTTPException``, an ``OSError`` like every other transport failure; it
 and its subclasses keep the names of ``http.client``'s exceptions, and the
-line and header limits are ``http.client``'s too. Neither ``http.client``
+line and header limits are ``http.client``'s too. Unlike ``http.client``,
+it bounds the body: a ``Content-Length``, chunk size or running total over
+``_MAX_BODY`` bytes is a ``ReplyTooLarge`` before that data is read, and a
+close-delimited body is read in 64 KiB pieces against the same cap. More
+than ``_MAX_INTERIM`` 1xx replies to one request are an ``HTTPException``.
+Neither ``http.client``
 nor the ``email`` package it parses headers with is loaded, nor ``ssl``:
 an https endpoint's client hands its ``Connection`` a context to wrap the
 socket with. ``genclient`` imports this module when it makes its first http
@@ -18,6 +23,10 @@ import socket
 
 _MAX_LINE = 65536  # bytes in a status, header, chunk-size or trailer line
 _MAX_HEADERS = 100  # header lines in one reply
+_MAX_INTERIM = 100  # 1xx replies before the final one
+# bytes in one reply body: an n = 20 reply of 4,096-token samples is well under
+# 1 MiB, yet a Content-Length or chunk size is the server's to state
+_MAX_BODY = 64 * 1024 * 1024
 
 
 class HTTPException(OSError):
@@ -40,6 +49,16 @@ class RemoteDisconnected(BadStatusLine):
     pass
 
 
+class ReplyTooLarge(HTTPException):
+    """A reply body over _MAX_BODY bytes."""
+
+
+def _bounded(size: int, what: str) -> int:
+    if size > _MAX_BODY:
+        raise ReplyTooLarge(f"{what} of {size} bytes is over the {_MAX_BODY}-byte reply cap")
+    return size
+
+
 def _read_line(fp, what: str) -> bytes:
     line = fp.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
@@ -49,8 +68,8 @@ def _read_line(fp, what: str) -> bytes:
 
 def _read_head(fp) -> tuple[bytes, int, dict[str, str]]:
     """(version, status, {lower-case name: its first value}) of the next reply
-    that is not 1xx; the 1xx replies before it are read and skipped."""
-    while True:
+    that is not 1xx; up to _MAX_INTERIM 1xx replies before it are read and skipped."""
+    for _ in range(_MAX_INTERIM + 1):
         line = _read_line(fp, "status line")
         if not line:
             raise RemoteDisconnected("Remote end closed connection without response")
@@ -72,6 +91,7 @@ def _read_head(fp) -> tuple[bytes, int, dict[str, str]]:
         status = int(parts[1])
         if status >= 200:
             return parts[0], status, headers
+    raise HTTPException(f"got more than {_MAX_INTERIM} 1xx replies")
 
 
 def _read_exactly(fp, size: int) -> bytes:
@@ -86,7 +106,7 @@ def _read_body(fp, status: int, headers: dict[str, str]) -> tuple[bytes, bool]:
     if status in (204, 304):
         return b"", True
     if headers.get("transfer-encoding", "").lower() == "chunked":
-        chunks = []
+        chunks, total = [], 0
         while True:
             line = _read_line(fp, "chunk size")
             try:
@@ -97,6 +117,7 @@ def _read_body(fp, status: int, headers: dict[str, str]) -> tuple[bytes, bool]:
                 raise IncompleteRead(f"chunk size line {line[:40]!r}")
             if size == 0:
                 break
+            total = _bounded(total + size, "chunked body")
             data = _read_exactly(fp, size + 2)  # the data, then CRLF
             if data[size:] != b"\r\n":
                 raise HTTPException(f"chunk data not followed by CRLF: {data[size:]!r}")
@@ -106,8 +127,14 @@ def _read_body(fp, status: int, headers: dict[str, str]) -> tuple[bytes, bool]:
         return b"".join(chunks), True
     length = headers.get("content-length", "")
     if length.isascii() and length.isdigit():
-        return _read_exactly(fp, int(length)), True
-    return fp.read(), False  # delimited by the server's close
+        # int() refuses over 4,300 digits, and 20 of them already name a size over the cap
+        size = int(length.lstrip("0")[:20] or 0)
+        return _read_exactly(fp, _bounded(size, "Content-Length")), True
+    pieces, total = [], 0  # delimited by the server's close
+    while piece := fp.read1(65536):
+        total = _bounded(total + len(piece), "close-delimited body")
+        pieces.append(piece)
+    return b"".join(pieces), False
 
 
 class Connection:

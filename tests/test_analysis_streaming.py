@@ -4,6 +4,7 @@ Pins what they print and write, byte for byte, what a bad corpus line does
 to them, and that their memory does not grow with the corpus.
 """
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -262,6 +263,11 @@ def _scaled_corpus(path: Path, copies: int) -> None:
 
 
 def _traced_peak(argv: list[str]) -> int:
+    # tracemalloc does not see an object taken from one of the interpreter's free
+    # lists, which earlier code in the process fills; a full collection empties
+    # them and resets the collector's counts, so each peak counts every object
+    # the command allocates, whatever ran before it
+    gc.collect()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):

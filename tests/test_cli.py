@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env, make_record, run_python
+from conftest import child_env, make_record, quiet_main, run_python
 from lfqa_eval import cli as cli_module
 from lfqa_eval import corpus as corpus_module
 from lfqa_eval import genclient as genclient_module
@@ -32,6 +32,7 @@ from lfqa_eval.models import (
     Source,
     SpanGranularity,
 )
+from lfqa_eval.pool import OrderedLines
 from lfqa_eval.refine import RefineMode, build_refine_prompt
 from lfqa_eval.scoring import domain_report, score_record
 from lfqa_eval.segment import segment_sentences, sentence_texts
@@ -901,6 +902,145 @@ def test_scripted_batch_runs_start_no_thread(command, runner, golden_env, tmp_pa
     assert threading.active_count() == before
 
 
+# ---------------------------------------------------------------------------
+# the batch runner's pool: cli.ThreadPoolExecutor
+
+
+def test_pool_yields_results_in_input_order():
+    pool = cli_module.ThreadPoolExecutor(4)
+
+    def later_items_finish_first(x):
+        time.sleep(0.002 * (20 - x))
+        return x * x
+
+    try:
+        assert list(pool.map(later_items_finish_first, range(20))) == [x * x for x in range(20)]
+    finally:
+        pool.shutdown()
+
+
+def test_pool_runs_max_workers_items_at_once_the_caller_among_them():
+    pool = cli_module.ThreadPoolExecutor(3)
+    barrier = threading.Barrier(3, timeout=10)  # broken unless three items run at once
+    lock = threading.Lock()
+    running = peak = 0
+    runners = set()
+
+    def item(x):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            runners.add(threading.current_thread())
+        try:
+            barrier.wait()
+        finally:
+            with lock:
+                running -= 1
+        return x
+
+    try:
+        assert list(pool.map(item, range(12))) == list(range(12))
+    finally:
+        pool.shutdown()
+    assert peak == 3
+    assert threading.main_thread() in runners  # the calling thread is one of the three slots
+    assert len(runners) == 3
+
+
+def test_pool_raises_a_helpers_exception_where_its_result_is_read():
+    pool = cli_module.ThreadPoolExecutor(2)
+    caller = threading.current_thread()
+
+    def fails_on_a_helper(x):
+        if threading.current_thread() is not caller:
+            raise ValueError(x)
+        time.sleep(0.01)
+        return x
+
+    read = []
+    try:
+        with pytest.raises(ValueError) as caught:
+            for result in pool.map(fails_on_a_helper, range(6)):
+                read.append(result)
+    finally:
+        pool.shutdown()
+    # every item before the first a helper ran came back, from the caller
+    assert read == list(range(caught.value.args[0]))
+
+
+def test_pool_shutdown_with_cancel_futures_starts_no_queued_item():
+    before = threading.active_count()
+    pool = cli_module.ThreadPoolExecutor(2)
+    started, release = [], threading.Event()
+
+    def held(x):
+        started.append(x)
+        release.wait(10)
+        return x
+
+    pool.map(held, range(5))
+    deadline = time.monotonic() + 10
+    while not started:  # the helper has taken the first item
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    pool.shutdown(wait=False, cancel_futures=True)
+    release.set()
+    pool.shutdown()
+    assert started == [0]
+    assert threading.active_count() == before
+
+
+def test_pool_and_ordered_lines_keep_every_item_under_fast_thread_switches():
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    written = []
+
+    def write(key, value):
+        time.sleep(0)  # lets another thread in mid-write, as a file write does
+        written.append((key, value))
+
+    lines = OrderedLines(list(range(500)), {}, write)
+    pool = cli_module.ThreadPoolExecutor(8)  # more slots than cores
+    try:
+        results = list(pool.map(lambda x: lines.put(x, x * x) or x, range(500)))
+    finally:
+        pool.shutdown()
+        sys.setswitchinterval(switch)
+    assert results == list(range(500))
+    assert written == [(x, x * x) for x in range(500)]
+
+
+def test_http_batch_run_starts_one_thread_fewer_than_its_slots_and_leaves_none(
+    tmp_path, monkeypatch
+):
+    corpus, config = tmp_path / "corpus.jsonl", tmp_path / "cfg"
+    save_corpus([make_record(record_id=f"r{i:02}") for i in range(12)], corpus)
+    config.write_text(  # four connection slots; no socket is opened
+        "feedback.kind = http\nfeedback.endpoint_url = http://127.0.0.1:9/v1\n"
+        "feedback.model_name = stub\nfeedback.temperature = 0.7\nfeedback.max_in_flight = 4\n",
+        encoding="utf-8",
+    )
+    seen = []
+
+    class Feedback:
+        def to_dict(self, audit):
+            return {"n_sampled": 20}
+
+    def slow_feedback(config, opened, record, idx):
+        seen.append(threading.active_count())
+        time.sleep(0.01)
+        return Feedback()
+
+    monkeypatch.setattr(cli_module, "_feedback", slow_feedback)
+    before = threading.active_count()
+    out = tmp_path / "out.jsonl"
+    assert quiet_main(["feedback", str(corpus), "--config", str(config), "--out", str(out)]) == (0, "")
+    assert len(seen) == 24
+    assert max(seen) == before + 3  # three helpers; the calling thread is the fourth slot
+    assert threading.active_count() == before
+
+
 class _FixtureStubHandler(BaseHTTPRequestHandler):
     """Chat completions answered from a fixture directory, as the scripted backend would.
 
@@ -1577,7 +1717,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
 loaded = [
-    m for m in ("requests", "urllib3", "http.client", "ssl", "concurrent.futures", "logging", "queue")
+    m for m in ("requests", "urllib3", "http.client", "ssl", "concurrent.futures", "logging", "queue",
+                "netrc", "base64")
     if sys.modules.get(m) is not None
 ]
 print(json.dumps({"codes": codes, "loaded": loaded}))
@@ -1657,7 +1798,10 @@ def test_scripted_and_analysis_runs_load_no_openssl_or_thread_pool(
 @pytest.mark.parametrize(
     "command", [["feedback"], ["refine", "--mode", "eir"]], ids=["feedback", "refine-eir"]
 )
-def test_http_run_without_requests_writes_the_scripted_bytes(command, golden_env, tmp_path):
+def test_http_run_without_requests_writes_the_scripted_bytes(
+    command, golden_env, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))  # whatever ~/.netrc holds
     scripted = tmp_path / "scripted.jsonl"
     code = main(
         [*command, str(golden_env["corpus"]),
@@ -1669,9 +1813,9 @@ def test_http_run_without_requests_writes_the_scripted_bytes(command, golden_env
         argv = [*command, str(golden_env["corpus"]), "--config", str(config),
                 "--workers", "2", "--out", str(out)]
         report, err = _cli_in_child([argv], "--no-requests")
-    # the http client and the runner's pool of 2 threads load what a scripted run does not
-    loaded = ["concurrent.futures", "logging", "queue"]
-    assert (report, err) == ({"codes": [0], "loaded": loaded}, "")
+    # the runner's pool of 2 slots and the client's connections need only threading;
+    # with no netrc file and no Basic header to build, netrc and base64 stay unloaded
+    assert (report, err) == ({"codes": [0], "loaded": []}, "")
     assert out.read_bytes() == scripted.read_bytes()
 
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import run_python
 import lfqa_eval.genclient as genclient
+import lfqa_eval.transport as transport
 from lfqa_eval.genclient import (
     BackendConfig,
     CredentialError,
@@ -737,6 +738,25 @@ def test_http_netrc_credentials_apply(stub_server, tmp_path, monkeypatch):
     assert stub_server.requests[0]["auth"] == "Basic dXNlcjpwYXNz"  # user:pass
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"machine\n", b"machine 127.0.0.1 login \xff password pass\n", None],
+    ids=["malformed", "not-utf-8", "a-directory"],
+)
+def test_http_unreadable_netrc_gives_no_auth_and_no_error(
+    content, stub_server, tmp_path, monkeypatch
+):
+    netrc = tmp_path / "netrc"
+    if content is None:
+        netrc.mkdir()
+    else:
+        netrc.write_bytes(content)
+    monkeypatch.setenv("NETRC", str(netrc))
+    with GenerationClient(_http_config(stub_server)) as client:
+        client.generate(_request())
+    assert stub_server.requests[0]["auth"] is None
+
+
 def test_http_auth_env_wins_over_netrc(stub_server, tmp_path, monkeypatch):
     netrc = tmp_path / "netrc"
     netrc.write_text("machine 127.0.0.1 login user password pass\n", encoding="utf-8")
@@ -1066,6 +1086,10 @@ def _chunked(status_line: bytes, text: str) -> bytes:
     )
 
 
+_HUGE_LENGTH = b"HTTP/1.1 200 OK\r\nContent-Length: 100000000000000\r\n\r\n{}"
+_HUGE_CHUNK = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1000000000000000\r\n{}"  # 2^60
+
+
 @pytest.fixture
 def raw_server():
     servers = []
@@ -1122,10 +1146,14 @@ def test_http_reply_framings_are_read(replies, connections, raw_server, monkeypa
         # a whole reply's body, but its chunk's data ends in "XX", not CRLF
         (_chunked(b"HTTP/1.1 200 OK", "ok").replace(b"\r\n0\r\n", b"XX0\r\n"), "HTTPException"),
         (b"", "RemoteDisconnected"),
+        (b"HTTP/1.1 100 Continue\r\n\r\n" * 101 + _reply(b"HTTP/1.1 200 OK"), "HTTPException"),
+        (_HUGE_LENGTH, "ReplyTooLarge"),
+        (_HUGE_CHUNK, "ReplyTooLarge"),
     ],
     ids=["header-line-over-64-KiB", "over-100-headers", "status-line-order",
          "not-http", "chunked-cut-short", "bad-chunk-size", "chunk-data-not-ending-in-crlf",
-         "closed-without-reply"],
+         "closed-without-reply", "over-100-1xx-replies", "content-length-over-the-cap",
+         "chunk-size-over-the-cap"],
 )
 def test_http_reply_that_breaks_framing_is_a_transient_failure(reply, name, raw_server):
     server = raw_server((reply, True), (_reply(b"HTTP/1.1 200 OK", "after"), False))
@@ -1138,6 +1166,36 @@ def test_http_reply_that_breaks_framing_is_a_transient_failure(reply, name, raw_
         assert str(err.value) == f"transport failure after 1 attempts ({name})"
         assert client.generate(_request()).texts == ["after"]  # on a new connection
     assert server.connections == 2
+
+
+def _post(server) -> tuple[int, dict[str, str], bytes]:
+    """One Connection.post to server, outside any client."""
+    conn = transport.Connection("127.0.0.1", server.port, 5, b"", None)
+    try:
+        return conn.post(b"POST / HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: ", b"{}")
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    ("reply", "size"),
+    [(_HUGE_LENGTH, "Content-Length of 100000000000000"),
+     (_HUGE_CHUNK, "chunked body of 1152921504606846976"),
+     (b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n{}", "Content-Length of 9{20}")],
+    ids=["content-length", "chunk-size", "content-length-of-5000-digits"],
+)
+def test_reply_over_the_size_cap_is_refused_before_it_is_read(reply, size, raw_server):
+    with pytest.raises(transport.ReplyTooLarge, match=f"^{size} bytes is over the 67108864-byte"):
+        _post(raw_server((reply, False)))
+
+
+def test_close_delimited_body_is_read_against_the_size_cap(raw_server, monkeypatch):
+    body = b"x" * 1000
+    monkeypatch.setattr(transport, "_MAX_BODY", len(body))
+    reply = b"HTTP/1.0 200 OK\r\n\r\n" + body
+    assert _post(raw_server((reply, True))) == (200, {}, body)
+    with pytest.raises(transport.ReplyTooLarge, match="^close-delimited body of 1001 bytes"):
+        _post(raw_server((reply + b"x", True)))
 
 
 def test_http_post_is_one_write_with_the_documented_headers(raw_server, monkeypatch):
