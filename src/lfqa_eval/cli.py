@@ -110,7 +110,7 @@ class RoleConfig:
 @dataclass
 class CliConfig:
     n_samples: int = DEFAULT_N_SAMPLES
-    workers: int | None = None  # cap on the runner's threads, None = none; kept for the benchmark
+    workers: int | None = None  # cap on the records at work, None = none; kept for the benchmark
     roles: dict[str, RoleConfig] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -544,9 +544,10 @@ def _existing_lines(
 def ThreadPoolExecutor(max_workers: int):
     """The batch runner's pool of max_workers slots: max_workers - 1 helper
     threads, and the calling thread, which runs records while it waits for the
-    next in order. It is named like the stdlib class whose map and shutdown it
-    keeps, so that a subclass of that class can take its place. Only an http
-    run makes one."""
+    next in order; a record waiting out its own backoff (not a 429's or a
+    Retry-After's) lends its slot to at most one stand-in, so at most
+    2 * max_workers - 1 threads start. Named like the stdlib class whose map
+    and shutdown it keeps, so that a subclass of that class can take its place."""
     from .pool import ThreadPool
 
     return ThreadPool(max_workers)
@@ -569,7 +570,10 @@ def _run_batch(
     truncating OUT.partial loses none of them if it is killed too. Records run
     at once in as many slots as the http clients have connections, the sum of
     max_in_flight, capped at workers when it is set: the calling thread is one
-    slot and each other slot a helper thread. A scripted client has no slot,
+    slot and each other slot a helper thread. workers caps the records at
+    work: one waiting out its own backoff lends its slot to at most one
+    stand-in (a 429 or Retry-After does not), so at most 2 x slots - 1
+    threads start. A scripted client has no slot,
     and one slot or fewer runs the records inline. A line is written by the
     thread whose record completes the lines before it, so a slow record holds
     back no line before it. Failures are reported per record, each on stderr
@@ -872,7 +876,7 @@ def _add_batch_options(sub) -> None:
     sub.add_argument(
         "--workers",
         type=int,
-        help="cap on concurrent records, kept for the benchmark's fixed thread "
+        help="cap on the records at work, kept for the benchmark's fixed thread "
         "count; default one per connection slot (the sum of max_in_flight "
         "over the http backends)",
     )

@@ -18,7 +18,12 @@ connection, a timeout, a TLS error, or a reply that breaks HTTP/1.1 framing,
 such as a body cut short of its ``Content-Length``; 429, 5xx) are retried with
 exponential backoff; on 429 and 503 a delta-seconds ``Retry-After``
 lengthens the wait to the server's value, capped at the client's ``timeout``
-(an HTTP-date or malformed value keeps the backoff). Authentication errors,
+(an HTTP-date or malformed value keeps the backoff). A record waiting out
+the client's own backoff, after an ``OSError`` or a 5xx without
+``Retry-After``, lends its batch-runner slot to at most one stand-in
+(``pool.lend``, which imports ``pool`` only then; outside a slot the wait is
+a plain sleep); a 429, or any reply with ``Retry-After``, keeps its slot, as
+the server asked for less traffic. Authentication errors,
 3xx replies (never followed) and response-schema errors are never retried.
 Credential values are read from a named environment variable when the
 client is made, so a missing one fails before any request, as does one
@@ -446,6 +451,7 @@ class GenerationClient:
         while True:
             transient: str | None = None
             retry_after = 0.0
+            lends = True  # the client's own backoff: another record may take its slot
             try:
                 status, headers, raw = self._post(payload)
             except OSError as exc:
@@ -463,6 +469,7 @@ class GenerationClient:
                     )
                 if status == 429 or status >= 500:
                     transient = f"HTTP {status}"
+                    lends = status != 429 and "retry-after" not in headers
                     if status in (429, 503):
                         retry_after = _retry_after_s(headers.get("retry-after"))
                 elif status >= 400:
@@ -482,7 +489,13 @@ class GenerationClient:
                     f"transport failure after {attempt} attempts ({transient})"
                 )
             backoff = BACKOFF_BASE * 2 ** (attempt - 1)
-            time.sleep(max(backoff, min(retry_after, self.config.timeout)))
+            wait = max(backoff, min(retry_after, self.config.timeout))
+            if lends:
+                from . import pool
+
+                pool.lend(time.sleep, wait)
+            else:  # the server asked for less traffic: the slot waits too
+                time.sleep(wait)
 
     @staticmethod
     def _extract(data: dict, expected_n: int) -> tuple[list[str], list[bool]]:

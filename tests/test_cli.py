@@ -17,6 +17,7 @@ from conftest import child_env, make_record, quiet_main, run_python
 from lfqa_eval import cli as cli_module
 from lfqa_eval import corpus as corpus_module
 from lfqa_eval import genclient as genclient_module
+from lfqa_eval import pool as pool_module
 from lfqa_eval import scoring as scoring_module
 from lfqa_eval.cli import ConfigError, RoleConfig, load_config, main, parse_config_text
 from lfqa_eval.corpus import classify_granularity, load_corpus, save_corpus
@@ -1011,6 +1012,124 @@ def test_pool_and_ordered_lines_keep_every_item_under_fast_thread_switches():
     assert written == [(x, x * x) for x in range(500)]
 
 
+def test_pool_lending_under_fast_thread_switches_keeps_every_item_and_the_bounds():
+    before = threading.active_count()
+    lock = threading.Lock()
+    in_progress = peak = 0
+    counts = []
+
+    def item(x):
+        nonlocal in_progress, peak
+        with lock:
+            in_progress += 1
+            peak = max(peak, in_progress)
+            counts.append(threading.active_count())
+        if x % 3 == 0:
+            pool_module.lend(time.sleep, 0.001)
+        with lock:
+            in_progress -= 1
+        return x
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    pool = cli_module.ThreadPoolExecutor(8)  # more slots than cores
+    try:
+        results = list(pool.map(item, range(500)))
+    finally:
+        pool.shutdown()
+        sys.setswitchinterval(switch)
+    assert results == list(range(500))
+    assert peak <= 16  # the 8 slots, and one stand-in for each
+    assert max(counts) <= before + 15
+    assert threading.active_count() == before
+
+
+def test_pool_item_that_lends_its_slot_lets_two_more_items_run():
+    pool = cli_module.ThreadPoolExecutor(2)
+    barrier = threading.Barrier(2, timeout=10)  # broken unless items 1 and 2 run at once
+    met = threading.Event()
+
+    def item(x):
+        if x == 0:
+            assert pool_module.lend(met.wait, 10)
+        elif x in (1, 2):
+            barrier.wait()
+            met.set()
+        return x
+
+    try:
+        assert list(pool.map(item, range(6))) == list(range(6))
+    finally:
+        pool.shutdown()
+
+
+def test_pool_of_three_lending_at_once_starts_at_most_five_threads():
+    before = threading.active_count()
+    pool = cli_module.ThreadPoolExecutor(3)
+    lock, go = threading.Lock(), threading.Event()
+    seen, lending = [], 0
+
+    def wait():
+        nonlocal lending
+        with lock:
+            lending += 1
+            if lending == 6:  # every slot lent, each to one stand-in
+                go.set()
+        return go.wait(10)
+
+    def item(x):
+        seen.append(threading.active_count())
+        assert pool_module.lend(wait)
+        return x
+
+    try:
+        assert list(pool.map(item, range(9))) == list(range(9))
+    finally:
+        pool.shutdown()
+    assert max(seen) <= before + 5  # two helpers and three stand-ins
+    assert threading.active_count() == before
+
+
+def test_pool_shutdown_with_cancel_futures_wakes_a_parked_stand_in():
+    before = threading.active_count()
+    pool = cli_module.ThreadPoolExecutor(2)
+    started, release = [], threading.Event()
+    second, third, resumed = threading.Event(), threading.Event(), threading.Event()
+
+    def item(x):
+        started.append(x)
+        if x == 0:  # lends once the other slot holds item 1, so a stand-in runs item 2
+            second.wait(10)
+            pool_module.lend(third.wait, 10)
+            resumed.set()
+            release.wait(30)
+        elif x == 1:
+            second.set()
+            release.wait(30)
+        else:  # returns to a full pool: its stand-in parks
+            third.set()
+            resumed.wait(10)
+        return x
+
+    reader = threading.Thread(target=list, args=(pool.map(item, range(6)),))
+    reader.start()
+    try:
+        assert resumed.wait(10)
+        time.sleep(0.05)  # the stand-in finishes item 2 and parks
+        pool.shutdown(wait=False, cancel_futures=True)
+        deadline = time.monotonic() + 5
+        while threading.active_count() > before + 2:  # the helper and the reader hold items
+            assert time.monotonic() < deadline, "the parked stand-in did not exit"
+            time.sleep(0.001)
+    finally:
+        release.set()
+        reader.join(10)
+        pool.shutdown()
+    assert not reader.is_alive()
+    assert sorted(started) == [0, 1, 2]
+    assert threading.active_count() == before
+
+
 def test_http_batch_run_starts_one_thread_fewer_than_its_slots_and_leaves_none(
     tmp_path, monkeypatch
 ):
@@ -1054,7 +1173,8 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
     optional ``headers`` and an empty body, or a body cut ``truncate`` bytes
     short of its ``Content-Length`` (HTTP/1.0: the connection then closes).
     Every counted request waits ``delay`` seconds before its reply; ``peak``
-    is the most counted requests seen waiting at once.
+    is the most counted requests seen waiting at once, and ``overlap`` is set
+    whenever one arrives while another waits.
     """
 
     def do_POST(self):
@@ -1080,8 +1200,10 @@ class _FixtureStubHandler(BaseHTTPRequestHandler):
                 server.served[prompt] += n
             server.active += 1
             server.peak = max(server.peak, server.active)
-        if server.delay:  # tests that record time.sleep see only the client's
-            time.sleep(server.delay)
+            if server.active > 1:
+                server.overlap.set()
+        if server.delay:  # not time.sleep, which tests patch to see the client's
+            threading.Event().wait(server.delay)
         with server.lock:
             server.active -= 1
         if "status" in fault:
@@ -1124,10 +1246,12 @@ def _fixture_stub(fixtures, tmp_path, hold=None, reject=None, faults=None, delay
     server.faults = dict(faults or {})
     server.held = threading.Event()
     server.release = threading.Event()
+    server.overlap = threading.Event()
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
+    server.thread = thread
     url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     config = tmp_path / "stub.cfg"
     config.write_text(
@@ -1312,6 +1436,87 @@ def test_http_faults_mid_run_end_byte_identical(golden_env, tmp_path, monkeypatc
     assert server.posts == 10 + 3
     # the backoff twice, and max(backoff, Retry-After) once
     assert sorted(sleeps) == [0.5, 0.5, 1.0]
+
+
+def _feedback_with_one_fault(golden_env, tmp_path, monkeypatch, record_id, fault, wait, workers):
+    """Run feedback over the fixture stub, whose first reply for record_id's
+    prompt is fault, with time.sleep patched to wait(server, seconds); returns
+    (exit code, --out bytes, the scripted run's bytes, the threads the run started)."""
+    scripted = tmp_path / "scripted.jsonl"
+    assert _run_feedback_cli(golden_env, scripted) == 0
+    faults = {_feedback_prompts(golden_env)[record_id]: fault}
+    out, started = tmp_path / "http.jsonl", []
+    real_start = threading.Thread.start
+
+    def recording_start(thread):
+        if threading.current_thread() is not server.thread:  # which starts the stub's handlers
+            started.append(thread)
+        real_start(thread)
+
+    with _fixture_stub(golden_env["fixtures"], tmp_path, faults=faults, delay=0.02) as (server, config):
+        monkeypatch.setattr(genclient_module.time, "sleep", lambda seconds: wait(server, seconds))
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        code = main(
+            ["feedback", str(golden_env["corpus"]), "--config", str(config),
+             "--workers", workers, "--out", str(out)]
+        )
+    assert server.faults == {}
+    return code, out.read_bytes(), scripted.read_bytes(), started
+
+
+def test_http_503_backoff_lends_its_slot_to_another_record(golden_env, tmp_path, monkeypatch):
+    before = threading.active_count()
+    sleeps, overlapped = [], []
+
+    def wait(server, seconds):
+        sleeps.append(seconds)
+        server.overlap.clear()
+        overlapped.append(server.overlap.wait(5))  # the other slot's POST and a stand-in's
+
+    code, out, scripted, started = _feedback_with_one_fault(
+        golden_env, tmp_path, monkeypatch, "g05", {"status": 503}, wait, "2"
+    )
+    assert code == 0
+    assert out == scripted
+    assert sleeps == [0.5]
+    assert overlapped == [True]
+    assert len(started) == 2  # the helper, and the stand-in for the record that waits
+    assert threading.active_count() == before
+
+
+def test_http_429_with_retry_after_keeps_its_slot(golden_env, tmp_path, monkeypatch):
+    sleeps, overlapped = [], []
+
+    def wait(server, seconds):
+        sleeps.append(seconds)
+        server.overlap.clear()
+        deadline = time.monotonic() + 5
+        while server.posts < 10 or server.active:  # the other slot runs every other record
+            assert time.monotonic() < deadline
+            threading.Event().wait(0.002)
+        overlapped.append(server.overlap.is_set())
+
+    fault = {"status": 429, "headers": {"Retry-After": "1"}}
+    code, out, scripted, started = _feedback_with_one_fault(
+        golden_env, tmp_path, monkeypatch, "g03", fault, wait, "2"
+    )
+    assert code == 0
+    assert out == scripted
+    assert sleeps == [1.0]
+    assert overlapped == [False]
+    assert len(started) == 1  # the helper alone
+
+
+def test_http_backoff_with_one_worker_starts_no_thread(golden_env, tmp_path, monkeypatch):
+    sleeps = []
+    code, out, scripted, started = _feedback_with_one_fault(
+        golden_env, tmp_path, monkeypatch, "g05", {"status": 503},
+        lambda server, seconds: sleeps.append(seconds), "1",
+    )
+    assert code == 0
+    assert out == scripted
+    assert sleeps == [0.5]
+    assert started == []
 
 
 def _killed_feedback_run(
