@@ -27,6 +27,7 @@ import math
 import os
 import re
 import sys
+import threading
 from collections import Counter, defaultdict
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
@@ -543,9 +544,9 @@ def _existing_lines(
 
 def ThreadPoolExecutor(max_workers: int):
     """The batch runner's pool of max_workers slots: max_workers - 1 helper
-    threads, and the calling thread, which runs records while it waits for the
-    next in order; a record waiting out its own backoff (not a 429's or a
-    Retry-After's) lends its slot to at most one stand-in, so at most
+    threads, and the calling thread, which runs records as it drains map's
+    iterator of no results; a record waiting out its own backoff (not a 429's
+    or a Retry-After's) lends its slot to at most one stand-in, so at most
     2 * max_workers - 1 threads start. Named like the stdlib class whose map
     and shutdown it keeps, so that a subclass of that class can take its place."""
     from .pool import ThreadPool
@@ -563,21 +564,21 @@ def _run_batch(
     corpus is read, and close when the run ends.
 
     Each line leads with the record_id and answer_index that --resume keys by.
-    Lines stream in corpus order to OUT.partial, each flushed once written,
-    and the finished file then replaces --out, so a killed run leaves --out
-    as it was and OUT.partial holding whole lines for --resume. A resumed
-    run that finds OUT.partial first folds every kept line into --out, so
-    truncating OUT.partial loses none of them if it is killed too. Records run
-    at once in as many slots as the http clients have connections, the sum of
-    max_in_flight, capped at workers when it is set: the calling thread is one
-    slot and each other slot a helper thread. workers caps the records at
-    work: one waiting out its own backoff lends its slot to at most one
-    stand-in (a 429 or Retry-After does not), so at most 2 x slots - 1
-    threads start. A scripted client has no slot,
-    and one slot or fewer runs the records inline. A line is written by the
-    thread whose record completes the lines before it, so a slow record holds
-    back no line before it. Failures are reported per record, each on stderr
-    when its turn to be written comes, and turn the exit code to 3.
+    Lines go to OUT.partial as their records finish, after the kept ones,
+    each flushed once written; at the end --out is written in corpus order
+    through _writing, each line read back at its offset, and OUT.partial is
+    removed. So a killed run leaves --out as it was and OUT.partial holding
+    every finished line. A resumed run that finds OUT.partial first folds
+    every kept line into --out, so truncating OUT.partial loses none of them
+    if it is killed too. Records run at once in as many slots as the http
+    clients have connections, the sum of max_in_flight, capped at workers
+    when it is set: the calling thread is one slot and each other slot a
+    helper thread. workers caps the records at work: one waiting out its own
+    backoff lends its slot to at most one stand-in (a 429 or Retry-After does
+    not), so at most 2 x slots - 1 threads start. A scripted client has no
+    slot, and one slot or fewer runs the records inline. A failure is
+    reported on stderr as its record fails, and turns the exit code to 3; no
+    line is written and no record starts after a failed write.
     """
     failed = 0
     with ExitStack() as stack:
@@ -600,38 +601,53 @@ def _run_batch(
         if args.resume:
             keys = {(record.id, idx) for record, idx in targets}
             existing = _existing_lines(args.out, {**expected, "audit": args.audit}, keys)
-        todo = [(record, idx) for record, idx in targets if (record.id, idx) not in existing]
         partial = f"{args.out}.partial"
         if existing and Path(partial).exists():
             _write_lines(args.out, (existing[r.id, i] for r, i in targets if (r.id, i) in existing))
 
-        from .pool import OrderedLines
-
         handle = stack.enter_context(open(partial, "w", encoding="utf-8"))
+        lock = threading.Lock()
+        stopped = False  # by a failed write
+        offsets: list[int | None] = [None] * len(targets)  # of each target's line in OUT.partial
+        size = 0  # bytes written to OUT.partial
 
-        def emit(key: tuple[str, int], line: str | Exception) -> None:
-            nonlocal failed
-            if isinstance(line, Exception):
-                cause = str(line) or type(line).__name__  # MemoryError() says nothing
-                print(f"failed: {key[0]!r}#{key[1]}: {cause}", file=sys.stderr)
-                failed += 1
+        def put(at: int, key: tuple[str, int], line: str | Exception) -> None:
+            nonlocal failed, stopped, size
+            with lock:
+                if stopped:
+                    return
+                if isinstance(line, Exception):
+                    cause = str(line) or type(line).__name__  # MemoryError() says nothing
+                    print(f"failed: {key[0]!r}#{key[1]}: {cause}", file=sys.stderr)
+                    failed += 1
+                    return
+                try:
+                    handle.write(line + "\n")
+                    handle.flush()
+                except BaseException:
+                    stopped = True
+                    raise
+                offsets[at] = size
+                size += len(line.encode()) + 1
+
+        todo = []  # (place in targets, record, answer index) to compute
+        for at, (record, idx) in enumerate(targets):
+            kept = existing.pop((record.id, idx), None)
+            if kept is None:
+                todo.append((at, record, idx))
             else:
-                handle.write(line + "\n")
-                handle.flush()
+                put(at, (record.id, idx), kept)
 
-        lines = OrderedLines([(r.id, i) for r, i in targets], existing, emit)
-        lines.flush()  # the kept lines before the first target to compute
-
-        def attempt(target: tuple[QARecord, int]) -> None:
-            if lines.stopped:  # by a failed write: start no record
+        def attempt(job: tuple[int, QARecord, int]) -> None:
+            if stopped:  # by a failed write: start no record
                 return
-            record, idx = target
+            at, record, idx = job
             try:
                 fields = work(record, idx, opened)
                 line = _dump({"record_id": record.id, "answer_index": idx, **fields})
             except Exception as exc:  # per-record isolation
                 line = exc
-            lines.put((record.id, idx), line)
+            put(at, (record.id, idx), line)
 
         threads = sum(c.config.max_in_flight for c, _ in opened.values() if c.config.kind == "http")
         threads = min(threads, config.workers or threads)
@@ -642,9 +658,16 @@ def _run_batch(
             results = pool.map(attempt, todo)
         else:
             results = map(attempt, todo)
-        for _ in results:  # raises a failed write in its turn
+        for _ in results:  # raises a failed write
             pass
-    os.replace(partial, args.out)
+    with open(partial, "rb") as lines:
+
+        def read_back(offset: int) -> str:
+            lines.seek(offset)
+            return lines.readline()[:-1].decode("utf-8")
+
+        _write_lines(args.out, (read_back(offset) for offset in offsets if offset is not None))
+    os.remove(partial)
     print(
         f"{len(targets) - failed} results written to {args.out}"
         + (f", {failed} failed" if failed else "")

@@ -1,12 +1,14 @@
 """The batch runner's concurrency, built on ``threading`` alone.
 
-``ThreadPool(max_workers).map(fn, items)`` yields ``fn(item)`` for each item
-in input order. It starts ``max_workers - 1`` helper threads; the thread that
-reads the results is the last slot, and runs items itself while it waits for
-the next result in order, so at most ``max_workers`` records are at work.
-Items are pulled one at a time, under one lock, from the iterable as slots
-free up: no future or work item exists per item. An exception ``fn`` raises
-is raised again where its result is read, in its turn.
+``ThreadPool(max_workers).map(fn, items)`` calls ``fn(item)`` once for each
+item, in no set order, and keeps no results: ``fn`` reports its own. It
+starts ``max_workers - 1`` helper threads at once; the caller is the last
+slot, and runs items itself when it reads the iterator that ``map`` returns.
+That reader runs items until they run out, waits until every started item
+has ended, then raises the first exception an item raised, and yields
+nothing. After an item raises, no item starts. Items are pulled one at a
+time, under one lock, from the iterable as slots free up: no future or work
+item exists per item.
 
 An item may ``lend(wait, *args)`` its slot while it waits: another item starts
 meanwhile, on a thread parked for want of a slot or on a new stand-in thread,
@@ -15,11 +17,8 @@ threads and holds at most ``2 * max_workers`` items in progress. The item
 that lent goes on as soon as its wait ends; no new item starts until fewer
 than ``max_workers`` are at work. A stand-in parks while every slot is at
 work and exits when the items run out. Outside an item, ``lend`` just waits.
-
-``OrderedLines`` writes each record's line in corpus order from whichever
-thread finishes the last line before it, so a record that the reading thread
-is still running holds back no line before it. ``cli`` imports this module
-for a feedback or refine run; analysis runs never compile it.
+``cli`` imports this module for a feedback or refine run; analysis runs never
+compile it.
 """
 from __future__ import annotations
 
@@ -44,43 +43,46 @@ class ThreadPool:
         self._cancelled = False
 
     def map(self, fn: Callable, items: Iterable) -> Iterator:
-        """fn over items in input order; the helpers start now, and the caller
-        runs items when it reads the results."""
+        """fn over items; the helpers start now, and the caller runs items,
+        then waits for the rest, when it reads the returned iterator."""
         pending = iter(items)
-        done: dict[int, tuple[bool, object]] = {}  # index -> (raised, its result)
-        pulled = 0  # items taken from pending
+        error: BaseException | None = None  # the first an item raised
         exhausted = False  # pending has run out, or the map has stopped
         slots = self._max_workers
         at_work = 0  # items running that have not lent their slot
+        in_progress = 0  # items started and not ended, lent or not
         parked = 0  # threads waiting to take a slot, counting stand-ins not yet waiting
         stand_ins = 0
         cond = self._cond
 
-        def pull():
-            """(index, item) of the next item to run if a slot is free, or None; under cond."""
-            nonlocal pulled, exhausted, at_work
+        def pull() -> tuple | None:
+            """(item,) to run next if a slot is free, or None; under cond."""
+            nonlocal exhausted, at_work, in_progress
             if exhausted or self._cancelled or at_work >= slots:
                 return None
             for item in pending:
-                pulled += 1
                 at_work += 1
-                return pulled - 1, item
+                in_progress += 1
+                return (item,)
             exhausted = True
             return None
 
-        def run(index: int, item) -> tuple[bool, object]:
-            nonlocal at_work
+        def run(item) -> None:
+            nonlocal at_work, in_progress, error, exhausted
             _slot.lend = lend_slot
+            raised = None
             try:
-                outcome = (False, fn(item))
-            except BaseException as exc:  # raised again where its result is read
-                outcome = (True, exc)
+                fn(item)
+            except BaseException as exc:  # raised again by the reader, once all have ended
+                raised = exc
             _slot.lend = None
             with cond:
                 at_work -= 1
-                done[index] = outcome
+                in_progress -= 1
+                if raised is not None and error is None:
+                    error = raised
+                    exhausted = True  # no item starts after it
                 cond.notify_all()
-            return outcome
 
         def lend_slot(wait: Callable, *args):
             nonlocal at_work, parked, stand_ins
@@ -118,43 +120,26 @@ class ThreadPool:
                 parked -= 1  # counted from its start, by the lend that started it
             helper()
 
-        def results() -> Iterator:
-            nonlocal exhausted, parked
-            index = 0
+        def reader() -> Iterator:
+            nonlocal exhausted
             try:
-                while True:
-                    with cond:
-                        job = None
-                        while index not in done:
-                            job = pull()
-                            if job is not None:
-                                break
-                            if index >= pulled:
-                                return  # no item is left to read
-                            parked += 1
-                            cond.wait()  # for its result, or for a slot
-                            parked -= 1
-                        else:
-                            raised, result = done.pop(index)
-                    if job is not None:  # the caller's own slot
-                        raised, result = run(*job)
-                        if raised and not isinstance(result, Exception):
-                            raise result  # an interrupt stops the map at once
-                    elif raised:
-                        raise result
-                    else:
-                        yield result
-                        index += 1
+                helper()  # the caller's own slot
+                with cond:
+                    while in_progress:
+                        cond.wait()
             finally:
                 with cond:
                     exhausted = True  # a reader that stops starts no more items
                     cond.notify_all()
+            if error is not None:
+                raise error
+            yield from ()
 
         for _ in range(slots - 1):
             thread = threading.Thread(target=helper)
             thread.start()
             self._threads.append(thread)
-        return results()
+        return reader()
 
     def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
         """Stop pulling items if cancel_futures; join every thread if wait."""
@@ -165,40 +150,3 @@ class ThreadPool:
         if wait:
             for thread in self._threads:  # a stand-in started meanwhile joins the list
                 thread.join()
-
-
-class OrderedLines:
-    """Values passed to write(key, value) in the order of keys, each as soon as
-    it and every value before it are there, from whichever thread puts the
-    last of them. ``values`` may hold some at the start (the lines --resume
-    keeps); flush() writes those that come first. A write that raises sets
-    ``stopped``, and no value is written after it."""
-
-    def __init__(self, keys: list, values: dict, write: Callable):
-        self._keys = keys
-        self._values = values
-        self._write = write
-        self._turn = 0  # keys[:turn] are written
-        self._lock = threading.Lock()
-        self.stopped = False
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._values[key] = value
-            self._flush()
-
-    def flush(self) -> None:
-        with self._lock:
-            self._flush()
-
-    def _flush(self) -> None:
-        while not self.stopped and self._turn < len(self._keys):
-            key = self._keys[self._turn]
-            if key not in self._values:
-                return
-            self._turn += 1
-            try:
-                self._write(key, self._values.pop(key))
-            except BaseException:
-                self.stopped = True
-                raise

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import re
 import signal
@@ -33,7 +34,6 @@ from lfqa_eval.models import (
     Source,
     SpanGranularity,
 )
-from lfqa_eval.pool import OrderedLines
 from lfqa_eval.refine import RefineMode, build_refine_prompt
 from lfqa_eval.scoring import domain_report, score_record
 from lfqa_eval.segment import segment_sentences, sentence_texts
@@ -907,17 +907,24 @@ def test_scripted_batch_runs_start_no_thread(command, runner, golden_env, tmp_pa
 # the batch runner's pool: cli.ThreadPoolExecutor
 
 
-def test_pool_yields_results_in_input_order():
-    pool = cli_module.ThreadPoolExecutor(4)
+def test_pool_runs_each_item_once_under_fast_thread_switches():
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    runs = Counter()
+    lock = threading.Lock()
 
-    def later_items_finish_first(x):
-        time.sleep(0.002 * (20 - x))
-        return x * x
+    def item(x):
+        time.sleep(0)  # lets another thread in mid-item
+        with lock:
+            runs[x] += 1
 
+    pool = cli_module.ThreadPoolExecutor(8)  # more slots than cores
     try:
-        assert list(pool.map(later_items_finish_first, range(20))) == [x * x for x in range(20)]
+        assert list(pool.map(item, range(500))) == []  # each item reports its own result
     finally:
         pool.shutdown()
+        sys.setswitchinterval(switch)
+    assert runs == Counter(range(500))
 
 
 def test_pool_runs_max_workers_items_at_once_the_caller_among_them():
@@ -941,7 +948,7 @@ def test_pool_runs_max_workers_items_at_once_the_caller_among_them():
         return x
 
     try:
-        assert list(pool.map(item, range(12))) == list(range(12))
+        assert not list(pool.map(item, range(12)))
     finally:
         pool.shutdown()
     assert peak == 3
@@ -949,25 +956,42 @@ def test_pool_runs_max_workers_items_at_once_the_caller_among_them():
     assert len(runners) == 3
 
 
-def test_pool_raises_a_helpers_exception_where_its_result_is_read():
-    pool = cli_module.ThreadPoolExecutor(2)
+def test_pool_raises_a_helpers_exception_once_every_started_item_has_ended():
+    pool = cli_module.ThreadPoolExecutor(3)
     caller = threading.current_thread()
+    lock = threading.Lock()
+    started, ended = [], []
+    three = threading.Barrier(3, timeout=10)  # the first three items run at once
+    raised = threading.Event()
 
-    def fails_on_a_helper(x):
-        if threading.current_thread() is not caller:
-            raise ValueError(x)
-        time.sleep(0.01)
-        return x
+    def item(x):
+        with lock:
+            started.append(x)
+        try:
+            three.wait()
+            with lock:
+                fails = threading.current_thread() is not caller and not raised.is_set()
+                if fails:
+                    raised.set()
+            if fails:
+                raise ValueError(x)
+            assert raised.wait(10)
+            time.sleep(0.05)  # long after the helper's exception
+        finally:
+            with lock:
+                ended.append(x)
 
-    read = []
     try:
         with pytest.raises(ValueError) as caught:
-            for result in pool.map(fails_on_a_helper, range(6)):
-                read.append(result)
+            for _ in pool.map(item, range(30)):
+                pass
+        with lock:
+            seen_ended = sorted(ended)
     finally:
         pool.shutdown()
-    # every item before the first a helper ran came back, from the caller
-    assert read == list(range(caught.value.args[0]))
+    assert caught.value.args[0] in (0, 1, 2)  # raised on a helper
+    assert sorted(started) == [0, 1, 2]  # no item started after it
+    assert seen_ended == [0, 1, 2]  # every started item ended before it was raised
 
 
 def test_pool_shutdown_with_cancel_futures_starts_no_queued_item():
@@ -992,31 +1016,11 @@ def test_pool_shutdown_with_cancel_futures_starts_no_queued_item():
     assert threading.active_count() == before
 
 
-def test_pool_and_ordered_lines_keep_every_item_under_fast_thread_switches():
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    written = []
-
-    def write(key, value):
-        time.sleep(0)  # lets another thread in mid-write, as a file write does
-        written.append((key, value))
-
-    lines = OrderedLines(list(range(500)), {}, write)
-    pool = cli_module.ThreadPoolExecutor(8)  # more slots than cores
-    try:
-        results = list(pool.map(lambda x: lines.put(x, x * x) or x, range(500)))
-    finally:
-        pool.shutdown()
-        sys.setswitchinterval(switch)
-    assert results == list(range(500))
-    assert written == [(x, x * x) for x in range(500)]
-
-
 def test_pool_lending_under_fast_thread_switches_keeps_every_item_and_the_bounds():
     before = threading.active_count()
     lock = threading.Lock()
     in_progress = peak = 0
-    counts = []
+    counts, ran = [], []
 
     def item(x):
         nonlocal in_progress, peak
@@ -1028,17 +1032,17 @@ def test_pool_lending_under_fast_thread_switches_keeps_every_item_and_the_bounds
             pool_module.lend(time.sleep, 0.001)
         with lock:
             in_progress -= 1
-        return x
+            ran.append(x)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     pool = cli_module.ThreadPoolExecutor(8)  # more slots than cores
     try:
-        results = list(pool.map(item, range(500)))
+        assert not list(pool.map(item, range(500)))
     finally:
         pool.shutdown()
         sys.setswitchinterval(switch)
-    assert results == list(range(500))
+    assert sorted(ran) == list(range(500))
     assert peak <= 16  # the 8 slots, and one stand-in for each
     assert max(counts) <= before + 15
     assert threading.active_count() == before
@@ -1048,6 +1052,7 @@ def test_pool_item_that_lends_its_slot_lets_two_more_items_run():
     pool = cli_module.ThreadPoolExecutor(2)
     barrier = threading.Barrier(2, timeout=10)  # broken unless items 1 and 2 run at once
     met = threading.Event()
+    ran = []
 
     def item(x):
         if x == 0:
@@ -1055,19 +1060,20 @@ def test_pool_item_that_lends_its_slot_lets_two_more_items_run():
         elif x in (1, 2):
             barrier.wait()
             met.set()
-        return x
+        ran.append(x)
 
     try:
-        assert list(pool.map(item, range(6))) == list(range(6))
+        assert not list(pool.map(item, range(6)))
     finally:
         pool.shutdown()
+    assert sorted(ran) == list(range(6))
 
 
 def test_pool_of_three_lending_at_once_starts_at_most_five_threads():
     before = threading.active_count()
     pool = cli_module.ThreadPoolExecutor(3)
     lock, go = threading.Lock(), threading.Event()
-    seen, lending = [], 0
+    seen, ran, lending = [], [], 0
 
     def wait():
         nonlocal lending
@@ -1080,12 +1086,13 @@ def test_pool_of_three_lending_at_once_starts_at_most_five_threads():
     def item(x):
         seen.append(threading.active_count())
         assert pool_module.lend(wait)
-        return x
+        ran.append(x)
 
     try:
-        assert list(pool.map(item, range(9))) == list(range(9))
+        assert not list(pool.map(item, range(9)))
     finally:
         pool.shutdown()
+    assert sorted(ran) == list(range(9))
     assert max(seen) <= before + 5  # two helpers and three stand-ins
     assert threading.active_count() == before
 
@@ -1525,9 +1532,11 @@ def _killed_feedback_run(
     """Run a resumed feedback child against the fixture stub and SIGKILL it.
 
     The stub holds the request of record ``hold`` and rejects that of record
-    ``reject``. Lines go to OUT.partial in corpus order, so none after the held
-    record can be written: the kill comes once OUT.partial holds ``written``
-    whole lines, whatever the number of workers.
+    ``reject``. Lines go to OUT.partial as their records finish, after the
+    lines --resume keeps: the kill comes once OUT.partial holds at least
+    ``written`` lines. With one worker the run is inline, so no line after the
+    held record's can be written; with more, the other records' lines may be
+    there too, in any order.
     """
     prompts = _feedback_prompts(golden_env)
     partial = Path(f"{out}.partial")
@@ -1554,6 +1563,20 @@ def _killed_feedback_run(
     assert child.returncode == -signal.SIGKILL
 
 
+def _ids(lines: list[str]) -> list[str]:
+    return [json.loads(line)["record_id"] for line in lines]
+
+
+def _assert_clean_lines(lines: list[str], clean_lines: list[str], absent: tuple[str, ...]) -> None:
+    """Each line is the clean run's line for its record, in any order; no
+    record has two lines, and none of absent has one."""
+    clean_by_id = dict(zip(_ids(clean_lines), clean_lines))
+    ids = _ids(lines)
+    assert len(set(ids)) == len(ids)
+    assert not set(ids) & set(absent)
+    assert lines == [clean_by_id[i] for i in ids]
+
+
 @pytest.mark.parametrize("workers", ["1", "4"])
 def test_killed_feedback_run_keeps_out_and_resumes_byte_identical(workers, golden_env, tmp_path):
     clean = tmp_path / "clean.jsonl"
@@ -1565,15 +1588,42 @@ def test_killed_feedback_run_keeps_out_and_resumes_byte_identical(workers, golde
     partial = Path(f"{out}.partial")
     _killed_feedback_run(golden_env, tmp_path, out, workers, written=5, hold="g05")
     assert out.read_text(encoding="utf-8") == previous
-    # whole lines in corpus order: the clean run's up to the held record
-    assert partial.read_text(encoding="utf-8").splitlines(keepends=True) == clean_lines[:5]
+    kept = partial.read_text(encoding="utf-8").splitlines(keepends=True)
+    if workers == "1":  # inline: whole lines in corpus order, the clean run's up to the held record
+        assert kept == clean_lines[:5]
+    else:  # the kept --out lines first, then finished lines in any order
+        assert kept[:2] == clean_lines[:2]
+        _assert_clean_lines(kept, clean_lines, absent=("g05",))
     assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
     assert out.read_bytes() == clean.read_bytes()
     assert not partial.exists()
 
 
-def _ids(lines: list[str]) -> list[str]:
-    return [json.loads(line)["record_id"] for line in lines]
+def test_kill_behind_a_held_record_keeps_every_finished_line(golden_env, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    assert _run_feedback_cli(golden_env, clean) == 0
+    clean_lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+    out = tmp_path / "fb.jsonl"
+    partial = Path(f"{out}.partial")
+    # g01 is held while every later record finishes: the kill comes once
+    # OUT.partial holds the lines of all nine, so no record is in flight but g01
+    _killed_feedback_run(golden_env, tmp_path, out, "4", written=9, hold="g01")
+    assert not out.exists()
+    kept = partial.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(kept) == 9
+    _assert_clean_lines(kept, clean_lines, absent=("g01",))
+
+    with _fixture_stub(golden_env["fixtures"], tmp_path) as (server, config):
+        code = main(
+            ["feedback", str(golden_env["corpus"]), "--config", str(config),
+             "--workers", "4", "--resume", "--out", str(out)]
+        )
+    assert code == 0
+    # the resumed run computes only the held record
+    prompts = _feedback_prompts(golden_env)
+    assert [body["messages"][0]["content"] for body in server.bodies] == [prompts["g01"]]
+    assert out.read_bytes() == clean.read_bytes()
+    assert not partial.exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "4"])
@@ -1586,19 +1636,28 @@ def test_second_kill_after_resume_loses_no_line(workers, golden_env, tmp_path, m
     out.write_text("".join(previous), encoding="utf-8")
     partial = Path(f"{out}.partial")
 
-    # First kill: g03 fails, so OUT.partial has a gap before g04, and g05 is held.
+    # First kill: g03 fails, so OUT.partial has no line for it, and g05 is held.
     _killed_feedback_run(golden_env, tmp_path, out, workers, written=4, hold="g05", reject="g03")
     assert out.read_text(encoding="utf-8") == "".join(previous)
     first = partial.read_text(encoding="utf-8").splitlines(keepends=True)
     # the kept --out lines come first, and no finished line is dropped
-    assert first == [clean_lines[i] for i in (0, 1, 2, 4)]
+    if workers == "1":
+        assert first == [clean_lines[i] for i in (0, 1, 2, 4)]
+    else:
+        assert first[:2] == previous
+        _assert_clean_lines(first, clean_lines, absent=("g03", "g05"))
 
     # Second kill, held on the resumed run's first request (g03): every line
-    # kept so far is now in --out.
+    # kept so far is now in --out, in corpus order.
     _killed_feedback_run(golden_env, tmp_path, out, workers, written=3, hold="g03")
-    assert out.read_text(encoding="utf-8") == "".join(first)
-    # nothing failed in this run: the clean run's lines up to the held record
-    assert partial.read_text(encoding="utf-8").splitlines(keepends=True) == clean_lines[:3]
+    assert out.read_text(encoding="utf-8") == "".join(l for l in clean_lines if l in first)
+    second = partial.read_text(encoding="utf-8").splitlines(keepends=True)
+    # every kept line is written again before any record starts
+    if workers == "1":
+        assert second == [clean_lines[i] for i in (0, 1, 2, 4)]
+    else:
+        assert second[: len(first)] == [l for l in clean_lines if l in first]
+        _assert_clean_lines(second, clean_lines, absent=("g03",))
 
     computed = []
     real = cli_module.run_feedback
@@ -1613,7 +1672,7 @@ def test_second_kill_after_resume_loses_no_line(workers, golden_env, tmp_path, m
     assert out.read_bytes() == clean.read_bytes()
     assert not partial.exists()
     # the last resume recomputes no record an earlier run wrote
-    assert computed == [i for i in _ids(clean_lines) if i not in _ids(first)]
+    assert computed == [i for i in _ids(clean_lines) if i not in _ids(second)]
 
 
 def test_resume_reads_partial_whose_lines_win(golden_env, tmp_path, capsys, monkeypatch):
@@ -2531,9 +2590,7 @@ def test_failed_record_id_with_a_newline_keeps_its_line_whole(small_corpus, tmp_
     assert out.read_bytes() == b""
 
 
-def test_failed_record_is_on_stderr_when_the_runner_reaches_it(
-    golden_env, tmp_path, capsys, monkeypatch
-):
+def test_failed_record_is_on_stderr_as_it_fails(golden_env, tmp_path, capsys, monkeypatch):
     records = load_corpus(golden_env["corpus"])
     first, last = records[0].question, records[-1].question
     real = cli_module.run_feedback
@@ -2554,6 +2611,46 @@ def test_failed_record_is_on_stderr_when_the_runner_reaches_it(
     failed = f"failed: {records[0].id!r}#0: endpoint down\n"
     assert stderr_at_last == [failed]  # before the last record is computed
     assert capsys.readouterr().err == ""  # and the run's stderr holds it once
+
+
+class _Stderr(list):
+    """A text stream that keeps what is written to it, line by line, and sets
+    ``seen`` once a line starts with ``prefix``."""
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+        self.seen = threading.Event()
+
+    def write(self, text: str) -> None:
+        self.append(text)
+        if text.startswith(self.prefix):
+            self.seen.set()
+
+    def flush(self) -> None:
+        pass
+
+
+def test_failed_record_is_on_stderr_while_an_earlier_record_is_held(golden_env, tmp_path):
+    prompts = _feedback_prompts(golden_env)
+    err = _Stderr("failed: 'g03'#0: ")
+    out, codes = tmp_path / "fb.jsonl", []
+    stub = _fixture_stub(golden_env["fixtures"], tmp_path, hold=prompts["g02"], reject=prompts["g03"])
+    with stub as (server, config), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        argv = ["feedback", str(golden_env["corpus"]), "--config", str(config),
+                "--workers", "2", "--out", str(out)]
+        run = threading.Thread(target=lambda: codes.append(main(argv)))
+        run.start()
+        try:
+            assert server.held.wait(30)
+            # g03 fails while g02 waits on the stub, and says so at once
+            failed_while_held = err.seen.wait(10)
+        finally:
+            server.release.set()
+            run.join(30)
+    assert failed_while_held
+    assert codes == [3]
 
 
 @pytest.mark.parametrize("error", [RuntimeError, MemoryError])

@@ -4,7 +4,8 @@ Over the golden corpus with a human answer put before each model answer (it
 repeats the model answer, so its prompts have fixtures), on the scripted
 backend: for a drawn command, ``--audit`` setting and ``--answer`` selector,
 any subset of the uninterrupted lines kept in ``--out``, and any subset kept
-in ``OUT.partial`` in corpus order whose last line may be cut at any byte,
+in ``OUT.partial`` in any order (lines reach it as their records finish),
+whose last line may be cut at any byte,
 ``--resume`` writes the uninterrupted bytes, computes exactly the targets
 that neither file keeps whole, and leaves no ``OUT.partial``. A ``--resume``
 that fails at any line it writes, as it folds the kept lines onto ``--out``
@@ -66,6 +67,7 @@ def _interrupted_state(data, resume_env) -> tuple[list[str], list[bytes], set[in
     indices = st.sets(st.integers(0, len(clean) - 1))
     in_out = sorted(data.draw(indices, label="lines kept in --out"))
     in_partial = sorted(data.draw(indices, label="lines kept in OUT.partial"))
+    in_partial = data.draw(st.permutations(in_partial), label="their order in OUT.partial")
 
     out = resume_env["out"]
     partial = Path(f"{out}.partial")
