@@ -111,7 +111,7 @@ class RoleConfig:
 @dataclass
 class CliConfig:
     n_samples: int = DEFAULT_N_SAMPLES
-    workers: int | None = None  # cap on the records at work, None = none; kept for the benchmark
+    workers: int | None = None  # cap on the run's slots, None = none; kept for the benchmark
     roles: dict[str, RoleConfig] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -543,12 +543,10 @@ def _existing_lines(
 
 
 def ThreadPoolExecutor(max_workers: int):
-    """The batch runner's pool of max_workers slots: max_workers - 1 helper
+    """The batch runner's pool of max_workers threads: max_workers - 1 helper
     threads, and the calling thread, which runs records as it drains map's
-    iterator of no results; a record waiting out its own backoff (not a 429's
-    or a Retry-After's) lends its slot to at most one stand-in, so at most
-    2 * max_workers - 1 threads start. Named like the stdlib class whose map
-    and shutdown it keeps, so that a subclass of that class can take its place."""
+    iterator of no results. Named like the stdlib class whose map and shutdown
+    it keeps, so that a subclass of that class can take its place."""
     from .pool import ThreadPool
 
     return ThreadPool(max_workers)
@@ -570,13 +568,13 @@ def _run_batch(
     removed. So a killed run leaves --out as it was and OUT.partial holding
     every finished line. A resumed run that finds OUT.partial first folds
     every kept line into --out, so truncating OUT.partial loses none of them
-    if it is killed too. Records run at once in as many slots as the http
-    clients have connections, the sum of max_in_flight, capped at workers
-    when it is set: the calling thread is one slot and each other slot a
-    helper thread. workers caps the records at work: one waiting out its own
-    backoff lends its slot to at most one stand-in (a 429 or Retry-After does
-    not), so at most 2 x slots - 1 threads start. A scripted client has no
-    slot, and one slot or fewer runs the records inline. A failure is
+    if it is killed too. The http clients' connections bound the requests
+    in flight; their count, the sum of max_in_flight capped at workers when
+    it is set, is the run's slots, and 2 x slots - 1 threads run records, the
+    calling thread among them. So while a record waits out its client's own
+    backoff, its connection goes back to the queue and a spare thread takes
+    it. A scripted client has no slot, and one slot or fewer runs the
+    records inline. A failure is
     reported on stderr as its record fails, and turns the exit code to 3; no
     line is written and no record starts after a failed write.
     """
@@ -649,10 +647,10 @@ def _run_batch(
                 line = exc
             put(at, (record.id, idx), line)
 
-        threads = sum(c.config.max_in_flight for c, _ in opened.values() if c.config.kind == "http")
-        threads = min(threads, config.workers or threads)
-        if threads > 1:
-            pool = ThreadPoolExecutor(threads)
+        slots = sum(c.config.max_in_flight for c, _ in opened.values() if c.config.kind == "http")
+        slots = min(slots, config.workers or slots)
+        if slots > 1:
+            pool = ThreadPoolExecutor(2 * slots - 1)
             # leaving early, as on a failed write, starts no record still queued
             stack.push(lambda *exc_info: pool.shutdown(cancel_futures=True))
             results = pool.map(attempt, todo)
@@ -741,11 +739,20 @@ def _cmd_eval_detect(args) -> int:
 
     source = f"--predictions {args.predictions}"
     with open_jsonl(args.predictions) as handle:
-        predictions = {key: (ln, p) for ln, key, p in _keyed_lines(source, handle, prediction)}
-    try:
-        report = detection_eval(gold, ((key, p) for key, (_, p) in predictions.items()))
-    except PredictionError as exc:
-        raise CorpusError(f"{source}: line {predictions[exc.key][0]}: {exc}") from None
+        lines = _keyed_lines(source, handle, prediction)
+        ln = 0  # of the last prediction read
+
+        def predictions():
+            nonlocal ln
+            for ln, key, p in lines:
+                yield key, p
+
+        try:
+            report = detection_eval(gold, predictions())
+        except PredictionError as exc:
+            for _ in lines:  # a later bad line or duplicate key wins over it
+                pass
+            raise CorpusError(f"{source}: line {ln}: {exc}") from None
     totals, accuracy = report.counts, report.weighted_accuracy
     total = max(totals.total_predicted, 1)
     print(
@@ -899,9 +906,9 @@ def _add_batch_options(sub) -> None:
     sub.add_argument(
         "--workers",
         type=int,
-        help="cap on the records at work, kept for the benchmark's fixed thread "
-        "count; default one per connection slot (the sum of max_in_flight "
-        "over the http backends)",
+        help="cap on the connection slots, kept for the benchmark's fixed thread "
+        "count; default the sum of max_in_flight over the http backends; a run "
+        "with S slots runs records on 2 x S - 1 threads",
     )
     sub.add_argument("--resume", action="store_true", help="skip records already in --out")
     sub.add_argument("--audit", action="store_true", help="keep prompts/raw samples in the output")

@@ -18,12 +18,11 @@ connection, a timeout, a TLS error, or a reply that breaks HTTP/1.1 framing,
 such as a body cut short of its ``Content-Length``; 429, 5xx) are retried with
 exponential backoff; on 429 and 503 a delta-seconds ``Retry-After``
 lengthens the wait to the server's value, capped at the client's ``timeout``
-(an HTTP-date or malformed value keeps the backoff). A record waiting out
-the client's own backoff, after an ``OSError`` or a 5xx without
-``Retry-After``, lends its batch-runner slot to at most one stand-in
-(``pool.lend``, which imports ``pool`` only then; outside a slot the wait is
-a plain sleep); a 429, or any reply with ``Retry-After``, keeps its slot, as
-the server asked for less traffic. Authentication errors,
+(an HTTP-date or malformed value keeps the backoff). During the client's
+own backoff, after an ``OSError`` or a 5xx without ``Retry-After``, the
+request's connection goes back to the queue; a 429, or any reply with
+``Retry-After``, keeps it out until the retry, which it carries, as the
+server asked for less traffic. Authentication errors,
 3xx replies (never followed) and response-schema errors are never retried.
 Credential values are read from a named environment variable when the
 client is made, so a missing one fails before any request, as does one
@@ -415,26 +414,6 @@ class GenerationClient:
                 return bool(select.select([sock], [], [], 0)[0])
         self._dropped = dropped
 
-    def _post(self, payload: bytes) -> tuple[int, dict[str, str], bytes]:
-        """One POST on a pooled connection: (status, headers, the whole body)."""
-        with self._returned:
-            while not self._idle:  # all max_in_flight are out
-                self._returned.wait()
-            conn = self._idle.pop()
-        try:
-            # an idle socket that reads as ready holds the server's close
-            # (or bytes nobody asked for): it cannot carry a request
-            if conn.sock is not None and self._dropped(conn.sock):
-                conn.close()
-            return conn.post(self._head, payload)  # closes conn if the reply will close
-        except BaseException:
-            conn.close()
-            raise
-        finally:
-            with self._returned:
-                self._idle.append(conn)
-                self._returned.notify()
-
     def _body(self, request: GenerationRequest, n: int) -> bytes:
         body = {
             "model": self.config.model_name,
@@ -447,55 +426,72 @@ class GenerationClient:
         return json.dumps(body).encode()
 
     def _post_with_retries(self, payload: bytes) -> dict:
-        attempt = 0
-        while True:
-            transient: str | None = None
-            retry_after = 0.0
-            lends = True  # the client's own backoff: another record may take its slot
-            try:
-                status, headers, raw = self._post(payload)
-            except OSError as exc:
-                transient = type(exc).__name__
-            else:
-                if status in (401, 403):
-                    raise CredentialError(
-                        f"authentication rejected (HTTP {status}); check the "
-                        f"'{self.config.auth_env or 'unset'}' credential"
-                    )
-                if 300 <= status < 400:
-                    raise GenerationError(
-                        f"HTTP {status} redirect to {headers.get('location')!r} "
-                        "is not followed; set endpoint_url to the URL that answers"
-                    )
-                if status == 429 or status >= 500:
-                    transient = f"HTTP {status}"
-                    lends = status != 429 and "retry-after" not in headers
-                    if status in (429, 503):
-                        retry_after = _retry_after_s(headers.get("retry-after"))
-                elif status >= 400:
-                    raise GenerationError(
-                        f"HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}"
-                    )
+        """POST payload on a pooled connection until a reply that is not transient."""
+        attempt, conn = 0, None  # conn: the connection a wait the server asked for keeps
+        try:
+            while True:
+                with self._returned:
+                    while conn is None and not self._idle:  # all max_in_flight are out
+                        self._returned.wait()
+                    conn = conn or self._idle.pop()
+                transient: str | None = None
+                retry_after, headers = 0.0, {}
+                try:
+                    # an idle socket that reads as ready holds the server's close
+                    # (or bytes nobody asked for): it cannot carry a request
+                    if conn.sock is not None and self._dropped(conn.sock):
+                        conn.close()
+                    status, headers, raw = conn.post(self._head, payload)  # closes conn if the reply will close
+                except BaseException as exc:
+                    conn.close()
+                    if not isinstance(exc, OSError):
+                        raise
+                    transient = type(exc).__name__
                 else:
-                    try:
-                        return json.loads(raw)
-                    except ValueError:
+                    if status in (401, 403):
+                        raise CredentialError(
+                            f"authentication rejected (HTTP {status}); check the "
+                            f"'{self.config.auth_env or 'unset'}' credential"
+                        )
+                    if 300 <= status < 400:
                         raise GenerationError(
-                            "response schema violation: body is not JSON"
-                        ) from None
-            attempt += 1
-            if attempt > self.config.max_retries:
-                raise GenerationError(
-                    f"transport failure after {attempt} attempts ({transient})"
-                )
-            backoff = BACKOFF_BASE * 2 ** (attempt - 1)
-            wait = max(backoff, min(retry_after, self.config.timeout))
-            if lends:
-                from . import pool
+                            f"HTTP {status} redirect to {headers.get('location')!r} "
+                            "is not followed; set endpoint_url to the URL that answers"
+                        )
+                    if status == 429 or status >= 500:
+                        transient = f"HTTP {status}"
+                        if status in (429, 503):
+                            retry_after = _retry_after_s(headers.get("retry-after"))
+                    elif status >= 400:
+                        raise GenerationError(
+                            f"HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}"
+                        )
+                    else:
+                        try:
+                            return json.loads(raw)
+                        except ValueError:
+                            raise GenerationError(
+                                "response schema violation: body is not JSON"
+                            ) from None
+                attempt += 1
+                if attempt > self.config.max_retries:
+                    raise GenerationError(
+                        f"transport failure after {attempt} attempts ({transient})"
+                    )
+                backoff = BACKOFF_BASE * 2 ** (attempt - 1)
+                if transient != "HTTP 429" and "retry-after" not in headers:
+                    self._give_back(conn)  # the client's own backoff: another request takes it
+                    conn = None
+                time.sleep(max(backoff, min(retry_after, self.config.timeout)))
+        finally:
+            if conn is not None:
+                self._give_back(conn)
 
-                pool.lend(time.sleep, wait)
-            else:  # the server asked for less traffic: the slot waits too
-                time.sleep(wait)
+    def _give_back(self, conn) -> None:
+        """Return conn to the queue of idle connections."""
+        with self._returned:
+            self._idle.append(conn)
+            self._returned.notify()
 
     @staticmethod
     def _extract(data: dict, expected_n: int) -> tuple[list[str], list[bool]]:

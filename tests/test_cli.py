@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -18,7 +20,6 @@ from conftest import child_env, make_record, quiet_main, run_python
 from lfqa_eval import cli as cli_module
 from lfqa_eval import corpus as corpus_module
 from lfqa_eval import genclient as genclient_module
-from lfqa_eval import pool as pool_module
 from lfqa_eval import scoring as scoring_module
 from lfqa_eval.cli import ConfigError, RoleConfig, load_config, main, parse_config_text
 from lfqa_eval.corpus import classify_granularity, load_corpus, save_corpus
@@ -1016,125 +1017,26 @@ def test_pool_shutdown_with_cancel_futures_starts_no_queued_item():
     assert threading.active_count() == before
 
 
-def test_pool_lending_under_fast_thread_switches_keeps_every_item_and_the_bounds():
-    before = threading.active_count()
-    lock = threading.Lock()
-    in_progress = peak = 0
-    counts, ran = [], []
+def test_pool_frees_what_fn_holds_without_the_cyclic_collector():
+    class Held:
+        pass
 
-    def item(x):
-        nonlocal in_progress, peak
-        with lock:
-            in_progress += 1
-            peak = max(peak, in_progress)
-            counts.append(threading.active_count())
-        if x % 3 == 0:
-            pool_module.lend(time.sleep, 0.001)
-        with lock:
-            in_progress -= 1
-            ran.append(x)
+    held = Held()
+    alive = weakref.ref(held)
 
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    pool = cli_module.ThreadPoolExecutor(8)  # more slots than cores
-    try:
-        assert not list(pool.map(item, range(500)))
-    finally:
-        pool.shutdown()
-        sys.setswitchinterval(switch)
-    assert sorted(ran) == list(range(500))
-    assert peak <= 16  # the 8 slots, and one stand-in for each
-    assert max(counts) <= before + 15
-    assert threading.active_count() == before
-
-
-def test_pool_item_that_lends_its_slot_lets_two_more_items_run():
-    pool = cli_module.ThreadPoolExecutor(2)
-    barrier = threading.Barrier(2, timeout=10)  # broken unless items 1 and 2 run at once
-    met = threading.Event()
-    ran = []
-
-    def item(x):
-        if x == 0:
-            assert pool_module.lend(met.wait, 10)
-        elif x in (1, 2):
-            barrier.wait()
-            met.set()
-        ran.append(x)
-
-    try:
-        assert not list(pool.map(item, range(6)))
-    finally:
-        pool.shutdown()
-    assert sorted(ran) == list(range(6))
-
-
-def test_pool_of_three_lending_at_once_starts_at_most_five_threads():
-    before = threading.active_count()
-    pool = cli_module.ThreadPoolExecutor(3)
-    lock, go = threading.Lock(), threading.Event()
-    seen, ran, lending = [], [], 0
-
-    def wait():
-        nonlocal lending
-        with lock:
-            lending += 1
-            if lending == 6:  # every slot lent, each to one stand-in
-                go.set()
-        return go.wait(10)
-
-    def item(x):
-        seen.append(threading.active_count())
-        assert pool_module.lend(wait)
-        ran.append(x)
-
-    try:
-        assert not list(pool.map(item, range(9)))
-    finally:
-        pool.shutdown()
-    assert sorted(ran) == list(range(9))
-    assert max(seen) <= before + 5  # two helpers and three stand-ins
-    assert threading.active_count() == before
-
-
-def test_pool_shutdown_with_cancel_futures_wakes_a_parked_stand_in():
-    before = threading.active_count()
-    pool = cli_module.ThreadPoolExecutor(2)
-    started, release = [], threading.Event()
-    second, third, resumed = threading.Event(), threading.Event(), threading.Event()
-
-    def item(x):
-        started.append(x)
-        if x == 0:  # lends once the other slot holds item 1, so a stand-in runs item 2
-            second.wait(10)
-            pool_module.lend(third.wait, 10)
-            resumed.set()
-            release.wait(30)
-        elif x == 1:
-            second.set()
-            release.wait(30)
-        else:  # returns to a full pool: its stand-in parks
-            third.set()
-            resumed.wait(10)
+    def item(x, held=held):
         return x
 
-    reader = threading.Thread(target=list, args=(pool.map(item, range(6)),))
-    reader.start()
+    gc.disable()
     try:
-        assert resumed.wait(10)
-        time.sleep(0.05)  # the stand-in finishes item 2 and parks
-        pool.shutdown(wait=False, cancel_futures=True)
-        deadline = time.monotonic() + 5
-        while threading.active_count() > before + 2:  # the helper and the reader hold items
-            assert time.monotonic() < deadline, "the parked stand-in did not exit"
-            time.sleep(0.001)
-    finally:
-        release.set()
-        reader.join(10)
+        pool = cli_module.ThreadPoolExecutor(3)
+        results = pool.map(item, range(20))
+        assert not list(results)
         pool.shutdown()
-    assert not reader.is_alive()
-    assert sorted(started) == [0, 1, 2]
-    assert threading.active_count() == before
+        del pool, results, item, held
+        assert alive() is None  # no reference cycle keeps fn, or what it holds
+    finally:
+        gc.enable()
 
 
 def test_http_batch_run_starts_one_thread_fewer_than_its_slots_and_leaves_none(
@@ -1163,7 +1065,8 @@ def test_http_batch_run_starts_one_thread_fewer_than_its_slots_and_leaves_none(
     out = tmp_path / "out.jsonl"
     assert quiet_main(["feedback", str(corpus), "--config", str(config), "--out", str(out)]) == (0, "")
     assert len(seen) == 24
-    assert max(seen) == before + 3  # three helpers; the calling thread is the fourth slot
+    slots = 4
+    assert max(seen) == before + 2 * slots - 2  # helpers; the calling thread is the last runner
     assert threading.active_count() == before
 
 
@@ -1308,10 +1211,11 @@ def test_http_batch_writes_the_scripted_bytes_at_any_workers(
             )
             assert code == 0
             assert out.read_bytes() == scripted.read_bytes()
-    # one thread per connection slot, capped by --workers; one thread runs
-    # inline. Each client keeps max_in_flight = 4, and eir opens two.
+    # 2 x slots - 1 threads, the slots being the connections capped by
+    # --workers; one slot runs inline. Each client keeps max_in_flight = 4,
+    # and eir opens two.
     slots = {"feedback": 4, "refine": 4 + 4}[command[0]]
-    assert pools == [4, slots]
+    assert pools == [2 * 4 - 1, 2 * slots - 1]
 
 
 @pytest.mark.parametrize(
@@ -1445,10 +1349,13 @@ def test_http_faults_mid_run_end_byte_identical(golden_env, tmp_path, monkeypatc
     assert sorted(sleeps) == [0.5, 0.5, 1.0]
 
 
-def _feedback_with_one_fault(golden_env, tmp_path, monkeypatch, record_id, fault, wait, workers):
+def _feedback_with_one_fault(
+    golden_env, tmp_path, monkeypatch, record_id, fault, wait, workers, settings=""
+):
     """Run feedback over the fixture stub, whose first reply for record_id's
-    prompt is fault, with time.sleep patched to wait(server, seconds); returns
-    (exit code, --out bytes, the scripted run's bytes, the threads the run started)."""
+    prompt is fault, with time.sleep patched to wait(server, seconds) and the
+    backend keys in settings; returns (exit code, --out bytes, the scripted
+    run's bytes, the threads the run started)."""
     scripted = tmp_path / "scripted.jsonl"
     assert _run_feedback_cli(golden_env, scripted) == 0
     faults = {_feedback_prompts(golden_env)[record_id]: fault}
@@ -1460,7 +1367,8 @@ def _feedback_with_one_fault(golden_env, tmp_path, monkeypatch, record_id, fault
             started.append(thread)
         real_start(thread)
 
-    with _fixture_stub(golden_env["fixtures"], tmp_path, faults=faults, delay=0.02) as (server, config):
+    stub = _fixture_stub(golden_env["fixtures"], tmp_path, faults=faults, delay=0.02, settings=settings)
+    with stub as (server, config):
         monkeypatch.setattr(genclient_module.time, "sleep", lambda seconds: wait(server, seconds))
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         code = main(
@@ -1471,47 +1379,49 @@ def _feedback_with_one_fault(golden_env, tmp_path, monkeypatch, record_id, fault
     return code, out.read_bytes(), scripted.read_bytes(), started
 
 
-def test_http_503_backoff_lends_its_slot_to_another_record(golden_env, tmp_path, monkeypatch):
+def test_http_503_backoff_frees_its_connection_for_another_record(
+    golden_env, tmp_path, monkeypatch
+):
     before = threading.active_count()
     sleeps, overlapped = [], []
 
     def wait(server, seconds):
         sleeps.append(seconds)
         server.overlap.clear()
-        overlapped.append(server.overlap.wait(5))  # the other slot's POST and a stand-in's
+        overlapped.append(server.overlap.wait(5))  # two POSTs at once, on both connections
 
     code, out, scripted, started = _feedback_with_one_fault(
-        golden_env, tmp_path, monkeypatch, "g05", {"status": 503}, wait, "2"
+        golden_env, tmp_path, monkeypatch, "g05", {"status": 503}, wait, "2", "max_in_flight = 2"
     )
     assert code == 0
     assert out == scripted
     assert sleeps == [0.5]
     assert overlapped == [True]
-    assert len(started) == 2  # the helper, and the stand-in for the record that waits
+    assert len(started) == 2 * 2 - 2  # the helpers; the calling thread runs records too
     assert threading.active_count() == before
 
 
-def test_http_429_with_retry_after_keeps_its_slot(golden_env, tmp_path, monkeypatch):
+def test_http_429_with_retry_after_keeps_its_connection(golden_env, tmp_path, monkeypatch):
     sleeps, overlapped = [], []
 
     def wait(server, seconds):
         sleeps.append(seconds)
         server.overlap.clear()
         deadline = time.monotonic() + 5
-        while server.posts < 10 or server.active:  # the other slot runs every other record
+        while server.posts < 10 or server.active:  # the other connection carries every other record
             assert time.monotonic() < deadline
             threading.Event().wait(0.002)
         overlapped.append(server.overlap.is_set())
 
     fault = {"status": 429, "headers": {"Retry-After": "1"}}
     code, out, scripted, started = _feedback_with_one_fault(
-        golden_env, tmp_path, monkeypatch, "g03", fault, wait, "2"
+        golden_env, tmp_path, monkeypatch, "g03", fault, wait, "2", "max_in_flight = 2"
     )
     assert code == 0
     assert out == scripted
     assert sleeps == [1.0]
     assert overlapped == [False]
-    assert len(started) == 1  # the helper alone
+    assert len(started) == 2 * 2 - 2
 
 
 def test_http_backoff_with_one_worker_starts_no_thread(golden_env, tmp_path, monkeypatch):
@@ -2267,6 +2177,33 @@ def test_eval_detect_tag_count_mismatch_names_the_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    ("last", "message"),
+    [
+        ('{"record_id": "d1", "tags": ["Complete", "Complete"]}',
+         "line 1: record 'd2' answer 0: prediction has 3 tags but the answer has 2 sentences"),
+        ('{"record_id": "d2", "tags": ["Complete", "Complete"]}',
+         "line 3: duplicate key ('d2', 0) (first seen on line 1)"),
+    ],
+    ids=["mismatch-before-good-lines", "duplicate-after-mismatch"],
+)
+def test_eval_detect_reads_every_line_before_a_tag_count_mismatch(
+    last, message, tmp_path, capsys
+):
+    text = "First sentence here. Second sentence here."
+    corpus_path = tmp_path / "corpus.jsonl"
+    records = [make_record(record_id=r, answers=[Answer(Source.MODEL, text)]) for r in ("d1", "d2")]
+    save_corpus(records, corpus_path)
+    predictions = tmp_path / "pred.jsonl"
+    predictions.write_text(
+        '{"record_id": "d2", "tags": ["Complete", "Complete", "Incomplete"]}\n'
+        '{"record_id": "d3", "tags": ["Complete"]}\n' + last + "\n",
+        encoding="utf-8",
+    )
+    assert main(["eval-detect", str(corpus_path), "--predictions", str(predictions)]) == 1
+    assert capsys.readouterr().err == f"error: --predictions {predictions}: {message}\n"
+
+
 def test_eval_detect_accepts_feedback_output(golden_env, tmp_path):
     fb_out = tmp_path / "fb.jsonl"
     assert _run_feedback_cli(golden_env, fb_out) == 0
@@ -2746,7 +2683,7 @@ def test_one_shot_output_lands_whole_or_not_at_all(
 def test_batch_run_starts_no_record_after_a_failed_write(kept, tmp_path, monkeypatch, capsys):
     corpus, config, out = tmp_path / "corpus.jsonl", tmp_path / "cfg", tmp_path / "out.jsonl"
     save_corpus([make_record(record_id=f"r{i:03}") for i in range(200)], corpus)
-    config.write_text(  # four connection slots: four runner threads; no socket is opened
+    config.write_text(  # four connection slots: 2 x 4 - 1 runner threads; no socket is opened
         "feedback.kind = http\nfeedback.endpoint_url = http://127.0.0.1:9/v1\n"
         "feedback.model_name = stub\nfeedback.temperature = 0.7\nfeedback.max_in_flight = 4\n",
         encoding="utf-8",
@@ -2801,7 +2738,8 @@ def test_batch_run_starts_no_record_after_a_failed_write(kept, tmp_path, monkeyp
     assert "No space left on device" in capsys.readouterr().err
     # the records already running finish; none still queued starts
     assert len(writes) == 4
-    assert len(calls) <= len(writes) + 4
+    threads = 2 * 4 - 1
+    assert len(calls) <= len(writes) + threads
 
 
 def _files(root: Path) -> dict[Path, bytes]:

@@ -531,6 +531,26 @@ def test_http_retry_after_applies_per_attempt(stub_server, monkeypatch):
     assert sleeps == [1.0, 0.5]  # no wait after the last attempt
 
 
+def test_http_429_keeps_its_connection_out_until_its_wait_ends(stub_server, monkeypatch):
+    stub_server.script = [{"status": 429, "headers": {"Retry-After": "1"}}]
+    client = GenerationClient(_http_config(stub_server, max_in_flight=1))
+    second = threading.Thread(target=client.generate, args=(_request(prompt="second"),))
+    seen = []
+
+    def wait(seconds):
+        second.start()  # asks for the one connection while the first caller waits
+        threading.Event().wait(0.3)
+        seen.append([r["body"]["messages"][0]["content"] for r in stub_server.requests])
+
+    monkeypatch.setattr(genclient.time, "sleep", wait)
+    with client:
+        assert client.generate(_request(prompt="first")).texts == ["reply 2.0"]
+        second.join(10)
+    assert seen == [["first"]]  # the server asked for less traffic: no POST in the wait
+    prompts = [r["body"]["messages"][0]["content"] for r in stub_server.requests]
+    assert prompts == ["first", "first", "second"]
+
+
 _HTTP_CLIENT_IN_CHILD = """
 import json, sys
 sys.modules["requests"] = sys.modules["urllib3"] = None
