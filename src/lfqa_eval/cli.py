@@ -14,6 +14,9 @@ Subcommands:
 
 Exit codes: 0 ok, 1 data/config error, 2 usage error, 3 some records failed.
 
+Importing this module loads only corpus, models and segment; each subcommand
+imports the layers it runs when it starts, before it reads any input.
+
 Configuration is a plain-text ``key = value`` file; a '#' that starts a line
 or follows whitespace starts a comment. Command-line flags override file
 values, which override the defaults. Credentials are only ever read from the
@@ -31,40 +34,14 @@ import threading
 from collections import Counter, defaultdict
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .corpus import (
-    CorpusError,
-    classify_granularity,
-    iter_corpus_records,
-    json_object,
-    load_corpus,
-    open_jsonl,
-    read_corpus,
-    read_field,
-)
-from .evalmetrics import (
-    ErrorScoreRecord,
-    PredictionError,
-    SupportJudgment,
-    completeness_gold,
-    correction_prf,
-    detection_eval,
-    error_report,
-    selfcheck_aggregate,
-)
-from .feedback import (
-    DEFAULT_N_SAMPLES,
-    TAG_COMPLETE,
-    TAG_INCOMPLETE,
-    FeedbackResult,
-    run_feedback,
-)
-from .genclient import BackendConfig, GenerationClient, GenerationError
+from .corpus import CorpusError, classify_granularity, iter_corpus_records, json_object, load_corpus
+from .corpus import open_jsonl, read_corpus, read_field
+from .models import DEFAULT_N_SAMPLES, TAG_COMPLETE, TAG_INCOMPLETE
 from .models import Aspect, QARecord, SentenceSpan, SpanGranularity
-from .refine import REFINE_TEMPERATURE, RefineMode, refine_answer, run_eir
-from .scoring import domain_report, format_aspect_table, format_domain_table, preference_report
 from .segment import segment_sentences
 
 
@@ -183,6 +160,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> CliConfig:
             continue
         raise ConfigError(f"unknown config key '{key}'")
 
+    from .genclient import BackendConfig
     roles: dict[str, RoleConfig] = {}
     for role, settings in role_settings.items():
         temperature = settings.pop("temperature", None)
@@ -216,6 +194,7 @@ def _apply_backend_flag(config: CliConfig, flag: str | None) -> CliConfig:
     fixture_dir = flag[len("scripted:") :]
     if not fixture_dir:
         raise ConfigError("--backend scripted: needs a directory")
+    from .genclient import BackendConfig
     scripted = BackendConfig(kind="scripted", fixture_dir=fixture_dir)
     config.roles = {
         role: replace(config.roles.get(role, RoleConfig()), backend=scripted) for role in _ROLES
@@ -230,6 +209,7 @@ def _client_for(config: CliConfig, role: str) -> GenerationClient:
             f"no '{role}' backend configured; set {role}.kind in the config "
             "file or pass --backend scripted:DIR"
         )
+    from .genclient import GenerationClient
     return GenerationClient(backend)
 
 
@@ -248,6 +228,7 @@ def _open_role(
         if client.config.kind == "scripted":
             temperature = 0.0
         elif role == "refine":
+            from .refine import REFINE_TEMPERATURE
             temperature = REFINE_TEMPERATURE
         else:
             raise ConfigError(f"{role}.temperature is required for http backends (no default)")
@@ -432,6 +413,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    from .scoring import domain_report, format_aspect_table, format_domain_table
     with _writing(args.out) as write:
         report = domain_report(
             read_corpus(args.corpus), lambda cards: write(_dump(c.to_dict()) for c in cards)
@@ -448,6 +430,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_agreement(args) -> int:
+    from .scoring import preference_report
     report = preference_report(read_corpus(args.corpus))
     header = f"{'Category':<14}{'Samples':>8}{'Alpha':>8}"
     print(header)
@@ -542,6 +525,21 @@ def _existing_lines(
     return kept
 
 
+def _seam(module: str, name: str) -> Callable:
+    """module.name, loaded on its first call; a test or a tracer replaces it here."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(module, __package__), name)(*args, **kwargs)
+
+    return call
+
+
+run_feedback = _seam(".feedback", "run_feedback")
+run_eir = _seam(".refine", "run_eir")
+refine_answer = _seam(".refine", "refine_answer")
+detection_eval = _seam(".evalmetrics", "detection_eval")
+
+
 def ThreadPoolExecutor(max_workers: int):
     """The batch runner's pool of max_workers threads: max_workers - 1 helper
     threads, and the calling thread, which runs records as it drains map's
@@ -566,9 +564,9 @@ def _run_batch(
     each flushed once written; at the end --out is written in corpus order
     through _writing, each line read back at its offset, and OUT.partial is
     removed. So a killed run leaves --out as it was and OUT.partial holding
-    every finished line. A resumed run that finds OUT.partial first folds
-    every kept line into --out, so truncating OUT.partial loses none of them
-    if it is killed too. The http clients' connections bound the requests
+    every finished line, which a run without --resume refuses to overwrite.
+    A resumed run that finds OUT.partial first folds every kept line into
+    --out, so truncating OUT.partial loses none of them if it is killed too. The http clients' connections bound the requests
     in flight; their count, the sum of max_in_flight capped at workers when
     it is set, is the run's slots, and 2 x slots - 1 threads run records, the
     calling thread among them. So while a record waits out its client's own
@@ -578,6 +576,12 @@ def _run_batch(
     reported on stderr as its record fails, and turns the exit code to 3; no
     line is written and no record starts after a failed write.
     """
+    partial = f"{args.out}.partial"
+    if not args.resume and os.path.exists(partial) and os.path.getsize(partial):
+        with open(partial, "rb") as handle:
+            held = sum(1 for _ in handle)
+        raise UsageError(f"{partial} holds {held} lines of an unfinished run; pass --resume "
+                         "to keep them, or remove it to start afresh")
     failed = 0
     with ExitStack() as stack:
         opened = {role: _open_role(stack, config, role) for role in roles}
@@ -599,7 +603,6 @@ def _run_batch(
         if args.resume:
             keys = {(record.id, idx) for record, idx in targets}
             existing = _existing_lines(args.out, {**expected, "audit": args.audit}, keys)
-        partial = f"{args.out}.partial"
         if existing and Path(partial).exists():
             _write_lines(args.out, (existing[r.id, i] for r, i in targets if (r.id, i) in existing))
 
@@ -682,6 +685,7 @@ def _feedback(config: CliConfig, opened: dict, record: QARecord, idx: int) -> Fe
 
 
 def _cmd_feedback(args) -> int:
+    import_module(".feedback", __package__)  # here, not in the first record's run_feedback
     config = _config_from_args(args)
 
     def work(record: QARecord, idx: int, opened: dict) -> dict:
@@ -691,6 +695,10 @@ def _cmd_feedback(args) -> int:
 
 
 def _cmd_refine(args) -> int:
+    if args.mode != "eir" and args.n_samples is not None:
+        message = f"--mode {args.mode} samples no feedback; --n-samples is used only by --mode eir"
+        raise UsageError(message)
+    from .refine import RefineMode
     config = _config_from_args(args)
     mode = {"improve": RefineMode.IMPROVE, "generic": RefineMode.GENERIC, "eir": RefineMode.ERROR_INFORMED}[args.mode]
     expected: dict[str, object] = {"mode": mode.value}
@@ -717,6 +725,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_eval_detect(args) -> int:
+    from .evalmetrics import PredictionError, completeness_gold
     gold = completeness_gold(read_corpus(args.corpus))
 
     def prediction(obj: dict) -> tuple[tuple[str, int], tuple[int, tuple[int, ...]]]:
@@ -780,6 +789,7 @@ _CORRECTION_DEFINITIONS = {
 def _read_scores(flag: str, path: str) -> dict[str, tuple[int, ErrorScoreRecord]]:
     """One score file's (line number, score) by record_id; each error names the flag,
     the path and the line. A score is a finite number >= 0 or a numeric string, not a bool."""
+    from .evalmetrics import ErrorScoreRecord
 
     def score(obj: dict) -> tuple[str, ErrorScoreRecord]:
         record_id = obj["record_id"]
@@ -806,6 +816,7 @@ def _read_scores(flag: str, path: str) -> dict[str, tuple[int, ErrorScoreRecord]
 
 
 def _cmd_eval_correct(args) -> int:
+    from .evalmetrics import correction_prf, error_report
     files = [
         (f"{flag} {path}", _read_scores(flag, path))
         for flag, path in (("--baseline", args.baseline), ("--refined", args.refined))
@@ -849,6 +860,7 @@ def _cmd_eval_correct(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .evalmetrics import SupportJudgment, selfcheck_aggregate
     grouped: dict[str, list[SupportJudgment]] = defaultdict(list)  # in first-seen record order
 
     def judgment(obj: dict) -> tuple[tuple[str, int], SupportJudgment]:
@@ -1017,7 +1029,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, GenerationError, OSError) as exc:
+    except Exception as exc:
+        genclient = sys.modules.get(f"{__package__}.genclient")  # loaded if it raised a GenerationError
+        if not isinstance(exc, (ValueError, OSError, getattr(genclient, "GenerationError", ValueError))):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

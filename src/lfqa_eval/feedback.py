@@ -24,13 +24,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .genclient import GenerationClient, GenerationRequest
+from .models import DEFAULT_N_SAMPLES, TAG_COMPLETE, TAG_INCOMPLETE
 from .segment import segment_sentences, sentence_texts
 
-TAG_COMPLETE = "Complete"
-TAG_INCOMPLETE = "Incomplete"
-
 LOW_CONFIDENCE_THRESHOLD = 0.80
-DEFAULT_N_SAMPLES = 20
 
 _PROMPT_HEADER = (
     "### Instruction:\n"

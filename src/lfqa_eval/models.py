@@ -50,6 +50,14 @@ SENTENCE_SCORED_ASPECTS = (
 )
 
 
+# The sentence tags of feedback outputs, which eval-detect's predictions carry.
+TAG_COMPLETE = "Complete"
+TAG_INCOMPLETE = "Incomplete"
+
+# Feedback samples per answer when neither the config nor --n-samples sets one.
+DEFAULT_N_SAMPLES = 20
+
+
 class SpanGranularity(str, Enum):
     PHRASE = "phrase"
     SENTENCE = "sentence"

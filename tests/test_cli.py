@@ -803,6 +803,38 @@ def test_refine_improve_and_generic_cli(tmp_path):
         assert line["feedback"] is None
 
 
+@pytest.mark.parametrize("mode", ["improve", "generic"])
+def test_refine_without_feedback_refuses_n_samples_but_not_the_config_key(
+    mode, tmp_path, monkeypatch, capsys
+):
+    record = make_record(record_id="solo", answers=[Answer(Source.MODEL, "Tiny answer.")])
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus([record], corpus_path)
+    fixtures = tmp_path / "fixtures"
+    FixtureStore(fixtures).record(
+        build_refine_prompt(RefineMode(mode), record.question, "Tiny answer."), ["refined"]
+    )
+    out = tmp_path / "out.jsonl"
+    argv = ["refine", str(corpus_path), "--mode", mode, "--backend", f"scripted:{fixtures}",
+            "--out", str(out)]
+
+    def no_corpus(path):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli_module, "load_corpus", no_corpus)
+    assert main([*argv, "--n-samples", "7"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --mode {mode} samples no feedback; --n-samples is used only by --mode eir\n"
+    )
+    assert not out.exists() and not Path(f"{out}.partial").exists()
+    monkeypatch.undo()
+    # a config that several subcommands share may set n_samples
+    config = tmp_path / "shared.cfg"
+    config.write_text("n_samples = 7\n", encoding="utf-8")
+    assert main([*argv, "--config", str(config)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["refined_answer"] == "refined"
+
+
 _FEEDBACK_KEYS = [
     "record_id", "answer_index", "tag_score", "reason_score", "n_sampled", "n_parseable",
     "low_confidence", "selected",
@@ -1507,6 +1539,43 @@ def test_killed_feedback_run_keeps_out_and_resumes_byte_identical(workers, golde
     assert _run_feedback_cli(golden_env, out, ("--resume",)) == 0
     assert out.read_bytes() == clean.read_bytes()
     assert not partial.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["feedback"], ["refine", "--mode", "eir"]], ids=["feedback", "refine-eir"]
+)
+def test_run_without_resume_refuses_a_killed_runs_partial(
+    command, golden_env, tmp_path, monkeypatch, capsys
+):
+    argv = [*command, str(golden_env["corpus"]), "--backend", f"scripted:{golden_env['fixtures']}"]
+    clean = tmp_path / "clean.jsonl"
+    assert main([*argv, "--out", str(clean)]) == 0
+    out = tmp_path / "out.jsonl"
+    partial = Path(f"{out}.partial")
+    # three finished lines, the last one torn, as a kill leaves them
+    partial.write_bytes(b"".join(clean.read_bytes().splitlines(keepends=True)[:3])[:-5])
+    before = partial.read_bytes()
+
+    def no_corpus(path):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli_module, "load_corpus", no_corpus)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {partial} holds 3 lines of an unfinished run; pass --resume "
+        "to keep them, or remove it to start afresh\n"
+    )
+    assert partial.read_bytes() == before and not out.exists()
+    monkeypatch.undo()
+    # --resume keeps the two whole lines; an empty OUT.partial, as a kill before
+    # the first line leaves it, holds nothing to keep and is started afresh
+    assert main([*argv, "--resume", "--out", str(out)]) == 0
+    assert out.read_bytes() == clean.read_bytes() and not partial.exists()
+    out.unlink()
+    partial.touch()
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == clean.read_bytes() and not partial.exists()
 
 
 def test_kill_behind_a_held_record_keeps_every_finished_line(golden_env, tmp_path):

@@ -1,7 +1,10 @@
 import ast
+import json
 from pathlib import Path
 
 import pytest
+
+from conftest import quiet_main, run_python
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lfqa_eval"
 
@@ -57,3 +60,53 @@ def test_every_private_helper_is_used():
         if name.removeprefix("self.") not in referenced
     ]
     assert sorted(unused) == []
+
+
+_LOADED_IN_CHILD = """
+import contextlib, io, json, sys
+from lfqa_eval import cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m.removeprefix("lfqa_eval.") for m in sys.modules if m.startswith("lfqa_eval"))))
+"""
+
+# what `import lfqa_eval.cli` loads: the package and the layers every subcommand reads through
+_CLI = ["cli", "corpus", "lfqa_eval", "models", "segment"]
+
+
+@pytest.mark.parametrize(
+    ("case", "added"),
+    [
+        ("import", []),
+        ("validate", []),
+        ("stats", []),
+        ("score", ["scoring"]),
+        ("agreement", ["scoring"]),
+        ("eval-detect", ["evalmetrics"]),
+        ("feedback", ["feedback", "genclient"]),
+        ("refine-eir", ["feedback", "genclient", "refine"]),
+    ],
+)
+def test_each_subcommand_loads_only_the_layers_it_runs(case, added, golden_env, tmp_path):
+    """In a fresh interpreter, importing the cli and running one subcommand loads
+    exactly these lfqa_eval modules: no scripted run loads transport or pool."""
+    corpus, backend = str(golden_env["corpus"]), f"scripted:{golden_env['fixtures']}"
+    predictions = tmp_path / "predictions.jsonl"
+    argvs = {
+        "import": [],
+        "validate": ["validate", corpus],
+        "stats": ["stats", corpus, "--out", str(tmp_path / "stats.jsonl")],
+        "score": ["score", corpus, "--out", str(tmp_path / "cards.jsonl")],
+        "agreement": ["agreement", corpus, "--out", str(tmp_path / "agreement.jsonl")],
+        "eval-detect": ["eval-detect", corpus, "--predictions", str(predictions)],
+        "feedback": ["feedback", corpus, "--backend", backend, "--out", str(tmp_path / "fb.jsonl")],
+        "refine-eir": ["refine", corpus, "--mode", "eir", "--backend", backend,
+                       "--out", str(tmp_path / "eir.jsonl")],
+    }
+    if case == "eval-detect":
+        assert quiet_main(["feedback", corpus, "--backend", backend, "--out", str(predictions)])[0] == 0
+    done = run_python(_LOADED_IN_CHILD, json.dumps(argvs[case]))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == sorted(_CLI + added)
