@@ -14,7 +14,6 @@ candidate answers, span-level error annotations, and preference judgments:
 - ``refine``      answer refinement prompts and the feedback-then-refine pipeline
 - ``evalmetrics`` detection/correction metrics and sample-consistency aggregation
 - ``cli``         command-line front end (``lfqa-eval``)
-- ``pool``        the thread pool of cli's batch runner, for http runs
 """
 
 __version__ = "0.1.0"

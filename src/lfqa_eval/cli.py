@@ -73,6 +73,9 @@ _BACKEND_KEYS = {
     "max_tokens": int,
 }
 
+_HTTP_ONLY = ("endpoint_url", "model_name", "auth_env", "timeout", "max_retries", "max_in_flight", "native_n")
+_UNUSED_BY_KIND = {"http": ("fixture_dir",), "scripted": _HTTP_ONLY}  # the keys a kind never reads
+
 _ROLES = ("feedback", "refine")
 
 
@@ -173,6 +176,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> CliConfig:
         if settings:
             if "kind" not in settings:
                 raise ConfigError(f"backend '{role}' is configured but has no '{role}.kind'")
+            for key in (key for key in settings if key in _UNUSED_BY_KIND.get(settings["kind"], ())):
+                raise ConfigError(f"{role}.{key} is not used when {role}.kind = {settings['kind']}")
             backend = BackendConfig(**settings)
             try:
                 backend.validate()
@@ -540,14 +545,49 @@ refine_answer = _seam(".refine", "refine_answer")
 detection_eval = _seam(".evalmetrics", "detection_eval")
 
 
-def ThreadPoolExecutor(max_workers: int):
-    """The batch runner's pool of max_workers threads: max_workers - 1 helper
-    threads, and the calling thread, which runs records as it drains map's
-    iterator of no results. Named like the stdlib class whose map and shutdown
-    it keeps, so that a subclass of that class can take its place."""
-    from .pool import ThreadPool
+class ThreadPoolExecutor:
+    """The batch runner's threads, named like the stdlib class whose map and
+    shutdown it keeps, so that a subclass of that class can take its place.
+    map(fn, items) calls fn(item) once per item, keeping no results, on the
+    calling thread and max_workers - 1 helpers, which pull the next item under
+    one lock. After an item raises none starts, and map raises it once every
+    thread has ended."""
 
-    return ThreadPool(max_workers)
+    def __init__(self, max_workers: int):
+        self._max_workers = max_workers
+
+    def map(self, fn: Callable, items: Iterable) -> Iterator:
+        pending = list(items)[::-1]  # popped from the end, so in order
+        errors: list[BaseException] = []  # the first an item raised
+        lock = threading.Lock()
+
+        def run() -> None:
+            while True:
+                with lock:
+                    if errors or not pending:
+                        return
+                    item = pending.pop()
+                try:
+                    fn(item)
+                except BaseException as exc:  # raised again by the calling thread
+                    with lock:
+                        errors[:] = errors or [exc]
+
+        helpers = [threading.Thread(target=run) for _ in range(self._max_workers - 1)]
+        for thread in helpers:
+            thread.start()
+        try:
+            run()  # the calling thread's own share
+        finally:
+            pending.clear()  # a caller interrupted between items starts no more
+            for thread in helpers:
+                thread.join()
+        if errors:
+            raise errors.pop()  # not errors[0], which its traceback would hold in a cycle
+        return iter(())
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        """Nothing to stop or join: map has joined every thread."""
 
 
 def _run_batch(
@@ -566,15 +606,16 @@ def _run_batch(
     removed. So a killed run leaves --out as it was and OUT.partial holding
     every finished line, which a run without --resume refuses to overwrite.
     A resumed run that finds OUT.partial first folds every kept line into
-    --out, so truncating OUT.partial loses none of them if it is killed too. The http clients' connections bound the requests
-    in flight; their count, the sum of max_in_flight capped at workers when
-    it is set, is the run's slots, and 2 x slots - 1 threads run records, the
-    calling thread among them. So while a record waits out its client's own
-    backoff, its connection goes back to the queue and a spare thread takes
-    it. A scripted client has no slot, and one slot or fewer runs the
-    records inline. A failure is
-    reported on stderr as its record fails, and turns the exit code to 3; no
-    line is written and no record starts after a failed write.
+    --out, so truncating OUT.partial loses none of them if it is killed too.
+    The http clients' connections bound the requests in flight; their count,
+    the sum of max_in_flight capped at workers when it is set, is the run's
+    slots. ThreadPoolExecutor(2 x slots - 1) runs the records, the calling
+    thread among them, so while a record waits out its client's own backoff,
+    its connection goes back to the queue and a spare thread takes it. A
+    scripted client has no slot: with one slot or fewer the calling thread
+    runs every record, in corpus order. A failure is reported on stderr as
+    its record fails, and turns the exit code to 3; no line is written and
+    no record starts after a failed write.
     """
     partial = f"{args.out}.partial"
     if not args.resume and os.path.exists(partial) and os.path.getsize(partial):
@@ -652,14 +693,9 @@ def _run_batch(
 
         slots = sum(c.config.max_in_flight for c, _ in opened.values() if c.config.kind == "http")
         slots = min(slots, config.workers or slots)
-        if slots > 1:
-            pool = ThreadPoolExecutor(2 * slots - 1)
-            # leaving early, as on a failed write, starts no record still queued
-            stack.push(lambda *exc_info: pool.shutdown(cancel_futures=True))
-            results = pool.map(attempt, todo)
-        else:
-            results = map(attempt, todo)
-        for _ in results:  # raises a failed write
+        pool = ThreadPoolExecutor(max(2 * slots - 1, 1))
+        stack.callback(pool.shutdown, cancel_futures=True)  # a stdlib pool then starts no queued record
+        for _ in pool.map(attempt, todo):  # raises a failed write
             pass
     with open(partial, "rb") as lines:
 

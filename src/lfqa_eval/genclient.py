@@ -35,11 +35,10 @@ and ``urllib.parse`` are imported when the first ``kind = http`` client is
 made, ``netrc`` only when the ``.netrc`` file exists, ``base64`` only to
 build a Basic ``Authorization`` header, and ``ssl`` only for an ``https://``
 endpoint; importing this module, or making a scripted client, loads none of
-them and no thread pool. Each
-HTTP client makes its ``max_in_flight`` connections when it is made (opening
-no socket) and sends every request on one of them, so they are both its
-kept-alive pool and the bound on its live requests: a request waits while all
-of them are out. A connection the server has closed, which ``poll`` (``select``
+them. Each HTTP client makes its ``max_in_flight`` connections when it is made
+(opening no socket) and sends every request on one of them, so they are both
+its kept-alive pool and the bound on its live requests: a request waits while
+all of them are out. A connection the server has closed, which ``poll`` (``select``
 where there is no ``poll``) finds before the next request, connects again on
 that request without costing an attempt. What the environment says about the
 endpoint (the proxy from ``*_proxy``/``NO_PROXY``, the ``REQUESTS_CA_BUNDLE``/

@@ -228,6 +228,61 @@ def test_config_role_sampling_settings_in_range_load():
     }
 
 
+# a legal value for each backend key, and the keys a kind never reads
+_BACKEND_VALUES = {
+    "kind": "http", "endpoint_url": "http://127.0.0.1:9/v1", "model_name": "m", "auth_env": "KEY",
+    "timeout": "5", "max_retries": "1", "max_in_flight": "2", "fixture_dir": "fixtures",
+    "native_n": "false", "temperature": "0.5", "max_tokens": "64",
+}
+_UNUSED_BY_KIND = {
+    "http": {"fixture_dir"},
+    "scripted": {"endpoint_url", "model_name", "auth_env", "timeout", "max_retries",
+                 "max_in_flight", "native_n"},
+}
+
+
+@pytest.mark.parametrize("kind", ["http", "scripted"])
+@pytest.mark.parametrize("key", sorted(set(cli_module._BACKEND_KEYS) - {"kind"}))
+def test_config_refuses_a_backend_key_its_kind_never_reads(key, kind, small_corpus, tmp_path, capsys):
+    needed = {"http": ("endpoint_url", "model_name"), "scripted": ("fixture_dir",)}[kind]
+    lines = [f"feedback.kind = {kind}", *(f"feedback.{k} = {_BACKEND_VALUES[k]}" for k in needed)]
+    if key not in needed:
+        lines.append(f"feedback.{key} = {_BACKEND_VALUES[key]}")
+    config = tmp_path / "cfg"
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if key not in _UNUSED_BY_KIND[kind]:  # read by the kind: it loads
+        assert load_config(str(config), {}).roles["feedback"].backend.kind == kind
+        return
+    out = tmp_path / "fb.jsonl"
+    assert main(["feedback", str(small_corpus), "--config", str(config), "--out", str(out)]) == 1
+    message = f"feedback.{key} is not used when feedback.kind = {kind}"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_configs_that_stay_legal_give_the_scripted_bytes(golden_env, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    assert _run_feedback_cli(golden_env, clean) == 0
+    fixtures = golden_env["fixtures"]
+    configs = {
+        # every key an http role reads, the role then replaced by --backend scripted:DIR
+        "http": "".join(f"feedback.{key} = {value}\n" for key, value in _BACKEND_VALUES.items()
+                        if key not in _UNUSED_BY_KIND["http"]),
+        # temperature and max_tokens belong to the role, whatever its kind
+        "scripted": f"feedback.kind = scripted\nfeedback.fixture_dir = {fixtures}\n"
+                    "feedback.temperature = 0.5\nfeedback.max_tokens = 64\n",
+    }
+    for name, text in configs.items():
+        config, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.jsonl"
+        config.write_text(text, encoding="utf-8")
+        backend = ["--backend", f"scripted:{fixtures}"] if name == "http" else []
+        # --workers stays legal on an all-scripted run, as the benchmark passes it
+        argv = ["feedback", str(golden_env["corpus"]), "--config", str(config), *backend,
+                "--workers", "2", "--out", str(out)]
+        assert quiet_main(argv)[0] == 0
+        assert out.read_bytes() == clean.read_bytes()
+
+
 @pytest.mark.parametrize(("flag", "key"), [("--n-samples", "n_samples"), ("--workers", "workers")])
 def test_batch_count_below_one_exits_1_before_reading_anything(
     flag, key, golden_env, tmp_path, monkeypatch, capsys
@@ -879,8 +934,8 @@ def test_batch_line_key_order(command, keys, audit_keys, audit, tmp_path):
     assert list(json.loads(line)) == keys + (audit_keys if audit else [])
 
 
-def _no_thread_pool(*args, **kwargs):
-    raise AssertionError("a run whose clients are all scripted started a thread pool")
+def _no_thread(thread):
+    raise AssertionError("a run whose clients are all scripted started a thread")
 
 
 def test_feedback_cli_partial_failure_exit_3(golden_env, tmp_path, capsys, monkeypatch):
@@ -898,7 +953,7 @@ def test_feedback_cli_partial_failure_exit_3(golden_env, tmp_path, capsys, monke
     ) + "\n")
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text("".join(lines), encoding="utf-8")
-    monkeypatch.setattr(cli_module, "ThreadPoolExecutor", _no_thread_pool)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
     out = tmp_path / "fb.jsonl"
     code = main(
         ["feedback", str(corpus_path), "--backend", f"scripted:{golden_env['fixtures']}",
@@ -916,7 +971,7 @@ def test_feedback_cli_partial_failure_exit_3(golden_env, tmp_path, capsys, monke
     [(["feedback"], "run_feedback"), (["refine", "--mode", "eir"], "run_eir")],
 )
 def test_scripted_batch_runs_start_no_thread(command, runner, golden_env, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli_module, "ThreadPoolExecutor", _no_thread_pool)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
     real = getattr(cli_module, runner)
     seen = []
 
@@ -1027,29 +1082,8 @@ def test_pool_raises_a_helpers_exception_once_every_started_item_has_ended():
     assert seen_ended == [0, 1, 2]  # every started item ended before it was raised
 
 
-def test_pool_shutdown_with_cancel_futures_starts_no_queued_item():
-    before = threading.active_count()
-    pool = cli_module.ThreadPoolExecutor(2)
-    started, release = [], threading.Event()
-
-    def held(x):
-        started.append(x)
-        release.wait(10)
-        return x
-
-    pool.map(held, range(5))
-    deadline = time.monotonic() + 10
-    while not started:  # the helper has taken the first item
-        assert time.monotonic() < deadline
-        time.sleep(0.001)
-    pool.shutdown(wait=False, cancel_futures=True)
-    release.set()
-    pool.shutdown()
-    assert started == [0]
-    assert threading.active_count() == before
-
-
-def test_pool_frees_what_fn_holds_without_the_cyclic_collector():
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_pool_frees_what_fn_holds_without_the_cyclic_collector(raises):
     class Held:
         pass
 
@@ -1057,15 +1091,22 @@ def test_pool_frees_what_fn_holds_without_the_cyclic_collector():
     alive = weakref.ref(held)
 
     def item(x, held=held):
+        if raises and x == 7:
+            raise ValueError(x)
         return x
 
     gc.disable()
     try:
         pool = cli_module.ThreadPoolExecutor(3)
-        results = pool.map(item, range(20))
-        assert not list(results)
+        if raises:
+            with pytest.raises(ValueError) as caught:
+                pool.map(item, range(20))
+            assert caught.value.args == (7,)
+            del caught  # the exception, and the frames its traceback holds
+        else:
+            assert not list(pool.map(item, range(20)))
         pool.shutdown()
-        del pool, results, item, held
+        del pool, item, held
         assert alive() is None  # no reference cycle keeps fn, or what it holds
     finally:
         gc.enable()
@@ -1232,7 +1273,7 @@ def test_http_batch_writes_the_scripted_bytes_at_any_workers(
          "--backend", f"scripted:{golden_env['fixtures']}", "--out", str(scripted)]
     )
     assert code == 0
-    assert pools == []  # a scripted client has no connection slot: the run is inline
+    assert pools == [1]  # a scripted client has no connection slot: no helper thread
     with _fixture_stub(golden_env["fixtures"], tmp_path) as (server, config):
         for workers in ("1", "4", None):
             out = tmp_path / f"http-{workers}.jsonl"
@@ -1244,10 +1285,10 @@ def test_http_batch_writes_the_scripted_bytes_at_any_workers(
             assert code == 0
             assert out.read_bytes() == scripted.read_bytes()
     # 2 x slots - 1 threads, the slots being the connections capped by
-    # --workers; one slot runs inline. Each client keeps max_in_flight = 4,
-    # and eir opens two.
+    # --workers; one slot is the calling thread alone. Each client keeps
+    # max_in_flight = 4, and eir opens two.
     slots = {"feedback": 4, "refine": 4 + 4}[command[0]]
-    assert pools == [2 * 4 - 1, 2 * slots - 1]
+    assert pools == [1, 2 * 1 - 1, 2 * 4 - 1, 2 * slots - 1]
 
 
 @pytest.mark.parametrize(
@@ -1603,6 +1644,70 @@ def test_kill_behind_a_held_record_keeps_every_finished_line(golden_env, tmp_pat
     assert [body["messages"][0]["content"] for body in server.bodies] == [prompts["g01"]]
     assert out.read_bytes() == clean.read_bytes()
     assert not partial.exists()
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_interrupted_record_stops_the_pool_and_resumes_byte_identical(
+    raiser, golden_env, tmp_path, monkeypatch
+):
+    clean = tmp_path / "clean.jsonl"
+    assert _run_feedback_cli(golden_env, clean) == 0
+    clean_lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+    ids = {record.question: record.id for record in load_corpus(golden_env["corpus"])}
+    real = cli_module.run_feedback
+    lock = threading.Lock()
+    first_three = threading.Barrier(3, timeout=10)  # one record on each runner thread
+    interrupted = threading.Event()
+    started, finished, late, runners = [], [], [], set()
+    interrupting = None  # the record that raises KeyboardInterrupt
+
+    def interruptible(question, *args, **kwargs):
+        nonlocal interrupting
+        me = threading.current_thread()
+        with lock:
+            first = me not in runners
+            runners.add(me)
+            started.append(ids[question])
+            if interrupted.is_set():
+                late.append(ids[question])
+        if first:
+            first_three.wait()
+            with lock:
+                raises = interrupting is None and (me is threading.main_thread()) == (raiser == "caller")
+                if raises:
+                    interrupting = ids[question]
+            if raises:
+                interrupted.set()
+                raise KeyboardInterrupt
+        assert interrupted.wait(10)
+        time.sleep(0.1)  # long after the runner has seen the interrupt
+        result = real(question, *args, **kwargs)
+        with lock:
+            finished.append(ids[question])
+        return result
+
+    monkeypatch.setattr(cli_module, "run_feedback", interruptible)
+    out = tmp_path / "fb.jsonl"
+    partial = Path(f"{out}.partial")
+    with _fixture_stub(golden_env["fixtures"], tmp_path, settings="max_in_flight = 2") as (server, config):
+        argv = ["feedback", str(golden_env["corpus"]), "--config", str(config), "--out", str(out)]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)  # two slots: the calling thread and two helpers run records
+        alive = [thread for thread in runners if thread.is_alive()]
+        assert alive == [threading.main_thread()]  # every helper ended before it was raised
+        assert len(runners) == 3
+        assert late == []  # no record started after it
+        assert sorted(started) == sorted([interrupting, *finished]) and len(finished) == 2
+        assert not out.exists()
+        kept = partial.read_text(encoding="utf-8").splitlines(keepends=True)
+        _assert_clean_lines(kept, clean_lines, absent=(interrupting,))
+        assert sorted(_ids(kept)) == sorted(finished)  # every finished line is kept
+
+        monkeypatch.setattr(cli_module, "run_feedback", real)
+        assert main([*argv, "--resume"]) == 0
+    assert out.read_bytes() == clean.read_bytes()
+    assert not partial.exists()
+    assert server.posts == 10  # each record's one request, the kept records' in the first run
 
 
 @pytest.mark.parametrize("workers", ["1", "4"])

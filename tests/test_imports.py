@@ -9,18 +9,35 @@ from conftest import quiet_main, run_python
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lfqa_eval"
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of scope, but not those of the functions defined in it."""
+    for node in ast.iter_child_nodes(scope):
+        yield node
+        if not isinstance(node, _FUNCTIONS):
+            yield from _own_nodes(node)
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(path):
+    """A module-level import is used somewhere in the module; an import inside
+    a function is used inside that function, a name elsewhere not counting."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    imported = {
-        (alias.asname or alias.name).partition(".")[0]
-        for node in imports
-        if getattr(node, "module", None) != "__future__"
-        for alias in node.names
-    }
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(imported - used) == []
+    unused = []
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, _FUNCTIONS))]:
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in _own_nodes(scope)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        where = getattr(scope, "name", "module level")
+        unused += [f"{name} in {where}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 def test_every_private_helper_is_used():
@@ -91,7 +108,7 @@ _CLI = ["cli", "corpus", "lfqa_eval", "models", "segment"]
 )
 def test_each_subcommand_loads_only_the_layers_it_runs(case, added, golden_env, tmp_path):
     """In a fresh interpreter, importing the cli and running one subcommand loads
-    exactly these lfqa_eval modules: no scripted run loads transport or pool."""
+    exactly these lfqa_eval modules: no scripted run loads transport."""
     corpus, backend = str(golden_env["corpus"]), f"scripted:{golden_env['fixtures']}"
     predictions = tmp_path / "predictions.jsonl"
     argvs = {
