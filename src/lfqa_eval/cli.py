@@ -33,10 +33,10 @@ import sys
 import threading
 from collections import Counter, defaultdict
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, replace
 from importlib import import_module
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import CorpusError, classify_granularity, iter_corpus_records, json_object, load_corpus
 from .corpus import open_jsonl, read_corpus, read_field
@@ -79,8 +79,7 @@ _UNUSED_BY_KIND = {"http": ("fixture_dir",), "scripted": _HTTP_ONLY}  # the keys
 _ROLES = ("feedback", "refine")
 
 
-@dataclass(frozen=True)
-class RoleConfig:
+class RoleConfig(NamedTuple):
     """One role's settings as set; None where the config leaves one unset."""
 
     backend: BackendConfig | None = None
@@ -88,17 +87,12 @@ class RoleConfig:
     max_tokens: int | None = None
 
 
-@dataclass
-class CliConfig:
+class CliConfig(NamedTuple):
+    """What load_config makes of a config file and its overrides."""
+
     n_samples: int = DEFAULT_N_SAMPLES
     workers: int | None = None  # cap on the run's slots, None = none; kept for the benchmark
-    roles: dict[str, RoleConfig] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key in ("n_samples", "workers"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise ConfigError(f"{key} must be at least 1, got {value}")
+    roles: Mapping[str, RoleConfig] = MappingProxyType({})  # read-only, as every default shares it
 
 
 def _coerce(key: str, raw: str, kind: type):
@@ -185,6 +179,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> CliConfig:
                 raise ConfigError(f"backend '{role}': {exc}") from None
         roles[role] = RoleConfig(backend, temperature, max_tokens)
 
+    for key, value in scalars.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
     return CliConfig(roles=roles, **scalars)
 
 
@@ -201,10 +198,9 @@ def _apply_backend_flag(config: CliConfig, flag: str | None) -> CliConfig:
         raise ConfigError("--backend scripted: needs a directory")
     from .genclient import BackendConfig
     scripted = BackendConfig(kind="scripted", fixture_dir=fixture_dir)
-    config.roles = {
-        role: replace(config.roles.get(role, RoleConfig()), backend=scripted) for role in _ROLES
-    }
-    return config
+    return config._replace(roles={
+        role: config.roles.get(role, RoleConfig())._replace(backend=scripted) for role in _ROLES
+    })
 
 
 def _client_for(config: CliConfig, role: str) -> GenerationClient:

@@ -19,8 +19,9 @@ Every JSON-lines input, the corpus and each side file alike, is opened by
 non-blank line into its object, or names why it cannot: not UTF-8, malformed
 JSON, or not an object. The caller puts the line number in front.
 
-Loaded corpora are immutable in practice (nothing in the package mutates
-records) and safe to share across threads. ``read_corpus`` yields records
+Loaded records are immutable: each type is a ``NamedTuple``, whose fields
+cannot be reassigned, and nothing in the package changes the lists a record
+holds. They are safe to share across threads. ``read_corpus`` yields records
 one at a time, so a caller that needs no random access holds one record.
 """
 from __future__ import annotations

@@ -14,18 +14,32 @@ is an introduced error (FP).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import CorpusError, label_answer
 from .models import Aspect, QARecord
 
 
-@dataclass
 class DetectionCounts:
-    exact: int = 0
-    adjacent: int = 0
-    different: int = 0
+    """Predictions per bucket: the package's one mutable type, which
+    classify_detections and detection_eval count into."""
+
+    __slots__ = ("exact", "adjacent", "different")
+
+    def __init__(self, exact: int = 0, adjacent: int = 0, different: int = 0):
+        self.exact = exact
+        self.adjacent = adjacent
+        self.different = different
+
+    def __eq__(self, other):
+        if type(other) is not DetectionCounts:
+            return NotImplemented
+        return (self.exact, self.adjacent, self.different) == (
+            other.exact, other.adjacent, other.different
+        )
+
+    def __repr__(self) -> str:
+        return f"DetectionCounts(exact={self.exact}, adjacent={self.adjacent}, different={self.different})"
 
     @property
     def total_predicted(self) -> int:
@@ -70,8 +84,7 @@ def weighted_accuracy(counts: DetectionCounts) -> float:
 # Correction precision/recall/F1
 
 
-@dataclass
-class CorrectionReport:
+class CorrectionReport(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -81,7 +94,7 @@ class CorrectionReport:
     degenerate: bool  # no record was flagged at baseline
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def correction_prf(
@@ -116,14 +129,24 @@ def correction_prf(
 # Error-score reporting
 
 
-@dataclass(frozen=True)
-class ErrorScoreRecord:
+class _ErrorScoreFields(NamedTuple):
     record_id: str
     error_score: float
 
-    def __post_init__(self):
+
+class ErrorScoreRecord(_ErrorScoreFields):
+    __slots__ = ()
+
+    def __new__(cls, record_id: str, error_score: float):
+        return cls._make((record_id, error_score))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Every record is built here, a copy from _replace too, so each is checked."""
+        self = super()._make(iterable)
         if not 0.0 <= self.error_score < math.inf:
             raise ValueError(f"error_score must be a finite number >= 0, got {self.error_score}")
+        return self
 
     @property
     def flagged(self) -> bool:
@@ -155,8 +178,12 @@ def normalize_verdict(raw: str) -> str:
     return verdict
 
 
-@dataclass(frozen=True)
-class SupportJudgment:
+class _SupportJudgmentFields(NamedTuple):
+    sentence_index: int
+    verdicts: tuple[str, ...]
+
+
+class SupportJudgment(_SupportJudgmentFields):
     """Per-sample yes/no/not_applicable verdicts for one sentence.
 
     Each verdict is checked and normalised when the judgment is made, so
@@ -164,28 +191,32 @@ class SupportJudgment:
     string, or none of them, is a ValueError naming the first such one.
     """
 
-    sentence_index: int
-    verdicts: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.verdicts:
+    def __new__(cls, sentence_index: int, verdicts: tuple[str, ...]):
+        return cls._make((sentence_index, verdicts))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Every judgment is built here, a copy from _replace too, so each is checked."""
+        sentence_index, verdicts = super()._make(iterable)
+        if not verdicts:
             raise ValueError("at least one verdict is required")
         normalized = []
-        for i, verdict in enumerate(self.verdicts):
+        for i, verdict in enumerate(verdicts):
             if not isinstance(verdict, str):
                 raise ValueError(f"verdicts[{i}] {verdict!r} is not a string")
             normalized.append(normalize_verdict(verdict))
-        object.__setattr__(self, "verdicts", tuple(normalized))
+        return super()._make((sentence_index, tuple(normalized)))
 
 
-@dataclass
-class SelfCheckReport:
+class SelfCheckReport(NamedTuple):
     per_sentence: list[float]
     answer_support: float
     answer_inconsistency: float  # 1 - support, for consumers that rank by error
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def selfcheck_aggregate(judgments: Sequence[SupportJudgment]) -> SelfCheckReport:
@@ -220,13 +251,12 @@ class PredictionError(CorpusError):
         self.key = key
 
 
-@dataclass
-class DetectionEvalReport:
+class DetectionEvalReport(NamedTuple):
     counts: DetectionCounts
     weighted_accuracy: float | None
     n_records: int          # records actually evaluated
     misses: int             # records with gold errors but no predictions
-    skipped: list[str] = field(default_factory=list)  # ids absent from the corpus
+    skipped: Sequence[str] = ()  # ids absent from the corpus
 
     def to_dict(self) -> dict:
         return {

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple, Sequence
 
 from .genclient import GenerationClient, GenerationRequest
 from .models import DEFAULT_N_SAMPLES, TAG_COMPLETE, TAG_INCOMPLETE
@@ -58,8 +58,7 @@ def build_feedback_prompt(question: str, sentences: list[str]) -> str:
 # Parsing
 
 
-@dataclass
-class FeedbackSample:
+class FeedbackSample(NamedTuple):
     """One parsed feedback output: a tag per sentence plus reasons.
 
     ``reasons`` maps the 0-based index of each Incomplete sentence to its
@@ -71,7 +70,7 @@ class FeedbackSample:
     reasons: dict[int, str]
     raw: str
     parse_ok: bool
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: Sequence[str] = ()
 
     def incomplete_indices(self) -> list[int]:
         return [i for i, t in enumerate(self.tags) if t == TAG_INCOMPLETE]
@@ -245,15 +244,14 @@ def reason_consistency_raw(survivors: list[FeedbackSample]) -> list[float]:
 # Selection
 
 
-@dataclass
-class FeedbackResult:
+class FeedbackResult(NamedTuple):
     selected: FeedbackSample
     tag_score: float
     reason_score: float
     n_sampled: int
     n_parseable: int
     low_confidence: bool
-    samples: list[FeedbackSample] = field(default_factory=list)  # every sample, for audit
+    samples: Sequence[FeedbackSample] = ()  # every sample, for audit
 
     def to_dict(self, audit: bool = False) -> dict:
         out = {
@@ -332,8 +330,8 @@ def run_feedback(
         n_samples=n_samples,
     )
     result = client.generate(request)
-    # Sampled outputs repeat; equal texts share one parsed sample, which
-    # nothing mutates after parsing.
+    # Sampled outputs repeat; equal texts share one parsed sample, a
+    # NamedTuple whose fields cannot be reassigned.
     distinct = {
         text: parse_feedback_output(text, len(sentences))
         for text in dict.fromkeys(result.texts)

@@ -58,8 +58,8 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 
@@ -82,30 +82,38 @@ class FixtureConflictError(FixtureError):
     pass
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class _GenerationRequestFields(NamedTuple):
     prompt: str
     max_tokens: int
     temperature: float
-    n_samples: int = 1
+    n_samples: int
 
-    def __post_init__(self):
+
+class GenerationRequest(_GenerationRequestFields):
+    __slots__ = ()
+
+    def __new__(cls, prompt: str, max_tokens: int, temperature: float, n_samples: int = 1):
+        return cls._make((prompt, max_tokens, temperature, n_samples))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Every request is built here, a copy from _replace too, so each is checked."""
+        self = super()._make(iterable)
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if not 0.0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
+        return self
 
 
-@dataclass
-class GenerationResult:
+class GenerationResult(NamedTuple):
     texts: list[str]
     truncated: list[bool]  # per text: the reply's finish_reason was "length"
 
 
-@dataclass(frozen=True)
-class BackendConfig:
+class BackendConfig(NamedTuple):
     kind: str  # "http" or "scripted"
     endpoint_url: str = ""
     model_name: str = ""

@@ -3,11 +3,14 @@
 Offsets everywhere are Unicode codepoint offsets (Python string indices),
 never bytes. Spans are half-open ``[start, end)``. Sentence indices are
 0-based throughout the package.
+
+Every type here is an immutable ``NamedTuple``: ``_replace`` makes a changed
+copy, and ``_asdict`` gives the fields as a dict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 
 class Domain(str, Enum):
@@ -64,14 +67,12 @@ class SpanGranularity(str, Enum):
     MULTI_SENTENCE = "multi_sentence"
 
 
-@dataclass(frozen=True, slots=True)
-class Answer:
+class Answer(NamedTuple):
     source: Source
     text: str
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorAnnotation:
+class ErrorAnnotation(NamedTuple):
     """One annotated error span.
 
     ``answer_index`` is None when the annotation targets the question.
@@ -86,15 +87,13 @@ class ErrorAnnotation:
     annotator: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class PreferenceJudgment:
+class PreferenceJudgment(NamedTuple):
     annotator: str
     choice: int
     justification: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class SentenceSpan:
+class SentenceSpan(NamedTuple):
     """One sentence of a text: 0-based ordinal plus codepoint offsets."""
 
     index: int
@@ -105,8 +104,7 @@ class SentenceSpan:
         return start < self.end and end > self.start
 
 
-@dataclass
-class SentenceLabeling:
+class SentenceLabeling(NamedTuple):
     """Per-sentence clean/error labels for one aspect of one text.
 
     ``justifications[i]`` lists the justification of every annotation that
@@ -127,14 +125,13 @@ class SentenceLabeling:
         return sum(self.errors)
 
 
-@dataclass
-class QARecord:
+class QARecord(NamedTuple):
     id: str
     domain: Domain
     question: str
     answers: list[Answer]
-    annotations: list[ErrorAnnotation] = field(default_factory=list)
-    preferences: list[PreferenceJudgment] = field(default_factory=list)
+    annotations: Sequence[ErrorAnnotation] = ()
+    preferences: Sequence[PreferenceJudgment] = ()
 
     def annotations_for(
         self, aspect: Aspect, answer_index: int | None

@@ -15,8 +15,8 @@ rewrite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .feedback import FeedbackResult
 from .genclient import GenerationClient, GenerationError, GenerationRequest
@@ -64,8 +64,7 @@ def refine_max_tokens(answer: str) -> int:
     return max(1, math.ceil(ANSWER_LENGTH_FACTOR * len(answer.split())))
 
 
-@dataclass
-class RefinementRecord:
+class RefinementRecord(NamedTuple):
     question: str
     original_answer: str
     mode: RefineMode

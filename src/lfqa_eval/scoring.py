@@ -9,9 +9,10 @@ preference score.
 """
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import label_aspects
 from .models import (
@@ -101,8 +102,7 @@ def count_references(text: str, reference_annotations: Sequence[ErrorAnnotation]
 # Per-answer scorecards
 
 
-@dataclass
-class AspectScorecard:
+class AspectScorecard(NamedTuple):
     record_id: str
     answer_index: int
     source: Source
@@ -197,19 +197,27 @@ def krippendorff_alpha(rows: Sequence[Sequence[object | None]]) -> float:
     """
     if not rows or max(len(r) for r in rows) < 2:
         raise ValueError("need at least two annotator columns")
-    units = [[v for v in row if v is not None] for row in rows]
-    units = [vals for vals in units if len(vals) >= 2]
-    if not units:
-        raise ValueError("need at least one item with two or more labels")
-
     coincidence: Counter = Counter()
-    for vals in units:
-        weight = 1.0 / (len(vals) - 1)
-        for i, a in enumerate(vals):
-            for j, b in enumerate(vals):
-                if i != j:
-                    coincidence[(a, b)] += weight
+    for row in rows:
+        labels = [v for v in row if v is not None]
+        if len(labels) >= 2:
+            _add_unit(coincidence, labels)
+    if not coincidence:
+        raise ValueError("need at least one item with two or more labels")
+    return _alpha(coincidence)
 
+
+def _add_unit(coincidence: Counter, labels: Sequence[object]) -> None:
+    """Count one item's ordered pairs of labels, each weighted 1/(labels - 1)."""
+    weight = 1.0 / (len(labels) - 1)
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            if i != j:
+                coincidence[(a, b)] += weight
+
+
+def _alpha(coincidence: Counter) -> float:
+    """Alpha from the pair counts of every item with two or more labels."""
     marginals: Counter = Counter()
     for (a, _b), c in coincidence.items():
         marginals[a] += c
@@ -242,8 +250,7 @@ def preference_agreement_row(record: QARecord) -> tuple[str, ...]:
 MEAN_KEYS = [a.value for a in Aspect] + ["overall"]
 
 
-@dataclass
-class DomainRow:
+class DomainRow(NamedTuple):
     domain: str
     n_records: int
     human_pref_pct: float | None
@@ -252,11 +259,10 @@ class DomainRow:
     means: dict[str, dict[str, float | None]]  # source -> aspect/overall -> mean
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class DomainReport:
+class DomainReport(NamedTuple):
     rows: list[DomainRow]
     average: DomainRow
 
@@ -266,24 +272,65 @@ def _mean(values: Iterable[float | None]) -> float | None:
     return sum(defined) / len(defined) if defined else None
 
 
+# builtin sum() adds floats with Neumaier's compensation from Python 3.12 on
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
+class _RunningMean:
+    """The mean of the floats added so far, in the bits of ``sum(values) / len(values)``.
+
+    It repeats the float loop of the running interpreter's builtin sum(), in
+    order: the first value enters as ``0 + x``, as it does through sum()'s int
+    start; then before 3.12 each value is added in turn, and from 3.12 on each
+    is added with Neumaier's compensation, which joins the total at the end
+    when it is nonzero and finite.
+    """
+
+    __slots__ = ("total", "compensation", "n")
+
+    def __init__(self):
+        self.total = 0
+        self.compensation = 0.0
+        self.n = 0
+
+    def add(self, x: float) -> None:
+        total = self.total
+        if self.n and _COMPENSATED_SUM:
+            t = total + x
+            if abs(total) >= abs(x):
+                self.compensation += (total - t) + x
+            else:
+                self.compensation += (x - t) + total
+            self.total = t
+        else:
+            self.total = total + x
+        self.n += 1
+
+    def sum(self) -> float:
+        c = self.compensation
+        return self.total + c if c and math.isfinite(c) else self.total
+
+    def mean(self) -> float:
+        return self.sum() / self.n
+
+
 class _DomainTally:
     """What one domain's row needs, gathered one record at a time.
 
-    Score values stay floats in corpus order, not running sums: sum() of
-    floats is compensated from Python 3.12 on, so only summing the same
-    sequence keeps the report's bytes. A preference share is 0, 0.5 or 1,
-    and sums of those are exact either way.
+    It keeps no record, row or score: each mean is a running sum in the
+    bits builtin sum() gives over the same values in corpus order, and the
+    agreement rows are added to alpha's pair counts as they come, in the same
+    order, so the row costs the same at any corpus size. A preference share
+    is 0, 0.5 or 1, and sums of those are exact.
     """
 
     def __init__(self):
-        from array import array  # an extension module: runs that build no report never load it
-
         self.n_records = 0
         self.n_shares = 0
         self.human = self.model = 0.0
-        self.agreement_rows: list[tuple[str, ...]] = []
-        # source -> aspect/overall -> values, sources in first-seen order
-        self.values: defaultdict = defaultdict(lambda: defaultdict(lambda: array("d")))
+        self.coincidence: Counter = Counter()  # of the records with two or more judgments
+        # source -> aspect/overall -> running mean, sources in first-seen order
+        self.means: defaultdict = defaultdict(lambda: defaultdict(_RunningMean))
 
     def add(self, record: QARecord) -> None:
         self.n_records += 1
@@ -294,16 +341,16 @@ class _DomainTally:
             self.model += shares[1]
         row = preference_agreement_row(record)
         if len(row) >= 2:
-            self.agreement_rows.append(row)
+            _add_unit(self.coincidence, row)
 
     def add_cards(self, cards: Sequence[AspectScorecard]) -> None:
         for card in cards:
-            bucket = self.values[card.source.value]
+            bucket = self.means[card.source.value]
             for aspect, value in card.scores.items():
                 if value is not None:
-                    bucket[aspect.value].append(value)
+                    bucket[aspect.value].add(value)
             if card.overall is not None:
-                bucket["overall"].append(card.overall)
+                bucket["overall"].add(card.overall)
 
     def row(self, domain: Domain) -> DomainRow:
         n = self.n_shares
@@ -312,10 +359,10 @@ class _DomainTally:
             n_records=self.n_records,
             human_pref_pct=100.0 * self.human / n if n else None,
             model_pref_pct=100.0 * self.model / n if n else None,
-            alpha=krippendorff_alpha(self.agreement_rows) if self.agreement_rows else None,
+            alpha=_alpha(self.coincidence) if self.coincidence else None,
             means={
-                source: {key: _mean(values.get(key, ())) for key in MEAN_KEYS}
-                for source, values in self.values.items()
+                source: {key: means[key].mean() if key in means else None for key in MEAN_KEYS}
+                for source, means in self.means.items()
             },
         )
 

@@ -11,12 +11,12 @@ import json
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import build_golden_environment
+from lfqa_eval import scoring
 from lfqa_eval.cli import main
 from lfqa_eval.corpus import record_from_dict, save_corpus
 from lfqa_eval.segment import segment_sentences
@@ -258,7 +258,7 @@ def _scaled_corpus(path: Path, copies: int) -> None:
     """Every fourteenth test_scale record, the set repeated under new ids."""
     base = _synthetic_corpus(random.Random(698))[::14]
     save_corpus(
-        [replace(record, id=f"{record.id}-{k}") for k in range(copies) for record in base], path
+        [record._replace(id=f"{record.id}-{k}") for k in range(copies) for record in base], path
     )
 
 
@@ -290,3 +290,40 @@ def test_analysis_memory_does_not_grow_with_the_corpus(tmp_path):
             peaks[command, copies] = _traced_peak(argv)
     for command in ("stats", "score", "agreement"):
         assert peaks[command, 4] < 1.5 * peaks[command, 1], (command, peaks)
+    # what still grows is the id set that finds duplicate records, and the
+    # interpreter's free lists: 19-38 kB from 3.10 to 3.13
+    assert peaks["score", 4] - peaks["score", 1] < 48_000, peaks
+
+
+def _scoring_bytes_at_last_record(records: list) -> int:
+    """Bytes allocated in scoring.py and still held when the last record's cards are made."""
+    held = []
+
+    def on_cards(cards):
+        if cards[0].record_id == records[-1].id:
+            snapshot = tracemalloc.take_snapshot()
+            snapshot = snapshot.filter_traces([tracemalloc.Filter(True, scoring.__file__)])
+            held.append(sum(stat.size for stat in snapshot.statistics("filename")))
+
+    gc.collect()  # as in _traced_peak
+    tracemalloc.start()
+    try:
+        scoring.domain_report(iter(records), on_cards)
+    finally:
+        tracemalloc.stop()
+    return held[0]
+
+
+def test_domain_report_keeps_nothing_per_record():
+    """A domain's tally holds running sums and alpha's pair counts, not each
+    record's scores or agreement row, so what the report holds does not grow
+    with the corpus (one kept row and score list per record would add about
+    30 kB here)."""
+    base = _synthetic_corpus(random.Random(698))[::14]
+    held = {
+        copies: _scoring_bytes_at_last_record(
+            [record._replace(id=f"{record.id}-{k}") for k in range(copies) for record in base]
+        )
+        for copies in (1, 4)
+    }
+    assert held[4] - held[1] < 8_000, held

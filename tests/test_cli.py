@@ -3040,6 +3040,154 @@ def test_evaluation_output_that_names_an_input_exits_2(
 
 
 # ---------------------------------------------------------------------------
+# every batch flag is used or refused
+
+
+_FLAG_COMMANDS = {
+    "feedback": ["feedback"],
+    "improve": ["refine", "--mode", "improve"],
+    "generic": ["refine", "--mode", "generic"],
+    "eir": ["refine", "--mode", "eir"],
+}
+
+# Per flag, the two settings a pair of runs compares, as flags over the base
+# run's --config (the tests' stub for both roles) and --out; None drops a
+# flag, True gives it without a value. "{...}" names a path of the env.
+_FLAG_PAIRS = {
+    "--config": ({}, {"--config": "{tokens_config}"}),
+    "--backend": ({"--config": None, "--backend": "scripted:{fixtures_a}"},
+                  {"--config": None, "--backend": "scripted:{fixtures_b}"}),
+    "--answer": ({"--answer": "all"}, {"--answer": "model"}),
+    "--n-samples": ({"--n-samples": "20"}, {"--n-samples": "3"}),
+    "--workers": ({"--workers": "1"}, {"--workers": "2"}),
+    "--resume": ({}, {"--resume": True}),  # over an --out holding the run's first line
+    "--audit": ({}, {"--audit": True}),
+    "--out": ({}, {"--out": "{outs}/other.jsonl"}),
+}
+
+# what a command cannot use, and exits 2 naming
+_REFUSED_FLAGS = {("improve", "--n-samples"), ("generic", "--n-samples")}
+
+# settings pairs that are legal and change nothing: the benchmark passes
+# --workers to an all-scripted run
+_SCRIPTED = {"--config": None, "--backend": "scripted:{fixtures_a}"}
+_LEGAL_UNUSED = {
+    "--workers on an all-scripted run": ({**_SCRIPTED, "--workers": "1"}, {**_SCRIPTED, "--workers": "2"}),
+}
+
+
+@pytest.fixture
+def flag_env(tmp_path):
+    """A record with a human and a model answer, and two fixture stores that
+    answer every prompt of every batch command, each differently."""
+    record = make_record(record_id="solo")
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus([record], corpus)
+    for name in ("a", "b"):
+        store = FixtureStore(tmp_path / f"fixtures-{name}")
+        for answer in record.answers:
+            sentences = sentence_texts(answer.text, segment_sentences(answer.text))
+            reason = f"reason {name}"
+            store.record(
+                build_feedback_prompt(record.question, sentences),
+                [f"1. [Incomplete] Reasons: {reason}\n2. [Complete]"] * 20,
+            )
+            prompt = build_refine_prompt(RefineMode.ERROR_INFORMED, record.question, answer.text, [reason])
+            store.record(prompt, [f"eir {name}"])
+            for mode in (RefineMode.IMPROVE, RefineMode.GENERIC):
+                prompt = build_refine_prompt(mode, record.question, answer.text)
+                store.record(prompt, [f"{mode.value} {name}"])
+    outs = tmp_path / "outs"
+    outs.mkdir()
+    return {"corpus": corpus, "tmp": tmp_path, "outs": outs,
+            "fixtures_a": tmp_path / "fixtures-a", "fixtures_b": tmp_path / "fixtures-b"}
+
+
+@contextlib.contextmanager
+def _flag_runner(flag_env, monkeypatch):
+    """run(command, settings, first_line=None) -> what the run shows: its exit
+    code and stderr, the files it leaves in outs, the stub's request bodies and
+    count, and the sizes of the pools it makes. first_line, when given, is put
+    in --out before the run."""
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli_module, "ThreadPoolExecutor", RecordingPool)
+    with _fixture_stub(flag_env["fixtures_a"], flag_env["tmp"]) as (server, config):
+        tokens = flag_env["tmp"] / "tokens.cfg"
+        tokens.write_text(
+            config.read_text(encoding="utf-8") + "feedback.max_tokens = 99\nrefine.max_tokens = 99\n",
+            encoding="utf-8",
+        )
+        paths = {**{k: str(v) for k, v in flag_env.items()}, "tokens_config": str(tokens)}
+
+        def run(command: str, settings: dict, first_line: str | None = None) -> tuple:
+            for path in flag_env["outs"].iterdir():
+                path.unlink()
+            flags = {"--config": str(config), "--out": f"{flag_env['outs']}/out.jsonl", **settings}
+            if first_line is not None:
+                Path(flags["--out"]).write_text(first_line, encoding="utf-8")
+            argv = [*_FLAG_COMMANDS[command], str(flag_env["corpus"])]
+            for flag, value in flags.items():
+                if value is True:
+                    argv.append(flag)
+                elif value is not None:
+                    argv += [flag, value.format(**paths)]
+            with server.lock:
+                server.bodies.clear()
+                server.posts = 0
+                server.served.clear()
+            pools.clear()
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            outputs = {p.name: p.read_bytes() for p in sorted(flag_env["outs"].iterdir())}
+            bodies = sorted(json.dumps(body, sort_keys=True) for body in server.bodies)
+            return code, stderr.getvalue(), outputs, bodies, server.posts, list(pools)
+
+        yield run
+
+
+@pytest.mark.parametrize("command", list(_FLAG_COMMANDS))
+@pytest.mark.parametrize("flag", list(_FLAG_PAIRS))
+def test_each_batch_flag_is_used_or_refused(flag, command, flag_env, monkeypatch):
+    """Each flag of feedback and refine is refused by a command that cannot
+    use it, exiting 2 with its name; otherwise changing it changes what the
+    run sends to the stub, how often, the threads it runs, or its --out."""
+    first, second = _FLAG_PAIRS[flag]
+    with _flag_runner(flag_env, monkeypatch) as run:
+        if (command, flag) in _REFUSED_FLAGS:
+            code, stderr, outputs, _, posts, _ = run(command, second)
+            assert (code, outputs, posts) == (2, {}, 0)
+            assert flag in stderr
+            return
+        first_line = None
+        if flag == "--resume":
+            code, _, outputs, *_ = run(command, {})
+            assert code == 0
+            first_line = outputs["out.jsonl"].decode("utf-8").splitlines(keepends=True)[0]
+        a = run(command, first, first_line)
+        b = run(command, second, first_line)
+    assert a[0] == b[0] == 0, (a[1], b[1])
+    assert a[2:] != b[2:]
+
+
+@pytest.mark.parametrize("command", list(_FLAG_COMMANDS))
+@pytest.mark.parametrize("case", list(_LEGAL_UNUSED))
+def test_batch_flags_legal_and_unused_by_name(case, command, flag_env, monkeypatch):
+    first, second = _LEGAL_UNUSED[case]
+    with _flag_runner(flag_env, monkeypatch) as run:
+        a = run(command, first)
+        b = run(command, second)
+    assert a[0] == b[0] == 0
+    assert a[2:] == b[2:]
+
+
+# ---------------------------------------------------------------------------
 # exit codes and errors
 
 

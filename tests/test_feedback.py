@@ -603,10 +603,8 @@ def test_shared_samples_stay_as_parsed_through_eir(tmp_path):
 
 
 def test_result_audit_serialization_includes_all_raw_samples():
-    good = sample([C, I], {1: "thin"})
-    bad = sample([], parse_ok=False)
-    bad.raw = "garbage"
-    good.raw = "1. [Complete]\n2. [Incomplete] Reasons: thin"
+    good = sample([C, I], {1: "thin"})._replace(raw="1. [Complete]\n2. [Incomplete] Reasons: thin")
+    bad = sample([], parse_ok=False)._replace(raw="garbage")
     result = select_feedback([good, bad])
     plain = result.to_dict()
     assert "samples_raw" not in plain and "selected_raw" not in plain

@@ -81,12 +81,16 @@ def test_every_private_helper_is_used():
 
 _LOADED_IN_CHILD = """
 import contextlib, io, json, sys
+started = set(sys.modules)  # with what a site hook of this interpreter may have loaded
 from lfqa_eval import cli
 argv = json.loads(sys.argv[1])
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(json.dumps(sorted(m.removeprefix("lfqa_eval.") for m in sys.modules if m.startswith("lfqa_eval"))))
+print(json.dumps({
+    "layers": sorted(m.removeprefix("lfqa_eval.") for m in sys.modules if m.startswith("lfqa_eval")),
+    "stdlib": [m for m in ("dataclasses", "inspect") if m in sys.modules and m not in started],
+}))
 """
 
 # what `import lfqa_eval.cli` loads: the package and the layers every subcommand reads through
@@ -104,13 +108,20 @@ _CLI = ["cli", "corpus", "lfqa_eval", "models", "segment"]
         ("eval-detect", ["evalmetrics"]),
         ("feedback", ["feedback", "genclient"]),
         ("refine-eir", ["feedback", "genclient", "refine"]),
+        ("eval-correct", ["evalmetrics"]),
+        ("selfcheck", ["evalmetrics"]),
     ],
 )
 def test_each_subcommand_loads_only_the_layers_it_runs(case, added, golden_env, tmp_path):
     """In a fresh interpreter, importing the cli and running one subcommand loads
-    exactly these lfqa_eval modules: no scripted run loads transport."""
+    exactly these lfqa_eval modules: no scripted run loads transport. Nor does
+    any load dataclasses, or inspect, which it imports."""
     corpus, backend = str(golden_env["corpus"]), f"scripted:{golden_env['fixtures']}"
     predictions = tmp_path / "predictions.jsonl"
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text('{"record_id": "g1", "error_score": 0.5}\n', encoding="utf-8")
+    judgments = tmp_path / "judgments.jsonl"
+    judgments.write_text('{"record_id": "g1", "verdicts": ["yes", "n/a"]}\n', encoding="utf-8")
     argvs = {
         "import": [],
         "validate": ["validate", corpus],
@@ -118,6 +129,8 @@ def test_each_subcommand_loads_only_the_layers_it_runs(case, added, golden_env, 
         "score": ["score", corpus, "--out", str(tmp_path / "cards.jsonl")],
         "agreement": ["agreement", corpus, "--out", str(tmp_path / "agreement.jsonl")],
         "eval-detect": ["eval-detect", corpus, "--predictions", str(predictions)],
+        "eval-correct": ["eval-correct", "--baseline", str(scores), "--refined", str(scores)],
+        "selfcheck": ["selfcheck", "--judgments", str(judgments)],
         "feedback": ["feedback", corpus, "--backend", backend, "--out", str(tmp_path / "fb.jsonl")],
         "refine-eir": ["refine", corpus, "--mode", "eir", "--backend", backend,
                        "--out", str(tmp_path / "eir.jsonl")],
@@ -126,4 +139,4 @@ def test_each_subcommand_loads_only_the_layers_it_runs(case, added, golden_env, 
         assert quiet_main(["feedback", corpus, "--backend", backend, "--out", str(predictions)])[0] == 0
     done = run_python(_LOADED_IN_CHILD, json.dumps(argvs[case]))
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == sorted(_CLI + added)
+    assert json.loads(done.stdout) == {"layers": sorted(_CLI + added), "stdlib": []}

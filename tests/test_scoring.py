@@ -1,6 +1,10 @@
+import math
 import random
+import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import make_record
 from lfqa_eval.models import (
@@ -13,6 +17,7 @@ from lfqa_eval.models import (
     Source,
 )
 from lfqa_eval.scoring import (
+    _RunningMean,
     count_references,
     domain_report,
     format_domain_table,
@@ -300,3 +305,48 @@ def test_format_domain_table_contains_rows():
     corpus = [_pref_record("r1", Domain.LAW, [0, 1, 1])]
     table = format_domain_table(domain_report(corpus))
     assert "law" in table and "average" in table
+
+
+# ---------------------------------------------------------------------------
+# running means
+
+
+_SUMMANDS = st.lists(
+    st.one_of(
+        st.floats(),  # every double: NaN, both infinities, subnormals
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308]),
+        st.floats(min_value=0.0, max_value=1.0),  # what scores are
+        # magnitudes within 2**120 of each other: sums that drop low bits, which
+        # the compensation keeps
+        st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-60, 60)),
+    ),
+    max_size=40,
+)
+
+
+def _bits(value: float) -> bytes:
+    """The double's bytes, which tell -0.0 from 0.0; every NaN alike, as C leaves
+    which operand's sign and payload a NaN sum keeps to the compiler."""
+    return b"nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+@given(_SUMMANDS)
+@example([1e16, 1.0, -1e16])  # 1.0 with the compensation, 0.0 without
+@example([0.1] * 10)
+@example([-0.0])  # 0 + -0.0 is 0.0
+@example([-0.0, -0.0])
+@example([math.inf, 1.0])
+@example([math.inf, -math.inf])
+@example([1e308, 1e308, -1e308])  # the total overflows; its compensation is not finite
+def test_running_mean_gives_the_bits_of_builtin_sum(values):
+    """Value by value, the running sum repeats this interpreter's builtin sum():
+    a plain fold before 3.12, Neumaier's compensation from 3.12 on, the first
+    value entering as 0 + x. So a report's means keep their bytes on every
+    version without the report keeping the values."""
+    running = _RunningMean()
+    for value in values:
+        running.add(value)
+    assert running.n == len(values)
+    if values:
+        assert _bits(running.sum()) == _bits(sum(values))
+        assert _bits(running.mean()) == _bits(sum(values) / len(values))
