@@ -425,7 +425,7 @@ def _cmd_score(args) -> int:
     if args.report:
         _write_lines(
             args.report,
-            [_dump(row.to_dict()) for row in report.rows + [report.average]],
+            [_dump(row._asdict()) for row in report.rows + [report.average]],
         )
     return 0
 
@@ -886,7 +886,7 @@ def _cmd_eval_correct(args) -> int:
              "mean_error_score": mean}
             for which, pct, mean in reports
         ]
-        lines.append({"kind": "correction", **correction.to_dict(), "definitions": _CORRECTION_DEFINITIONS})
+        lines.append({"kind": "correction", **correction._asdict(), "definitions": _CORRECTION_DEFINITIONS})
         _write_lines(args.out, [_dump(line) for line in lines])
     return 0
 
@@ -913,14 +913,16 @@ def _cmd_selfcheck(args) -> int:
     with open_jsonl(args.judgments) as handle:
         for _, (record_id, _), judged in _keyed_lines(source, handle, judgment):
             grouped[record_id].append(judged)
+    if not grouped:
+        raise CorpusError(f"{source}: no judgment records")
 
     lines = []
     supports = []
     for record_id, group in grouped.items():
         report = selfcheck_aggregate(sorted(group, key=lambda j: j.sentence_index))
         supports.append(report.answer_support)
-        lines.append(_dump({"record_id": record_id, **report.to_dict()}))
-    mean_support = sum(supports) / len(supports) if supports else 0.0
+        lines.append(_dump({"record_id": record_id, **report._asdict()}))
+    mean_support = sum(supports) / len(supports)
     print(
         f"{len(supports)} records  mean support {mean_support:.4f}  "
         f"mean inconsistency {1 - mean_support:.4f}"

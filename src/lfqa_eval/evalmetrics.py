@@ -20,35 +20,16 @@ from .corpus import CorpusError, label_answer
 from .models import Aspect, QARecord
 
 
-class DetectionCounts:
-    """Predictions per bucket: the package's one mutable type, which
-    classify_detections and detection_eval count into."""
+class DetectionCounts(NamedTuple):
+    """Predictions per bucket."""
 
-    __slots__ = ("exact", "adjacent", "different")
-
-    def __init__(self, exact: int = 0, adjacent: int = 0, different: int = 0):
-        self.exact = exact
-        self.adjacent = adjacent
-        self.different = different
-
-    def __eq__(self, other):
-        if type(other) is not DetectionCounts:
-            return NotImplemented
-        return (self.exact, self.adjacent, self.different) == (
-            other.exact, other.adjacent, other.different
-        )
-
-    def __repr__(self) -> str:
-        return f"DetectionCounts(exact={self.exact}, adjacent={self.adjacent}, different={self.different})"
+    exact: int = 0
+    adjacent: int = 0
+    different: int = 0
 
     @property
     def total_predicted(self) -> int:
         return self.exact + self.adjacent + self.different
-
-    def add(self, other: "DetectionCounts") -> None:
-        self.exact += other.exact
-        self.adjacent += other.adjacent
-        self.different += other.different
 
 
 def classify_detections(
@@ -60,15 +41,13 @@ def classify_detections(
     for idx in predicted | gold:
         if not 0 <= idx < n_sentences:
             raise ValueError(f"sentence index {idx} out of range 0..{n_sentences - 1}")
-    counts = DetectionCounts()
+    exact = adjacent = 0
     for p in predicted:
         if p in gold:
-            counts.exact += 1
+            exact += 1
         elif (p - 1) in gold or (p + 1) in gold:
-            counts.adjacent += 1
-        else:
-            counts.different += 1
-    return counts
+            adjacent += 1
+    return DetectionCounts(exact, adjacent, len(predicted) - exact - adjacent)
 
 
 def weighted_accuracy(counts: DetectionCounts) -> float:
@@ -92,9 +71,6 @@ class CorrectionReport(NamedTuple):
     recall: float
     f1: float
     degenerate: bool  # no record was flagged at baseline
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 def correction_prf(
@@ -215,9 +191,6 @@ class SelfCheckReport(NamedTuple):
     answer_support: float
     answer_inconsistency: float  # 1 - support, for consumers that rank by error
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def selfcheck_aggregate(judgments: Sequence[SupportJudgment]) -> SelfCheckReport:
     """Average mapped verdicts per sentence, then across the answer.
@@ -244,11 +217,7 @@ def selfcheck_aggregate(judgments: Sequence[SupportJudgment]) -> SelfCheckReport
 
 
 class PredictionError(CorpusError):
-    """A prediction that does not fit its answer, ``key`` = (record_id, answer_index)."""
-
-    def __init__(self, key: tuple[str, int], message: str):
-        super().__init__(f"record {key[0]!r} answer {key[1]}: {message}")
-        self.key = key
+    """A prediction whose tag count is not its answer's sentence count."""
 
 
 class DetectionEvalReport(NamedTuple):
@@ -260,9 +229,7 @@ class DetectionEvalReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "exact": self.counts.exact,
-            "adjacent": self.counts.adjacent,
-            "different": self.counts.different,
+            **self.counts._asdict(),
             "total_predicted": self.counts.total_predicted,
             "weighted_accuracy": self.weighted_accuracy,
             "n_records": self.n_records,
@@ -302,7 +269,7 @@ def detection_eval(
     prediction order. A tag count that is not the answer's sentence count is
     a PredictionError.
     """
-    totals = DetectionCounts()
+    exact = adjacent = different = 0
     misses = 0
     evaluated = 0
     skipped: list[str] = []
@@ -316,14 +283,18 @@ def detection_eval(
         n_sentences, errors = answers[idx]
         if n_tags != n_sentences:
             raise PredictionError(
-                (record_id, idx),
-                f"prediction has {n_tags} tags but the answer has {n_sentences} sentences",
+                f"record {record_id!r} answer {idx}: "
+                f"prediction has {n_tags} tags but the answer has {n_sentences} sentences"
             )
         evaluated += 1
         if errors and not predicted:
             misses += 1
             continue
-        totals.add(classify_detections(predicted, errors, n_sentences))
+        counts = classify_detections(predicted, errors, n_sentences)
+        exact += counts.exact
+        adjacent += counts.adjacent
+        different += counts.different
+    totals = DetectionCounts(exact, adjacent, different)
     accuracy = weighted_accuracy(totals) if totals.total_predicted else None
     return DetectionEvalReport(
         counts=totals,

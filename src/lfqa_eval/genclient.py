@@ -148,6 +148,11 @@ class BackendConfig(NamedTuple):
                     "http backend endpoint_url must be ASCII after the host; "
                     "percent-encode its path"
                 )
+            port = authority.rpartition("]")[2].partition(":")[2]  # after an IPv6 literal's ]
+            if port and not (port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+                raise ValueError(
+                    f"http backend endpoint_url port {port!r} must be an integer from 1 to 65535"
+                )
         elif self.kind == "scripted":
             if not self.fixture_dir:
                 raise ValueError("scripted backend requires fixture_dir")

@@ -258,9 +258,6 @@ class DomainRow(NamedTuple):
     alpha: float | None
     means: dict[str, dict[str, float | None]]  # source -> aspect/overall -> mean
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class DomainReport(NamedTuple):
     rows: list[DomainRow]

@@ -260,6 +260,44 @@ def test_config_refuses_a_backend_key_its_kind_never_reads(key, kind, small_corp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("role", "url", "port"),
+    [
+        ("feedback", "http://127.0.0.1:99999/v1", "99999"),
+        ("feedback", "http://127.0.0.1:65536/v1", "65536"),
+        ("feedback", "http://127.0.0.1:abc/v1", "abc"),
+        ("feedback", "http://127.0.0.1:0/v1", "0"),
+        ("feedback", "http://127.0.0.1:-1/v1", "-1"),
+        ("feedback", "https://127.0.0.1:8000:1", "8000:1"),
+        ("feedback", "http://[::1]:0/v1", "0"),
+        ("refine", "http://[::1]:99999", "99999"),
+    ],
+)
+def test_config_refuses_an_endpoint_port_out_of_range(role, url, port, small_corpus, tmp_path, capsys):
+    config = tmp_path / "cfg"
+    config.write_text(
+        f"{role}.kind = http\n{role}.endpoint_url = {url}\n{role}.model_name = m\n"
+        "feedback.temperature = 0.7\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.jsonl"
+    command = ["feedback"] if role == "feedback" else ["refine", "--mode", "improve"]
+    assert main([*command, str(small_corpus), "--config", str(config), "--out", str(out)]) == 1
+    message = f"backend '{role}': http backend endpoint_url port {port!r} must be an integer from 1 to 65535"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "url",
+    ["http://127.0.0.1/v1", "http://127.0.0.1:/v1", "http://127.0.0.1:1/v1", "http://h:65535",
+     "https://[::1]/v1", "http://[::1]:8080/v1", "http://[::1]:"],
+)
+def test_config_loads_an_endpoint_with_no_port_or_one_in_range(url):
+    settings = {"feedback.kind": "http", "feedback.endpoint_url": url, "feedback.model_name": "m"}
+    assert load_config(None, settings).roles["feedback"].backend.endpoint_url == url
+
+
 def test_configs_that_stay_legal_give_the_scripted_bytes(golden_env, tmp_path):
     clean = tmp_path / "clean.jsonl"
     assert _run_feedback_cli(golden_env, clean) == 0
@@ -2426,6 +2464,16 @@ def test_eval_correct_cli(tmp_path, capsys):
     base_row = next(r for r in rows if r.get("which") == "baseline")
     assert base_row["pct_error_samples"] == 50.0
     assert base_row["mean_error_score"] == pytest.approx(0.425)
+    # the exact bytes, key order included: the correction line spreads CorrectionReport._asdict()
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        '{"kind": "error_report", "which": "baseline", "pct_error_samples": 50.0, "mean_error_score": 0.425}',
+        '{"kind": "error_report", "which": "refined", "pct_error_samples": 50.0, "mean_error_score": 0.4}',
+        '{"kind": "correction", "tp": 1, "fp": 1, "fn": 1, "precision": 0.5, "recall": 0.5, '
+        '"f1": 0.5, "degenerate": false, "definitions": {'
+        '"tp": "record flagged at baseline and clean after refinement", '
+        '"fn": "record flagged at baseline and still flagged after refinement", '
+        '"fp": "record clean at baseline and flagged after refinement"}}',
+    ]
 
 
 def test_eval_correct_warns_when_no_baseline_record_was_flagged(tmp_path, capsys):
@@ -2532,6 +2580,24 @@ def test_selfcheck_cli(tmp_path, capsys):
     assert r1["per_sentence"] == [1.0, 0.25]
     assert r1["answer_support"] == 0.625
     assert r1["answer_inconsistency"] == 0.375
+    # the exact bytes, key order included: each line spreads SelfCheckReport._asdict()
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        '{"record_id": "r1", "per_sentence": [1.0, 0.25], "answer_support": 0.625, '
+        '"answer_inconsistency": 0.375}',
+        '{"record_id": "r2", "per_sentence": [0.5], "answer_support": 0.5, '
+        '"answer_inconsistency": 0.5}',
+    ]
+    assert capsys.readouterr().out == "2 records  mean support 0.5625  mean inconsistency 0.4375\n"
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_selfcheck_on_a_file_with_no_judgment_fails(text, tmp_path, capsys):
+    judgments = tmp_path / "judgments.jsonl"
+    judgments.write_text(text, encoding="utf-8")
+    out = tmp_path / "selfcheck.jsonl"
+    assert main(["selfcheck", "--judgments", str(judgments), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: --judgments {judgments}: no judgment records\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from lfqa_eval.corpus import label_answer
 from lfqa_eval.evalmetrics import (
     ErrorScoreRecord,
     SupportJudgment,
+    classify_detections,
     completeness_gold,
     correction_prf,
     detection_eval,
@@ -36,6 +37,7 @@ _BUILT = {
     "CliConfig": lambda: load_config(None),
     "CorrectionReport": lambda: correction_prf({"a": True}, {"a": False}),
     "SelfCheckReport": lambda: selfcheck_aggregate([SupportJudgment(0, ("yes",))]),
+    "DetectionCounts": lambda: classify_detections([0, 2], [1], 3),
     "DetectionEvalReport": lambda: detection_eval(completeness_gold([_RECORD]), []),
 }
 
